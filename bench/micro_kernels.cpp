@@ -7,7 +7,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <numbers>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 
@@ -136,6 +139,57 @@ void BM_ClosestApproach(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosestApproach);
 
+void BM_ContactPredicateMix(benchmark::State& state) {
+  // One window per iteration from a seeded mix that reaches every exit of
+  // first_contact and contact_interval in equal shares: already in
+  // contact, receding, disk missed, contact past the window end, and a
+  // hit inside the window (radius 1 throughout).
+  struct Window {
+    aurv::geom::Vec2 offset;
+    aurv::geom::Vec2 velocity;
+    double duration = 0.0;
+  };
+  std::mt19937_64 rng(2020);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<Window> windows(1024);
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const aurv::geom::Vec2 toward = aurv::geom::unit_vector(2 * std::numbers::pi * unit(rng));
+    const double distance = 2.0 + 6.0 * unit(rng);
+    const double speed = 0.5 + 2.0 * unit(rng);
+    const double reach = (distance - 1.0) / speed;  // head-on contact time
+    Window& window = windows[k];
+    window.offset = distance * toward;
+    window.velocity = -speed * toward;
+    window.duration = 2.0 * reach;
+    switch (k % 5) {
+      case 0:  // in contact
+        window.offset = 0.9 * unit(rng) * toward;
+        break;
+      case 1:  // receding at a slant
+        window.velocity = speed * (toward + (2.0 * unit(rng) - 1.0) * toward.perp());
+        break;
+      case 2:  // approaching at a slant that misses the disk (clearance >= 1.2)
+        window.velocity = -speed * (0.8 * toward + 0.6 * toward.perp());
+        break;
+      case 3:  // head-on, but the window ends halfway to contact
+        window.duration = 0.5 * reach;
+        break;
+      default:  // head-on hit inside the window
+        break;
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Window& window = windows[next];
+    next = (next + 1) % windows.size();
+    benchmark::DoNotOptimize(
+        aurv::geom::first_contact(window.offset, window.velocity, 1.0, window.duration));
+    benchmark::DoNotOptimize(
+        aurv::geom::contact_interval(window.offset, window.velocity, 1.0, window.duration));
+  }
+}
+BENCHMARK(BM_ContactPredicateMix);
+
 void BM_PlanarCowWalkGeneration(benchmark::State& state) {
   const auto i = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t instructions = 0;
@@ -193,7 +247,7 @@ void BM_BatchSweepScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 24 * 20'000);
 }
-BENCHMARK(BM_BatchSweepScaling)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchSweepScaling)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_BatchSweepThousand(benchmark::State& state) {
   // The acceptance workload for numeric-stack optimizations: a sweep of
@@ -216,7 +270,7 @@ void BM_BatchSweepThousand(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_BatchSweepThousand)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchSweepThousand)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EngineEventThroughput(benchmark::State& state) {
   // A never-meeting symmetric instance driven by the full Algorithm 1:

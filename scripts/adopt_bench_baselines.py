@@ -15,16 +15,6 @@ of a green main run):
 
     python3 scripts/adopt_bench_baselines.py path/to/artifact-dir
 
-Or let the script drive the download through the GitHub CLI (requires
-an authenticated `gh`):
-
-    python3 scripts/adopt_bench_baselines.py --from-ci
-
-which fetches the `bench-multicore-baselines` artifact of the latest
-green CI run on main into a temporary directory and adopts it from
-there. The nightly workflow reminds you to run this when the committed
-baselines still carry only serial rows.
-
 The script validates each file (schema, unit, presence of both serial
 and multicore rows) and then replaces the committed file wholesale, so
 the serial rows in the repo also move to the CI runner's hardware and
@@ -34,10 +24,7 @@ baseline file are only meaningful that way.
 
 import json
 import pathlib
-import shutil
-import subprocess
 import sys
-import tempfile
 
 EXPECTED = {
     "BENCH_campaign.json": ["BM_CampaignRun/threads:1", "BM_CampaignRun/threads:4"],
@@ -62,31 +49,6 @@ def validate(path: pathlib.Path, required_rows: list[str]) -> dict:
     return bench
 
 
-def download_from_ci(destination: pathlib.Path) -> None:
-    """Fetch the bench-multicore-baselines artifact of the latest CI run
-    on main via the GitHub CLI into `destination`."""
-    if shutil.which("gh") is None:
-        raise SystemExit(
-            "--from-ci needs the GitHub CLI (`gh`). Alternatively download the "
-            "bench-multicore-baselines artifact of a green main run from the "
-            "Actions tab, unzip it, and pass the directory instead."
-        )
-    run_id = subprocess.run(
-        ["gh", "run", "list", "--workflow", "ci.yml", "--branch", "main",
-         "--status", "success", "--limit", "1", "--json", "databaseId",
-         "--jq", ".[0].databaseId"],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    if not run_id:
-        raise SystemExit("no green ci.yml run found on main")
-    print(f"downloading bench-multicore-baselines from run {run_id} ...")
-    subprocess.run(
-        ["gh", "run", "download", run_id, "--name", "bench-multicore-baselines",
-         "--dir", str(destination)],
-        check=True,
-    )
-
-
 def adopt(artifact_dir: pathlib.Path) -> None:
     repo_root = pathlib.Path(__file__).resolve().parent.parent
 
@@ -105,13 +67,7 @@ def adopt(artifact_dir: pathlib.Path) -> None:
 def main() -> None:
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
-    if sys.argv[1] == "--from-ci":
-        with tempfile.TemporaryDirectory() as scratch:
-            artifact_dir = pathlib.Path(scratch)
-            download_from_ci(artifact_dir)
-            adopt(artifact_dir)
-    else:
-        adopt(pathlib.Path(sys.argv[1]))
+    adopt(pathlib.Path(sys.argv[1]))
 
 
 if __name__ == "__main__":

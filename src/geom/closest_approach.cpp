@@ -3,116 +3,136 @@
 #include <algorithm>
 #include <cmath>
 
-#include "numeric/filter.hpp"
+#include "numeric/filter_stats.hpp"
+#include "numeric/rational.hpp"
 
 namespace aurv::geom {
 
 namespace {
 
-using numeric::certified_sign;
-using numeric::Filtered;
-using numeric::FInterval;
-using numeric::SignClass;
+using detail::ContactSign;
+using numeric::Rational;
 
 // Every *decision* below (inside the disk? approaching? does the quadratic
-// touch the window?) is made exactly: the interval tier certifies it when
-// it can, and an exact evaluation over the input doubles — which are exact
-// dyadic rationals — settles it otherwise. The returned *values* (contact
-// times) remain the same double formulas as before; only branch outcomes
-// are exact, which is what the engine's correctness depends on.
+// touch the window?) is made exactly, by a semi-static filter in the style
+// of Shewchuk's robust predicates: each sign is evaluated in plain doubles
+// next to an a-priori error bound K * 2^-53 * P, where P is the same
+// expression with every term replaced by its magnitude (its "permanent").
+// When |value| > bound the double sign is the exact sign. Otherwise — and
+// whenever a subnormal product could void the relative error model (a bound
+// or a leaf permanent below kTiny) or the bound is inf/NaN — the expression
+// is re-evaluated in Rational over the input doubles, which are exact dyadic
+// rationals. docs/NUMERICS.md derives each constant K. The returned
+// *values* (contact times) are plain double formulas over the same b and c;
+// only branch outcomes are exact, which is what the engine's correctness
+// depends on.
 
-template <typename ExactFn>
-int resolve_sign(const FInterval& filtered, ExactFn&& exact) {
-  if (const auto certified = certified_sign(filtered)) {
-    switch (*certified) {
-      case SignClass::kNegative: return -1;
-      case SignClass::kZero: return 0;
-      case SignClass::kPositive: return 1;
-    }
+constexpr double kEps = 0x1p-53;   // unit roundoff of binary64
+constexpr double kTiny = 0x1p-960;  // underflow floor for bounds and leaves
+
+/// |offset + s v|^2 - r^2 = v2 s^2 + 2 b s + c for one window, held in
+/// doubles with the permanents pc = x^2 + y^2 + r^2 and pb = |x u| + |y v|.
+class ContactQuadratic {
+ public:
+  ContactQuadratic(Vec2 offset, Vec2 velocity, double radius) noexcept
+      : offset_(offset), velocity_(velocity), radius_(radius),
+        exact_only_(numeric::filter_exact_only()) {
+    // Same operation order as offset.norm2() and offset.dot(velocity), so b
+    // and c are bit-identical to the values the contact-time formulas use.
+    const double xy2 = offset.x * offset.x + offset.y * offset.y;
+    const double r2 = radius * radius;
+    const double bx = offset.x * velocity.x;
+    const double by = offset.y * velocity.y;
+    c = xy2 - r2;
+    pc_ = xy2 + r2;
+    b = bx + by;
+    pb_ = std::fabs(bx) + std::fabs(by);
+    v2 = velocity.norm2();
   }
-  return exact().sign();
-}
 
-Filtered product(double x, double y) {
-  Filtered result = Filtered::from_double(x);
-  result *= Filtered::from_double(y);
-  return result;
-}
+  double b = 0.0;   // offset . v: negative while approaching
+  double c = 0.0;   // |offset|^2 - r^2: <= 0 inside the disk
+  double v2 = 0.0;  // |v|^2
 
-/// Exact c = |offset|^2 - radius^2: negative inside the disk.
-Filtered exact_c(Vec2 offset, double radius) {
-  Filtered result = product(offset.x, offset.x);
-  result += product(offset.y, offset.y);
-  result -= product(radius, radius);
-  return result;
-}
+  /// Exact sign of one decision; `w` is the finite window length for the
+  /// two window decisions and unused otherwise.
+  [[nodiscard]] int sign(ContactSign which, double w = 0.0) const {
+    double value = 0.0;
+    double bound = 0.0;
+    bool leaves_normal = true;  // no subnormal leaf error gets amplified
+    switch (which) {
+      case ContactSign::kClearance:
+        value = c;
+        bound = 4 * kEps * pc_;
+        break;
+      case ContactSign::kApproach:
+        value = b;
+        bound = 3 * kEps * pb_;
+        break;
+      case ContactSign::kDiscriminant:
+        value = b * b - v2 * c;
+        bound = 8 * kEps * (pb_ * pb_ + v2 * pc_);
+        leaves_normal = v2 >= kTiny && pc_ >= kTiny;
+        break;
+      case ContactSign::kVertexMargin:
+        value = v2 * w + b;
+        bound = 5 * kEps * (v2 * w + pb_);
+        leaves_normal = v2 >= kTiny;
+        break;
+      case ContactSign::kEndClearance:
+        value = (v2 * w + 2 * b) * w + c;
+        bound = 7 * kEps * ((v2 * w + 2 * pb_) * w + pc_);
+        leaves_normal = v2 >= kTiny;
+        break;
+    }
+    if (!exact_only_ && leaves_normal && bound >= kTiny && std::fabs(value) > bound)
+      return value > 0 ? 1 : -1;
+    ++numeric::filter_stats().geom_exact_fallbacks;
+    return exact_sign(which, w);
+  }
 
-/// Exact b = offset . v: negative while the agents approach each other.
-Filtered exact_b(Vec2 offset, Vec2 velocity) {
-  Filtered result = product(offset.x, velocity.x);
-  result += product(offset.y, velocity.y);
-  return result;
-}
+  /// Whether the smaller root s1 lies at or before w, given c > 0 or a real
+  /// root pair: the vertex -b / v2 is in the window (v2 w + b >= 0) or the
+  /// window end is already inside the disk (q(w) <= 0). An infinite window
+  /// is the whole ray s >= 0 and always contains the vertex.
+  [[nodiscard]] bool reaches_disk_by(double w) const {
+    if (std::isinf(w)) return true;
+    return sign(ContactSign::kVertexMargin, w) >= 0 || sign(ContactSign::kEndClearance, w) <= 0;
+  }
 
-Filtered exact_v2(Vec2 velocity) {
-  Filtered result = product(velocity.x, velocity.x);
-  result += product(velocity.y, velocity.y);
-  return result;
-}
+ private:
+  [[nodiscard, gnu::cold]] int exact_sign(ContactSign which, double w) const {
+    const auto exact = [](double value) { return Rational::from_double(value); };
+    const Rational x = exact(offset_.x);
+    const Rational y = exact(offset_.y);
+    const auto c_exact = [&] { return x * x + y * y - exact(radius_) * exact(radius_); };
+    const auto b_exact = [&] { return x * exact(velocity_.x) + y * exact(velocity_.y); };
+    const auto v2_exact = [&] {
+      return exact(velocity_.x) * exact(velocity_.x) + exact(velocity_.y) * exact(velocity_.y);
+    };
+    switch (which) {
+      case ContactSign::kClearance: return c_exact().sign();
+      case ContactSign::kApproach: return b_exact().sign();
+      case ContactSign::kDiscriminant: {
+        const Rational b_value = b_exact();
+        return (b_value * b_value - v2_exact() * c_exact()).sign();
+      }
+      case ContactSign::kVertexMargin: return (v2_exact() * exact(w) + b_exact()).sign();
+      case ContactSign::kEndClearance: {
+        const Rational end = exact(w);
+        return ((v2_exact() * end + Rational(2) * b_exact()) * end + c_exact()).sign();
+      }
+    }
+    return 0;
+  }
 
-/// Exact discriminant b^2 - |v|^2 c of v2 s^2 + 2 b s + c.
-Filtered exact_discriminant(Vec2 offset, Vec2 velocity, double radius) {
-  Filtered result = exact_b(offset, velocity);
-  result *= exact_b(offset, velocity);
-  Filtered subtrahend = exact_v2(velocity);
-  subtrahend *= exact_c(offset, radius);
-  result -= subtrahend;
-  return result;
-}
-
-/// Exact q(w) = v2 w^2 + 2 b w + c: the squared clearance at the window end
-/// (<= 0 iff the agents are within the disk at s = duration).
-Filtered exact_q_at(Vec2 offset, Vec2 velocity, double radius, double duration) {
-  Filtered result = exact_v2(velocity);
-  result *= Filtered::from_double(duration);
-  Filtered linear = exact_b(offset, velocity);
-  linear *= Filtered::from_double(2.0);
-  result += linear;
-  result *= Filtered::from_double(duration);
-  result += exact_c(offset, radius);
-  return result;
-}
-
-/// Exact v2 w + b: >= 0 iff the parabola's vertex s* = -b / v2 lies at or
-/// before the window end.
-Filtered exact_vertex_margin(Vec2 offset, Vec2 velocity, double duration) {
-  Filtered result = exact_v2(velocity);
-  result *= Filtered::from_double(duration);
-  result += exact_b(offset, velocity);
-  return result;
-}
-
-// Interval legs of the quadratic, built from single-TwoProd point products
-// (FInterval::product) — an order of magnitude cheaper than general interval
-// multiplies, and computed lazily so the common early exits (already in
-// contact, receding) pay for only the legs they actually test.
-
-/// |offset|^2 - radius^2.
-FInterval iv_c(Vec2 offset, double radius) {
-  return FInterval::product(offset.x, offset.x) + FInterval::product(offset.y, offset.y) -
-         FInterval::product(radius, radius);
-}
-
-/// offset . v.
-FInterval iv_b(Vec2 offset, Vec2 velocity) {
-  return FInterval::product(offset.x, velocity.x) + FInterval::product(offset.y, velocity.y);
-}
-
-/// |v|^2.
-FInterval iv_v2(Vec2 velocity) {
-  return FInterval::product(velocity.x, velocity.x) +
-         FInterval::product(velocity.y, velocity.y);
-}
+  Vec2 offset_;
+  Vec2 velocity_;
+  double radius_;
+  double pc_ = 0.0;
+  double pb_ = 0.0;
+  bool exact_only_;
+};
 
 }  // namespace
 
@@ -130,43 +150,17 @@ ApproachResult closest_approach(Vec2 offset, Vec2 relative_velocity, double dura
 
 std::optional<double> first_contact(Vec2 offset, Vec2 relative_velocity, double radius,
                                     double duration) noexcept {
-  const FInterval c_iv = iv_c(offset, radius);
-  const int c_sign =
-      resolve_sign(c_iv, [&] { return exact_c(offset, radius); });
-  if (c_sign <= 0) return 0.0;  // already in contact
-  const double v2 = relative_velocity.norm2();
-  if (v2 <= 0.0 || duration <= 0.0) return std::nullopt;
-  // Solve |offset + s v|^2 = radius^2:
-  //   v2 s^2 + 2 b s + c = 0, b = offset.v, c = |offset|^2 - radius^2 (> 0 here).
-  const FInterval b_iv = iv_b(offset, relative_velocity);
-  const int b_sign =
-      resolve_sign(b_iv, [&] { return exact_b(offset, relative_velocity); });
-  if (b_sign >= 0) return std::nullopt;  // moving apart; distance only grows
-  const FInterval v2_iv = iv_v2(relative_velocity);
-  const int d_sign = resolve_sign(
-      b_iv * b_iv - v2_iv * c_iv,
-      [&] { return exact_discriminant(offset, relative_velocity, radius); });
-  if (d_sign < 0) return std::nullopt;  // the disk is never reached
-  // Window containment of the smaller root: s1 <= w iff the vertex lies in
-  // the window (v2 w + b >= 0) or the window end is already inside the disk
-  // (q(w) <= 0). Rational-decidable — no square root needed for the branch.
-  const FInterval w = FInterval::point(duration);
-  const int vertex_sign =
-      resolve_sign(v2_iv * w + b_iv,
-                   [&] { return exact_vertex_margin(offset, relative_velocity, duration); });
-  if (vertex_sign < 0) {
-    const int qw_sign = resolve_sign(
-        (v2_iv * w + FInterval::point(2.0) * b_iv) * w + c_iv,
-        [&] { return exact_q_at(offset, relative_velocity, radius, duration); });
-    if (qw_sign > 0) return std::nullopt;  // vertex and window-end both clear
-  }
-  // Contact certified inside the window; the reported time is the same
-  // numerically stable double root as before, clamped to the certificate.
-  const double b = offset.dot(relative_velocity);
-  const double c = offset.norm2() - radius * radius;
-  const double discriminant = b * b - v2 * c;
-  const double sqrt_d = std::sqrt(std::max(discriminant, 0.0));
-  const double s1 = c / (-b + sqrt_d);
+  const ContactQuadratic quad(offset, relative_velocity, radius);
+  if (quad.sign(ContactSign::kClearance) <= 0) return 0.0;  // already in contact
+  if (quad.v2 <= 0.0 || duration <= 0.0) return std::nullopt;
+  // Solve v2 s^2 + 2 b s + c = 0 with c > 0 here.
+  if (quad.sign(ContactSign::kApproach) >= 0) return std::nullopt;  // distance only grows
+  if (quad.sign(ContactSign::kDiscriminant) < 0) return std::nullopt;  // disk never reached
+  if (!quad.reaches_disk_by(duration)) return std::nullopt;
+  // Contact certified inside the window; the reported time is the
+  // numerically stable double root, clamped to the certificate.
+  const double discriminant = quad.b * quad.b - quad.v2 * quad.c;
+  const double s1 = quad.c / (-quad.b + std::sqrt(std::max(discriminant, 0.0)));
   if (!(s1 > 0.0)) return 0.0;  // guards tiny negative round-off (and NaN)
   if (s1 > duration) return duration;  // round-off past the certified window
   return s1;
@@ -174,55 +168,36 @@ std::optional<double> first_contact(Vec2 offset, Vec2 relative_velocity, double 
 
 std::optional<ContactInterval> contact_interval(Vec2 offset, Vec2 relative_velocity,
                                                 double radius, double duration) noexcept {
-  const FInterval c_iv = iv_c(offset, radius);
-  const int c_sign = resolve_sign(c_iv, [&] { return exact_c(offset, radius); });
-  const bool inside_now = c_sign <= 0;
-  const double v2 = relative_velocity.norm2();
-  if (v2 <= 0.0 || duration <= 0.0) {
+  const ContactQuadratic quad(offset, relative_velocity, radius);
+  const bool inside_now = quad.sign(ContactSign::kClearance) <= 0;
+  if (quad.v2 <= 0.0 || duration <= 0.0) {
     if (inside_now) return ContactInterval{0.0, duration};
     return std::nullopt;
   }
-  // Roots of v2 s^2 + 2 b s + c = 0 with c = |offset|^2 - radius^2.
-  const FInterval b_iv = iv_b(offset, relative_velocity);
-  const FInterval v2_iv = iv_v2(relative_velocity);
-  const int d_sign = resolve_sign(
-      b_iv * b_iv - v2_iv * c_iv,
-      [&] { return exact_discriminant(offset, relative_velocity, radius); });
-  if (d_sign < 0) {
+  if (quad.sign(ContactSign::kDiscriminant) < 0) {
     if (inside_now) return ContactInterval{0.0, duration};  // exactly impossible: c <= 0 forces D >= 0
     return std::nullopt;
   }
   // Overlap of [enter, exit] with [0, w], decided exactly:
   //   exit < 0  iff  b > 0 and c > 0 (both roots negative);
-  //   enter > w iff  the vertex is past the window (v2 w + b < 0) and the
-  //                  window end is still clear (q(w) > 0).
-  if (!inside_now) {
-    const int b_sign =
-        resolve_sign(b_iv, [&] { return exact_b(offset, relative_velocity); });
-    if (b_sign > 0) return std::nullopt;  // c > 0 here, so the disk is behind us
-  }
-  const FInterval w = FInterval::point(duration);
-  const int vertex_sign =
-      resolve_sign(v2_iv * w + b_iv,
-                   [&] { return exact_vertex_margin(offset, relative_velocity, duration); });
-  if (vertex_sign < 0) {
-    const int qw_sign = resolve_sign(
-        (v2_iv * w + FInterval::point(2.0) * b_iv) * w + c_iv,
-        [&] { return exact_q_at(offset, relative_velocity, radius, duration); });
-    if (qw_sign > 0) return std::nullopt;
-  }
-  // Overlap certified; endpoints are the same double roots as before,
-  // clamped into the certified window.
-  const double b = offset.dot(relative_velocity);
-  const double discriminant =
-      b * b - v2 * (offset.norm2() - radius * radius);
+  //   enter > w iff  the window does not reach the disk.
+  if (!inside_now && quad.sign(ContactSign::kApproach) > 0) return std::nullopt;
+  if (!quad.reaches_disk_by(duration)) return std::nullopt;
+  // Overlap certified; endpoints are the double roots, clamped into the
+  // certified window.
+  const double discriminant = quad.b * quad.b - quad.v2 * quad.c;
   const double sqrt_d = std::sqrt(std::max(discriminant, 0.0));
-  const double enter = (-b - sqrt_d) / v2;
-  const double exit = (-b + sqrt_d) / v2;
+  const double enter = (-quad.b - sqrt_d) / quad.v2;
+  const double exit = (-quad.b + sqrt_d) / quad.v2;
   double lo = std::clamp(enter, 0.0, duration);
   double hi = std::clamp(exit, 0.0, duration);
   if (lo > hi) lo = hi;  // round-off in a certified-overlap corner
   return ContactInterval{lo, hi};
+}
+
+int detail::contact_sign(ContactSign which, Vec2 offset, Vec2 relative_velocity, double radius,
+                         double duration) noexcept {
+  return ContactQuadratic(offset, relative_velocity, radius).sign(which, duration);
 }
 
 }  // namespace aurv::geom

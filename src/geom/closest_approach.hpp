@@ -25,13 +25,16 @@ struct ApproachResult {
 
 /// First s in [0, duration] with |offset + s * relative_velocity| <= radius,
 /// or nullopt if the distance stays above `radius` throughout the window.
-/// Exact at s = 0 (already in contact reports 0).
+/// Exact at s = 0 (already in contact reports 0). Whether a contact exists
+/// is decided exactly over the input doubles; `duration` may be +inf (the
+/// whole ray s >= 0).
 [[nodiscard]] std::optional<double> first_contact(Vec2 offset, Vec2 relative_velocity,
                                                   double radius, double duration) noexcept;
 
 /// The closed sub-interval of [0, duration] during which
 /// |offset + s * relative_velocity| <= radius, or nullopt if the distance
-/// stays above radius throughout. Used by the gathering engine, which needs
+/// stays above radius throughout (decided exactly, like first_contact;
+/// `duration` may be +inf). Used by the gathering engine, which needs
 /// *simultaneous* visibility intervals of many pairs.
 struct ContactInterval {
   double enter = 0.0;
@@ -41,5 +44,25 @@ struct ContactInterval {
                                                               Vec2 relative_velocity,
                                                               double radius,
                                                               double duration) noexcept;
+
+namespace detail {
+
+/// The five exactly decided signs behind first_contact and contact_interval,
+/// over the quadratic |offset + s v|^2 - r^2 = v2 s^2 + 2 b s + c.
+enum class ContactSign {
+  kClearance,     ///< c = |offset|^2 - r^2 (<= 0: inside the disk)
+  kApproach,      ///< b = offset . v (< 0: approaching)
+  kDiscriminant,  ///< b^2 - v2 c (< 0: the line misses the disk)
+  kVertexMargin,  ///< v2 w + b (>= 0: the closest approach is within the window)
+  kEndClearance,  ///< q(w) = (v2 w + 2 b) w + c (<= 0: inside the disk at s = w)
+};
+
+/// Exact sign of one decision, as the predicates take it (semi-static
+/// filter, exact Rational fallback). Exposed for the differential tests;
+/// the inputs must be finite, and `duration` is the window length w >= 0.
+[[nodiscard]] int contact_sign(ContactSign which, Vec2 offset, Vec2 relative_velocity,
+                               double radius, double duration) noexcept;
+
+}  // namespace detail
 
 }  // namespace aurv::geom

@@ -43,9 +43,9 @@ bool exact_only_from_env() {
   return raw != nullptr && *raw != '\0' && std::string_view(raw) != "0";
 }
 
-std::atomic<bool> g_exact_only{exact_only_from_env()};
-
 }  // namespace
+
+std::atomic<bool> filter_detail::exact_only_flag{exact_only_from_env()};
 
 // ------------------------------------------------------------- tier stats --
 
@@ -61,17 +61,18 @@ void flush_filter_stats() {
       support::telemetry::registry().counter("filter.limb2_hits");
   static support::telemetry::Counter& exact_escapes =
       support::telemetry::registry().counter("filter.exact_escapes");
+  static support::telemetry::Counter& geom_exact_fallbacks =
+      support::telemetry::registry().counter("geom.exact_fallbacks");
   FilterStats& stats = filter_stats();
   if (stats.fast_hits != 0) fast_hits.add(stats.fast_hits);
   if (stats.limb2_hits != 0) limb2_hits.add(stats.limb2_hits);
   if (stats.exact_escapes != 0) exact_escapes.add(stats.exact_escapes);
+  if (stats.geom_exact_fallbacks != 0) geom_exact_fallbacks.add(stats.geom_exact_fallbacks);
   stats = FilterStats{};
 }
 
-bool filter_exact_only() noexcept { return g_exact_only.load(std::memory_order_relaxed); }
-
 void set_filter_exact_only(bool exact_only) noexcept {
-  g_exact_only.store(exact_only, std::memory_order_relaxed);
+  filter_detail::exact_only_flag.store(exact_only, std::memory_order_relaxed);
 }
 
 // -------------------------------------------------------------- FInterval --

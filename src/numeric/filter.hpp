@@ -29,7 +29,8 @@
 // rounding sequence instruction for instruction (see filter.cpp) rather
 // than computing a correctly-rounded conversion.
 //
-// Tier traffic is counted per thread (filter_stats) and published to the
+// Tier traffic is counted per thread (filter_stats, declared with the
+// exact-only switch in numeric/filter_stats.hpp) and published to the
 // telemetry registry as filter.fast_hits / filter.limb2_hits /
 // filter.exact_escapes by flush_filter_stats(), which the engines call at
 // their deterministic finish points. See docs/NUMERICS.md for the full
@@ -43,32 +44,10 @@
 #include <limits>
 #include <optional>
 
+#include "numeric/filter_stats.hpp"
 #include "numeric/rational.hpp"
 
 namespace aurv::numeric {
-
-// ------------------------------------------------------------------------
-// Per-thread tier-traffic counters. Plain integers on purpose: bumping one
-// costs a register increment, not an atomic; flush_filter_stats() moves
-// them into the process-wide telemetry registry at deterministic points.
-struct FilterStats {
-  std::uint64_t fast_hits = 0;      // interval tier decided
-  std::uint64_t limb2_hits = 0;     // two-limb dyadic tier decided
-  std::uint64_t exact_escapes = 0;  // fell through to Rational
-};
-
-[[nodiscard]] FilterStats& filter_stats() noexcept;
-
-/// Adds this thread's counts to the telemetry counters filter.* and zeroes
-/// them. Call sites are the engines' finish paths, so counter totals stay
-/// thread-count-invariant like every other telemetry series.
-void flush_filter_stats();
-
-/// When true, every decision goes straight to the Rational tier: the
-/// determinism proof mode behind the AURV_EXACT_ONLY=1 environment toggle
-/// (read once at startup). Artifacts must be byte-identical either way.
-[[nodiscard]] bool filter_exact_only() noexcept;
-void set_filter_exact_only(bool exact_only) noexcept;
 
 // ------------------------------------------------------------------------
 // Directed-rounding scalar helpers. TwoSum/TwoProd produce the exact
@@ -156,34 +135,6 @@ struct FInterval {
   /// Sound enclosure of an exact rational value; a point iff the value is
   /// exactly representable (see filter.cpp for the proof obligations).
   static FInterval enclose(const Rational& value);
-
-  /// Tight enclosure of a * b for two exact doubles: one multiply plus one
-  /// fma (TwoProd) instead of the eight directed products a general
-  /// interval multiply pays. Endpoint-for-endpoint identical to
-  /// {mul_down(a, b), mul_up(a, b)} — the special cases below mirror those
-  /// helpers' clauses one by one.
-  static FInterval product(double a, double b) {
-    using filter_detail::kInf;
-    const double p = a * b;
-    if (std::isnan(p)) return {-kInf, kInf};  // 0 * inf: no finite information
-    if (!std::isfinite(p)) {
-      if (std::isinf(a) || std::isinf(b)) return {p, p};
-      return p > 0 ? FInterval{std::numeric_limits<double>::max(), kInf}
-                   : FInterval{-kInf, -std::numeric_limits<double>::max()};
-    }
-    const double err = std::fma(a, b, -p);
-    if (err < 0) return {filter_detail::next_down(p), p};
-    if (err > 0) return {p, filter_detail::next_up(p)};
-    if (p != 0 && std::fabs(p) < std::numeric_limits<double>::min()) {
-      // Subnormal residual underflow: the rounding direction is invisible.
-      return {filter_detail::next_down(p), filter_detail::next_up(p)};
-    }
-    if (p == 0 && a != 0 && b != 0) {
-      return {-std::numeric_limits<double>::denorm_min(),
-              std::numeric_limits<double>::denorm_min()};
-    }
-    return {p, p};
-  }
 
   [[nodiscard]] bool is_point() const { return lo == hi; }
 

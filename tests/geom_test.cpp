@@ -1,10 +1,17 @@
 // Tests for the geometry kernel: vectors, angles, lines, similarity
 // transforms, the canonical line of Definition 2.1, and the closest-approach
-// solver the simulator is built on.
+// solver the simulator is built on, including a differential fuzz of its
+// semi-static contact predicates against exact Rational arithmetic.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "geom/angle.hpp"
 #include "geom/canonical_line.hpp"
@@ -12,6 +19,8 @@
 #include "geom/line.hpp"
 #include "geom/similarity.hpp"
 #include "geom/vec2.hpp"
+#include "numeric/filter_stats.hpp"
+#include "numeric/rational.hpp"
 
 namespace aurv::geom {
 namespace {
@@ -345,6 +354,300 @@ TEST(ClosestApproach, ContactIntervalConsistentWithFirstContact) {
       // outside start; then contact_interval must also be empty.
       EXPECT_LE(offset.norm(), radius + 1e-9);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Semi-static contact predicates: every sign the filter returns must equal
+// the sign of the same expression in exact Rational arithmetic over the
+// input doubles, and both predicates must return the same bits whether the
+// double tier is live or forced aside (AURV_EXACT_ONLY).
+
+using detail::ContactSign;
+using numeric::Rational;
+
+/// RAII toggle for the global exact-only mode; restores the previous mode
+/// (the suite also runs with AURV_EXACT_ONLY=1, where the ambient mode is on).
+class ExactOnlyGuard {
+ public:
+  explicit ExactOnlyGuard(bool exact_only) : previous_(numeric::filter_exact_only()) {
+    numeric::set_filter_exact_only(exact_only);
+  }
+  ~ExactOnlyGuard() { numeric::set_filter_exact_only(previous_); }
+
+ private:
+  bool previous_;
+};
+
+struct ContactCase {
+  Vec2 offset;
+  Vec2 velocity;
+  double radius = 1.0;
+  double duration = 1.0;
+};
+
+std::string describe(const ContactCase& k) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "offset=(" << k.offset.x << ", " << k.offset.y << ") v=(" << k.velocity.x << ", "
+      << k.velocity.y << ") r=" << k.radius << " w=" << k.duration;
+  return out.str();
+}
+
+constexpr ContactSign kAllSigns[] = {ContactSign::kClearance, ContactSign::kApproach,
+                                     ContactSign::kDiscriminant, ContactSign::kVertexMargin,
+                                     ContactSign::kEndClearance};
+
+/// The reference: each decision evaluated directly in Rational.
+int reference_sign(ContactSign which, const ContactCase& k) {
+  const Rational x = Rational::from_double(k.offset.x);
+  const Rational y = Rational::from_double(k.offset.y);
+  const Rational u = Rational::from_double(k.velocity.x);
+  const Rational v = Rational::from_double(k.velocity.y);
+  const Rational r = Rational::from_double(k.radius);
+  const Rational w = Rational::from_double(k.duration);
+  const Rational c = x * x + y * y - r * r;
+  const Rational b = x * u + y * v;
+  const Rational v2 = u * u + v * v;
+  switch (which) {
+    case ContactSign::kClearance: return c.sign();
+    case ContactSign::kApproach: return b.sign();
+    case ContactSign::kDiscriminant: return (b * b - v2 * c).sign();
+    case ContactSign::kVertexMargin: return (v2 * w + b).sign();
+    case ContactSign::kEndClearance: return (v2 * w * w + Rational(2) * b * w + c).sign();
+  }
+  return 2;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+int filtered_sign(ContactSign which, const ContactCase& k) {
+  return detail::contact_sign(which, k.offset, k.velocity, k.radius, k.duration);
+}
+
+/// All five signs against the reference, then both predicates against
+/// their exact-only twins.
+void expect_exact(const ContactCase& k) {
+  for (const ContactSign which : kAllSigns) {
+    EXPECT_EQ(filtered_sign(which, k), reference_sign(which, k))
+        << describe(k) << " decision " << static_cast<int>(which);
+  }
+  const auto first = first_contact(k.offset, k.velocity, k.radius, k.duration);
+  const auto interval = contact_interval(k.offset, k.velocity, k.radius, k.duration);
+  const ExactOnlyGuard guard(true);
+  const auto first_exact = first_contact(k.offset, k.velocity, k.radius, k.duration);
+  const auto interval_exact = contact_interval(k.offset, k.velocity, k.radius, k.duration);
+  ASSERT_EQ(first.has_value(), first_exact.has_value()) << describe(k);
+  if (first) {
+    EXPECT_TRUE(same_bits(*first, *first_exact)) << describe(k);
+  }
+  ASSERT_EQ(interval.has_value(), interval_exact.has_value()) << describe(k);
+  if (interval) {
+    EXPECT_TRUE(same_bits(interval->enter, interval_exact->enter)) << describe(k);
+    EXPECT_TRUE(same_bits(interval->exit, interval_exact->exit)) << describe(k);
+  }
+}
+
+/// Offsets and radius scaled by 2^k, velocity by 2^j, window by 2^(k-j):
+/// every decision value scales by a power of two, so a constructed zero
+/// stays a zero unless a scaled input leaves the double range.
+ContactCase scaled(ContactCase k, int offset_exp, int velocity_exp) {
+  k.offset = std::ldexp(1.0, offset_exp) * k.offset;
+  k.radius = std::ldexp(k.radius, offset_exp);
+  k.velocity = std::ldexp(1.0, velocity_exp) * k.velocity;
+  k.duration = std::ldexp(k.duration, offset_exp - velocity_exp);
+  return k;
+}
+
+/// The case with one input moved by one ulp, for each input and both
+/// directions.
+std::vector<ContactCase> nudges(const ContactCase& k) {
+  std::vector<ContactCase> out;
+  for (const double toward : {1e308, -1e308}) {
+    for (int input = 0; input < 6; ++input) {
+      ContactCase n = k;
+      double* const inputs[] = {&n.offset.x,   &n.offset.y, &n.velocity.x,
+                                &n.velocity.y, &n.radius,   &n.duration};
+      *inputs[input] = std::nextafter(*inputs[input], toward);
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
+// Each constructed case makes one decision exactly zero.
+const ContactCase kOnCircle{{3.0, 4.0}, {-1.0, -1.0}, 5.0, 10.0};          // c = 0
+const ContactCase kPerpendicular{{3.0, 4.0}, {-4.0, 3.0}, 1.0, 10.0};      // b = 0
+const ContactCase kTangent{{3.0, 1.0}, {-1.0, 0.0}, 1.0, 10.0};            // b^2 - v2 c = 0
+const ContactCase kVertexAtEnd{{3.0, 1.0}, {-1.0, 0.0}, 2.0, 3.0};         // v2 w + b = 0
+const ContactCase kEndOnCircle{{3.0, 0.0}, {-1.0, 0.0}, 1.0, 2.0};         // q(w) = 0
+
+TEST(ContactPredicates, ConstructedZerosAreExactZeros) {
+  EXPECT_EQ(reference_sign(ContactSign::kClearance, kOnCircle), 0);
+  EXPECT_EQ(reference_sign(ContactSign::kApproach, kPerpendicular), 0);
+  EXPECT_EQ(reference_sign(ContactSign::kDiscriminant, kTangent), 0);
+  EXPECT_EQ(reference_sign(ContactSign::kVertexMargin, kVertexAtEnd), 0);
+  EXPECT_EQ(reference_sign(ContactSign::kEndClearance, kEndOnCircle), 0);
+  // q(w) = 0 is reached: the vertex (s = 3) lies past the window end.
+  EXPECT_LT(reference_sign(ContactSign::kVertexMargin, kEndOnCircle), 0);
+  EXPECT_EQ(first_contact(kEndOnCircle.offset, kEndOnCircle.velocity, kEndOnCircle.radius,
+                          kEndOnCircle.duration),
+            2.0);
+  EXPECT_EQ(first_contact(kOnCircle.offset, kOnCircle.velocity, kOnCircle.radius, 10.0), 0.0);
+  EXPECT_EQ(first_contact(kTangent.offset, kTangent.velocity, kTangent.radius, 10.0), 3.0);
+}
+
+TEST(ContactPredicates, ExactZerosFallBackToRational) {
+  // A zero can never clear its error bound, so the filter must hand every
+  // one of them to Rational and count the fallback.
+  const ExactOnlyGuard guard(false);
+  const auto fallbacks = [] { return numeric::filter_stats().geom_exact_fallbacks; };
+  for (const auto& [which, k] : std::vector<std::pair<ContactSign, ContactCase>>{
+           {ContactSign::kClearance, kOnCircle},
+           {ContactSign::kApproach, kPerpendicular},
+           {ContactSign::kDiscriminant, kTangent},
+           {ContactSign::kVertexMargin, kVertexAtEnd},
+           {ContactSign::kEndClearance, kEndOnCircle}}) {
+    const std::uint64_t before = fallbacks();
+    EXPECT_EQ(filtered_sign(which, k), 0) << describe(k);
+    EXPECT_EQ(fallbacks(), before + 1) << describe(k);
+  }
+  // A clear-cut decision costs no fallback.
+  const std::uint64_t before = fallbacks();
+  EXPECT_EQ(filtered_sign(ContactSign::kApproach, kTangent), -1);
+  EXPECT_EQ(fallbacks(), before);
+}
+
+TEST(ContactPredicates, ConstructedNearDegenerateCasesMatchRational) {
+  const std::vector<ContactCase> bases = {
+      kOnCircle,
+      {{3.0, 4.0}, {1.0, 1.0}, 5.0, 10.0},    // on the circle, receding
+      {{3.0, 4.0}, {-4.0, 3.0}, 5.0, 10.0},   // on the circle, tangential
+      kPerpendicular,
+      {{3.0, 4.0}, {-4.0, 3.0}, 6.0, 10.0},   // perpendicular, inside
+      kTangent,
+      {{5.0, -3.0}, {-0.5, 0.0}, 3.0, 1e6},   // grazing from below
+      kVertexAtEnd,
+      kEndOnCircle,
+      {{0.6, 0.8}, {-0.3, -0.4}, 1.0, 7.0},   // decimal near-circle
+  };
+  const int offset_exps[] = {-1000, -520, -150, 0, 150, 500};
+  const int velocity_exps[] = {-500, 0, 480};
+  for (const ContactCase& base : bases) {
+    for (const int k : offset_exps) {
+      for (const int j : velocity_exps) {
+        const ContactCase c = scaled(base, k, j);
+        expect_exact(c);
+        for (const ContactCase& n : nudges(c)) expect_exact(n);
+      }
+    }
+  }
+}
+
+TEST(ContactPredicates, RandomInputsMatchRational) {
+  std::mt19937_64 rng(20200715);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> jitter(-40, 40);
+  std::uniform_int_distribution<int> wide(-1070, 1000);
+  const int scales[] = {-1000, -300, 0, 300, 500};
+  const ExactOnlyGuard guard(false);
+  std::uint64_t moderate_fallbacks = 0;
+  for (int round = 0; round < 3000; ++round) {
+    ContactCase k;
+    if (round < 1000) {
+      // The simulator's regime: moderate coordinates, speeds and windows.
+      k = {{8 * unit(rng), 8 * unit(rng)}, {3 * unit(rng), 3 * unit(rng)},
+           0.1 + 4 * std::fabs(unit(rng)), 0.01 + 20 * std::fabs(unit(rng))};
+      const std::uint64_t before = numeric::filter_stats().geom_exact_fallbacks;
+      for (const ContactSign which : kAllSigns) (void)filtered_sign(which, k);
+      moderate_fallbacks += numeric::filter_stats().geom_exact_fallbacks - before;
+    } else if (round < 2000) {
+      // One shared magnitude with per-component jitter, near the overflow
+      // and underflow ends included.
+      const int scale = scales[round % 5];
+      const auto draw = [&](int base) { return std::ldexp(unit(rng), base + jitter(rng)); };
+      k = {{draw(scale), draw(scale)}, {draw(0), draw(0)}, std::fabs(draw(scale)),
+           std::fabs(draw(0))};
+    } else {
+      // Independent magnitudes per input (mixed scales), with exact zeros.
+      const auto draw = [&] { return rng() % 16 == 0 ? 0.0 : std::ldexp(unit(rng), wide(rng)); };
+      k = {{draw(), draw()}, {draw(), draw()}, std::fabs(draw()), std::fabs(draw())};
+    }
+    expect_exact(k);
+  }
+  // The bounds are tight enough that generic inputs almost never fall back:
+  // at most 1% of the 5000 moderate decisions.
+  EXPECT_LE(moderate_fallbacks, 50u);
+}
+
+TEST(ContactPredicates, RandomNearZerosMatchRational) {
+  // Random configurations solved (in doubles) to put one decision at zero:
+  // each lands within a few ulps of it, where the error bound must either
+  // still certify the sign or hand the decision to Rational.
+  std::mt19937_64 rng(5318008);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> scale(-300, 300);
+  for (int round = 0; round < 2000; ++round) {
+    const int k = scale(rng);
+    const int j = scale(rng) / 4;
+    ContactCase c{{std::ldexp(unit(rng), k), std::ldexp(unit(rng), k)},
+                  {std::ldexp(unit(rng), j), std::ldexp(unit(rng), j)},
+                  std::ldexp(std::fabs(unit(rng)), k), std::ldexp(std::fabs(unit(rng)), k - j)};
+    const double b = c.offset.dot(c.velocity);
+    const double v2 = c.velocity.norm2();
+    switch (round % 4) {
+      case 0:  // start on the circle: c ~ 0
+        c.radius = c.offset.norm();
+        break;
+      case 1:  // graze the circle: b^2 - v2 c ~ 0
+        c.radius = std::sqrt(std::fabs(c.offset.norm2() - b * b / v2));
+        break;
+      case 2:  // vertex at the window end: v2 w + b ~ 0
+        c.duration = std::fabs(b / v2);
+        break;
+      default: {  // window end on the circle: q(w) ~ 0
+        const double r2 = c.offset.norm2() * std::fabs(unit(rng));
+        c.radius = std::sqrt(r2);
+        const double d = b * b - v2 * (c.offset.norm2() - r2);
+        c.duration = std::fabs((-b + std::sqrt(std::max(d, 0.0))) / v2);
+      }
+    }
+    expect_exact(c);
+    for (const ContactCase& n : nudges(c)) expect_exact(n);
+  }
+}
+
+TEST(ContactPredicates, InfiniteWindowIsTheWholeRay) {
+  // A wait of 2^(15 i^2) units overflows the double window at i = 9; both
+  // predicates must treat that window as the whole ray s >= 0 in both modes.
+  const double inf = Rational::pow2(15 * 9 * 9).to_double();
+  ASSERT_TRUE(std::isinf(inf));
+  for (const bool exact_only : {false, true}) {
+    const ExactOnlyGuard guard(exact_only);
+    EXPECT_EQ(first_contact(Vec2{3.0, 0.0}, Vec2{-1.0, 0.0}, 1.0, inf), 2.0);
+    const auto far = first_contact(Vec2{1e300, 1.0}, Vec2{-1.0, 0.0}, 2.0, inf);
+    ASSERT_TRUE(far.has_value());
+    EXPECT_TRUE(std::isfinite(*far));
+    EXPECT_EQ(first_contact(Vec2{0.5, 0.0}, Vec2{1.0, 0.0}, 1.0, inf), 0.0);
+    EXPECT_FALSE(first_contact(Vec2{3.0, 0.0}, Vec2{1.0, 0.0}, 1.0, inf).has_value());
+    EXPECT_FALSE(first_contact(Vec2{3.0, 2.0}, Vec2{-1.0, 0.0}, 1.0, inf).has_value());
+    EXPECT_FALSE(first_contact(Vec2{3.0, 0.0}, Vec2{}, 1.0, inf).has_value());
+
+    const auto pass = contact_interval(Vec2{3.0, 0.0}, Vec2{-1.0, 0.0}, 1.0, inf);
+    ASSERT_TRUE(pass.has_value());
+    EXPECT_EQ(pass->enter, 2.0);
+    EXPECT_EQ(pass->exit, 4.0);
+    const auto leaving = contact_interval(Vec2{0.5, 0.0}, Vec2{1.0, 0.0}, 1.0, inf);
+    ASSERT_TRUE(leaving.has_value());
+    EXPECT_EQ(leaving->enter, 0.0);
+    EXPECT_EQ(leaving->exit, 0.5);
+    const auto still = contact_interval(Vec2{0.5, 0.0}, Vec2{}, 1.0, inf);
+    ASSERT_TRUE(still.has_value());
+    EXPECT_EQ(still->exit, inf);
+    EXPECT_FALSE(contact_interval(Vec2{3.0, 0.0}, Vec2{1.0, 0.0}, 1.0, inf).has_value());
+    EXPECT_FALSE(contact_interval(Vec2{3.0, 2.0}, Vec2{-1.0, 0.0}, 1.0, inf).has_value());
   }
 }
 

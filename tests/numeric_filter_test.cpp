@@ -204,27 +204,6 @@ TEST(FilteredKernel, DyadicToDoubleReplaysRationalToDoubleBitForBit) {
   }
 }
 
-TEST(FilteredKernel, PointProductMatchesDirectedHelpers) {
-  std::mt19937_64 rng(5150);
-  std::uniform_real_distribution<double> mantissa(-4.0, 4.0);
-  std::uniform_int_distribution<int> exponent(-540, 540);
-  for (int round = 0; round < 4000; ++round) {
-    const double a = std::ldexp(mantissa(rng), exponent(rng));
-    const double b = std::ldexp(mantissa(rng), exponent(rng));
-    const FInterval product = FInterval::product(a, b);
-    EXPECT_TRUE(same_double_bits(product.lo, filter_detail::mul_down(a, b))) << a << " * " << b;
-    EXPECT_TRUE(same_double_bits(product.hi, filter_detail::mul_up(a, b))) << a << " * " << b;
-  }
-  // Exactness corners: zero factors keep signed-zero parity with the
-  // directed helpers; total underflow widens to the denormal pair.
-  for (const auto& [a, b] : std::vector<std::pair<double, double>>{
-           {0.0, 3.5}, {-0.0, 3.5}, {1e-200, 1e-200}, {-1e-300, 1e-300}}) {
-    const FInterval product = FInterval::product(a, b);
-    EXPECT_TRUE(same_double_bits(product.lo, filter_detail::mul_down(a, b)));
-    EXPECT_TRUE(same_double_bits(product.hi, filter_detail::mul_up(a, b)));
-  }
-}
-
 TEST(FilteredKernel, ExactOnlyModeAgreesWithFilteredLadder) {
   std::mt19937_64 rng(31337);
   for (int round = 0; round < 500; ++round) {
