@@ -209,6 +209,24 @@ void BM_TakeDurationSlicing(benchmark::State& state) {
 }
 BENCHMARK(BM_TakeDurationSlicing);
 
+void BM_AurvProgramStart(benchmark::State& state) {
+  // What every engine run pays before its first events: a fresh Algorithm 1
+  // stream and its first 64 instructions (all of phase 1's block 1), read
+  // from the warm shared block table.
+  constexpr int kPulls = 64;
+  auto warm = aurv::core::almost_universal_rv();
+  for (int k = 0; k < kPulls; ++k) warm.next();
+  for (auto _ : state) {
+    auto program = aurv::core::almost_universal_rv();
+    for (int k = 0; k < kPulls; ++k) {
+      program.next();
+      benchmark::DoNotOptimize(program.value());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kPulls);
+}
+BENCHMARK(BM_AurvProgramStart);
+
 void BM_GatherEngineThreeAgents(benchmark::State& state) {
   // Multi-agent window processing: O(n^2) pair checks per event.
   const std::vector<aurv::gather::GatherAgent> agents = {

@@ -1,5 +1,8 @@
 #include "core/almost_universal.hpp"
 
+#include <array>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -12,12 +15,14 @@
 #include "geom/angle.hpp"
 #include "program/combinators.hpp"
 #include "support/check.hpp"
+#include "support/telemetry.hpp"
 
 namespace aurv::core {
 
 using numeric::Rational;
 using program::Instruction;
 using program::Program;
+namespace telemetry = support::telemetry;
 
 namespace {
 
@@ -85,13 +90,61 @@ std::vector<Instruction> block4(std::uint32_t i) {
 
 namespace {
 
+// Blocks are pure functions of (phase, block) and every agent of every run
+// executes the same ones, so blocks of at most kSharedBlockCap instructions
+// are built once per process, on first use, and shared read-only by every
+// stream. Longer blocks (block 1 from phase 4 on) are still built per
+// stream by aurv_phase_block and freed when the stream moves on. The cap
+// admits every block of phases 1-3 (0.93 MiB of Instruction storage) and
+// the short blocks of phases 4-6 (3.06 MiB in all); any later phase sits
+// behind a per-stream block 1 of about 20M instructions.
+constexpr std::size_t kSharedBlockCap = std::size_t{1} << 16;
+
+using Block = std::shared_ptr<const std::vector<Instruction>>;
+
+struct SharedSlot {
+  std::once_flag built;
+  Block shared;  ///< null once built: the block is over the cap
+};
+
+// Constant-initialized: nothing is built before a program asks for it.
+std::array<std::array<SharedSlot, 4>, algo::kMaxCowWalkIndex> shared_blocks;
+
+Block phase_block(std::uint32_t phase, int block) {
+  SharedSlot& slot = shared_blocks[phase - 1][static_cast<std::size_t>(block - 1)];
+  Block own;  // the over-cap block this call built, if any
+  std::call_once(slot.built, [&] {
+    auto instructions =
+        std::make_shared<const std::vector<Instruction>>(aurv_phase_block(phase, block));
+    if (instructions->size() > kSharedBlockCap) {
+      own = std::move(instructions);
+      return;
+    }
+    // Gauges of the table's contents: admissions happen once per process,
+    // so they are not counters (a counter would differ between two runs in
+    // one process).
+    static telemetry::Gauge& blocks = telemetry::registry().gauge("program.shared_blocks");
+    static telemetry::Gauge& bytes = telemetry::registry().gauge("program.shared_bytes");
+    blocks.add(1);
+    bytes.add(static_cast<std::int64_t>(instructions->size() * sizeof(Instruction)));
+    slot.shared = std::move(instructions);
+  });
+  if (slot.shared) return slot.shared;
+  // Per-stream builds depend only on what the streams pull, so their count
+  // is the same at any worker count.
+  static telemetry::Counter& unshared = telemetry::registry().counter("program.unshared_builds");
+  unshared.add();
+  if (!own) own = std::make_shared<const std::vector<Instruction>>(aurv_phase_block(phase, block));
+  return own;
+}
+
 Program almost_universal_rv_impl(unsigned block_mask) {
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= algo::kMaxCowWalkIndex, "almost_universal_rv: phase index overflow");
     for (int block = 1; block <= 4; ++block) {
       if ((block_mask & (1u << (block - 1))) == 0) continue;
-      const std::vector<Instruction> instructions = aurv_phase_block(i, block);
-      for (const Instruction& instruction : instructions) co_yield instruction;
+      const Block instructions = phase_block(i, block);
+      for (const Instruction& instruction : *instructions) co_yield instruction;
     }
   }
 }

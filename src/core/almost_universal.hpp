@@ -39,7 +39,9 @@ namespace aurv::core {
 [[nodiscard]] program::Program almost_universal_rv_blocks(unsigned block_mask);
 
 /// Blocks of one phase, materialized — the exact instructions an agent
-/// executes during phase i's block (1-based block index, 1..4).
+/// executes during phase i's block (1-based block index, 1..4). Always a
+/// fresh build; the program streams above share one build per process of
+/// every block short enough (see almost_universal.cpp).
 [[nodiscard]] std::vector<program::Instruction> aurv_phase_block(std::uint32_t phase,
                                                                  int block);
 

@@ -40,7 +40,7 @@ std::vector<Instruction> take_duration_capped(Program source, const numeric::Rat
   for (const Instruction& instruction : source) {
     AURV_CHECK_MSG(result.size() < max_instructions,
                    "take_duration: instruction cap exceeded (prefix too long)");
-    const numeric::Rational step = duration_of(instruction);
+    const numeric::Rational& step = duration_of(instruction);
     if (step < remaining) {
       result.push_back(instruction);
       remaining -= step;

@@ -6,7 +6,7 @@
 
 namespace aurv::program {
 
-numeric::Rational duration_of(const Instruction& instruction) {
+const numeric::Rational& duration_of(const Instruction& instruction) {
   if (const auto* move = std::get_if<Go>(&instruction)) return move->distance;
   return std::get<Wait>(instruction).duration;
 }

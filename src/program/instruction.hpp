@@ -36,12 +36,11 @@ struct Wait {
 
 using Instruction = std::variant<Go, Wait>;
 
-/// Duration of an instruction in local time units.
-[[nodiscard]] numeric::Rational duration_of(const Instruction& instruction);
+/// Duration of an instruction in local time units: a reference to the Go's
+/// distance or the Wait's duration, valid as long as the instruction is.
+[[nodiscard]] const numeric::Rational& duration_of(const Instruction& instruction);
 
-/// Net local displacement of an instruction (zero for Wait), as exact
-/// rational scalars along the heading — returned as (heading, distance);
-/// callers combine with trigonometry. Convenience for path accounting.
+/// True for a Go, false for a Wait.
 [[nodiscard]] bool is_move(const Instruction& instruction) noexcept;
 
 [[nodiscard]] std::string to_string(const Instruction& instruction);

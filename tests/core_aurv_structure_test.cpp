@@ -3,6 +3,9 @@
 // durations used by the phase-index reporting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <thread>
 #include <vector>
 
 #include "algo/cow_walk.hpp"
@@ -10,12 +13,41 @@
 #include "core/almost_universal.hpp"
 #include "core/feasibility.hpp"
 #include "program/combinators.hpp"
+#include "support/telemetry.hpp"
 
 namespace aurv::core {
 namespace {
 
 using numeric::Rational;
 using program::Instruction;
+namespace telemetry = support::telemetry;
+
+/// Freshly built blocks of phases 1..`phases`, in stream order, restricted
+/// to the blocks selected by `mask` (bit 0 = block 1).
+std::vector<Instruction> fresh_blocks(std::uint32_t phases, unsigned mask = 0b1111u) {
+  std::vector<Instruction> result;
+  for (std::uint32_t phase = 1; phase <= phases; ++phase) {
+    for (int block = 1; block <= 4; ++block) {
+      if ((mask & (1u << (block - 1))) == 0) continue;
+      const std::vector<Instruction> blk = aurv_phase_block(phase, block);
+      result.insert(result.end(), blk.begin(), blk.end());
+    }
+  }
+  return result;
+}
+
+/// Index of the first instruction where `stream` differs from `expected`,
+/// or expected.size() when the stream yields all of it.
+std::size_t first_mismatch(program::Program& stream, const std::vector<Instruction>& expected) {
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    if (!stream.next() || stream.value() != expected[k]) return k;
+  }
+  return expected.size();
+}
+
+std::uint64_t unshared_builds() {
+  return telemetry::registry().counter("program.unshared_builds").value();
+}
 
 TEST(AurvStructure, Lemma31EveryBlockReturnsToStart) {
   // Lemma 3.1: each time an agent starts a line other than the backtrack
@@ -126,19 +158,69 @@ TEST(AurvStructure, PhaseAtInvertsPhaseStart) {
 }
 
 TEST(AurvStructure, StreamMatchesMaterializedBlocks) {
-  // The infinite program yields exactly phase-1 blocks 1..4 then phase 2...
+  // The infinite program yields exactly phase-1 blocks 1..4, then phase 2's
+  // and phase 3's (12 block boundaries), then continues into phase 4.
+  const std::vector<Instruction> expected = fresh_blocks(3);
   program::Program stream = almost_universal_rv();
-  std::vector<Instruction> expected;
-  for (int block = 1; block <= 4; ++block) {
-    const std::vector<Instruction> blk = aurv_phase_block(1, block);
-    expected.insert(expected.end(), blk.begin(), blk.end());
-  }
-  for (const Instruction& want : expected) {
-    ASSERT_TRUE(stream.next());
-    EXPECT_EQ(stream.value(), want);
-  }
-  // The stream continues into phase 2.
+  ASSERT_EQ(first_mismatch(stream, expected), expected.size());
   ASSERT_TRUE(stream.next());
+  EXPECT_EQ(stream.value(), aurv_phase_block(4, 1).front());
+}
+
+TEST(AurvStructure, SharedBlocksEqualFreshBuildsPhases1To4) {
+  // A single-block stream yields that block of phase 1, 2, 3, 4, ... so
+  // four streams cover every block of phases 1-4. Only block 1 of phase 4
+  // (213440 instructions) is over the sharing cap: the 0b0001 stream runs
+  // from shared blocks into one built for it alone.
+  for (int block = 1; block <= 4; ++block) {
+    const unsigned mask = 1u << (block - 1);
+    const std::vector<Instruction> expected = fresh_blocks(4, mask);
+    const std::uint64_t before = unshared_builds();
+    program::Program stream = almost_universal_rv_blocks(mask);
+    EXPECT_EQ(first_mismatch(stream, expected), expected.size()) << "block " << block;
+    EXPECT_EQ(unshared_builds() - before, block == 1 ? 1u : 0u) << "block " << block;
+  }
+}
+
+TEST(AurvStructure, SharedBlocksAreBuiltOnce) {
+  const std::vector<Instruction> expected = fresh_blocks(3);
+  program::Program first = almost_universal_rv();
+  ASSERT_EQ(first_mismatch(first, expected), expected.size());
+  const std::int64_t blocks = telemetry::registry().gauge("program.shared_blocks").value();
+  const std::int64_t bytes = telemetry::registry().gauge("program.shared_bytes").value();
+  // All 12 blocks of phases 1-3 are under the cap (24492 instructions).
+  EXPECT_GE(blocks, 12);
+  EXPECT_GE(bytes, 24492 * static_cast<std::int64_t>(sizeof(Instruction)));
+  // A second stream over the same phases reads the table: nothing is
+  // admitted or built again.
+  const std::uint64_t before = unshared_builds();
+  program::Program second = almost_universal_rv();
+  ASSERT_EQ(first_mismatch(second, expected), expected.size());
+  EXPECT_EQ(telemetry::registry().gauge("program.shared_blocks").value(), blocks);
+  EXPECT_EQ(telemetry::registry().gauge("program.shared_bytes").value(), bytes);
+  EXPECT_EQ(unshared_builds(), before);
+}
+
+TEST(AurvStructure, ConcurrentFirstUseMatchesSerialReference) {
+  // Eight threads start fresh programs at the same moment, racing to fill
+  // the table; each must still see the serial reference prefix.
+  const std::vector<Instruction> expected = fresh_blocks(3);
+  constexpr int kThreads = 8;
+  std::vector<std::size_t> matched(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      program::Program stream = almost_universal_rv();
+      matched[static_cast<std::size_t>(t)] = first_mismatch(stream, expected);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(matched[static_cast<std::size_t>(t)], expected.size()) << "thread " << t;
+  }
 }
 
 TEST(AurvStructure, PhaseBlockValidation) {
