@@ -20,7 +20,6 @@
 #include "gather/engine.hpp"
 #include "geom/closest_approach.hpp"
 #include "sim/batch.hpp"
-#include "numeric/filter.hpp"
 #include "numeric/rational.hpp"
 #include "program/combinators.hpp"
 #include "sim/engine.hpp"
@@ -62,63 +61,6 @@ void BM_RationalCompareHuge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RationalCompareHuge);
-
-void BM_FilteredCompareFastPath(benchmark::State& state) {
-  // Two cleanly separated dyadic values: the double-interval tier answers
-  // every comparison (filter.fast_hits). The floor the filter puts under a
-  // hot comparison.
-  using aurv::numeric::Filtered;
-  const Filtered a(Rational::dyadic(3, 7));
-  const Filtered b(Rational::dyadic(5, 9));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a < b);
-  }
-}
-BENCHMARK(BM_FilteredCompareFastPath);
-
-void BM_FilteredCompareNearTie(benchmark::State& state) {
-  // Values whose 2-ulp intervals overlap but whose mantissas still fit two
-  // limbs: the comparison escalates to the Dyadic128 tier (filter.limb2_hits)
-  // and is settled there without touching Rational.
-  using aurv::numeric::Filtered;
-  const Filtered a(Rational::pow2(60) + Rational::dyadic(3, 60));
-  const Filtered b(Rational::pow2(60) + Rational::dyadic(5, 61));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a < b);
-  }
-}
-BENCHMARK(BM_FilteredCompareNearTie);
-
-void BM_FilteredAddHuge(benchmark::State& state) {
-  // The same phase-5 worst case as BM_RationalAddHuge pushed through the
-  // filtered kernel: the 383-bit numerator overflows Dyadic128, so this
-  // measures the escaped tier — Rational arithmetic plus the interval
-  // rebuild. The overhead ceiling of the ladder.
-  using aurv::numeric::Filtered;
-  const Filtered a(Rational::pow2(375) + Rational::dyadic(3, 7));
-  const Filtered b(Rational::dyadic(5, 9));
-  for (auto _ : state) {
-    Filtered c = a;
-    c += b;
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_FilteredAddHuge);
-
-void BM_FilteredAddModerate(benchmark::State& state) {
-  // Moderate-phase event times (the BatchSweepThousand regime): mantissas
-  // stay within two limbs, so accumulation runs entirely in the Dyadic128
-  // tier — the case the engine's += leans on.
-  using aurv::numeric::Filtered;
-  const Filtered a(Rational::pow2(60) + Rational::dyadic(3, 7));
-  const Filtered b(Rational::dyadic(5, 9));
-  for (auto _ : state) {
-    Filtered c = a;
-    c += b;
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_FilteredAddModerate);
 
 void BM_BigIntMul(benchmark::State& state) {
   const BigInt a = BigInt::pow2(static_cast<std::uint64_t>(state.range(0))) - BigInt(12345);
@@ -308,37 +250,6 @@ void BM_EngineEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(10'000)->Arg(100'000);
-
-void BM_FilteredEngineThroughput(benchmark::State& state) {
-  // The filtered-kernel acceptance workload: the same never-meeting
-  // Algorithm 1 drive as BM_EngineEventThroughput, with the numeric ladder
-  // pinned to the requested mode — 0 = full filter (interval + Dyadic128
-  // tiers live), 1 = exact-rational-only (every operation and comparison
-  // forced to the Rational authority, as under AURV_EXACT_ONLY=1). The
-  // ratio of the /1 row to the /0 row is the filter's measured speedup on
-  // identical work; results are byte-identical by the soundness contract.
-  const bool exact_only = state.range(1) != 0;
-  aurv::numeric::set_filter_exact_only(exact_only);
-  const aurv::agents::Instance instance =
-      aurv::agents::Instance::synchronous(0.25, {500.0, 0.0}, 0.0, 0, 1);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    aurv::sim::EngineConfig config;
-    config.max_events = static_cast<std::uint64_t>(state.range(0));
-    const aurv::sim::SimResult result =
-        aurv::sim::Engine(instance, config)
-            .run([] { return aurv::core::almost_universal_rv(); });
-    events += result.events;
-    benchmark::DoNotOptimize(result);
-  }
-  aurv::numeric::set_filter_exact_only(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_FilteredEngineThroughput)
-    ->Args({10'000, 0})
-    ->Args({10'000, 1})
-    ->Args({100'000, 0})
-    ->Args({100'000, 1});
 
 }  // namespace
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "geom/closest_approach.hpp"
-#include "numeric/filter.hpp"
+#include "numeric/rational.hpp"
 #include "support/check.hpp"
 
 namespace aurv::gather {
@@ -195,10 +195,9 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
     }
     result.final_diameter = diameter_at(states, time);
     result.min_diameter_seen = std::min(result.min_diameter_seen, result.final_diameter);
-    // The contact solves above ran through the filtered kernel; drain the
-    // tier-traffic counts at the run's deterministic end so filter.* totals
-    // stay thread-count-invariant like every other series.
-    numeric::flush_filter_stats();
+    // Drain the contact fallback count at the run's deterministic end so
+    // its total stays thread-count-invariant like every other series.
+    geom::flush_contact_stats();
     return result;
   };
 

@@ -1,10 +1,13 @@
 #include "geom/closest_approach.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <string_view>
 
-#include "numeric/filter_stats.hpp"
 #include "numeric/rational.hpp"
+#include "support/telemetry.hpp"
 
 namespace aurv::geom {
 
@@ -27,6 +30,17 @@ using numeric::Rational;
 // only branch outcomes are exact, which is what the engine's correctness
 // depends on.
 
+bool exact_only_from_env() {
+  const char* raw = std::getenv("AURV_EXACT_ONLY");
+  return raw != nullptr && *raw != '\0' && std::string_view(raw) != "0";
+}
+
+std::atomic<bool> exact_only_flag{exact_only_from_env()};
+
+// Per-thread on purpose: bumping it costs a register increment, not an
+// atomic; flush_contact_stats() moves it into the telemetry registry.
+thread_local std::uint64_t exact_fallback_count = 0;
+
 constexpr double kEps = 0x1p-53;   // unit roundoff of binary64
 constexpr double kTiny = 0x1p-960;  // underflow floor for bounds and leaves
 
@@ -36,7 +50,7 @@ class ContactQuadratic {
  public:
   ContactQuadratic(Vec2 offset, Vec2 velocity, double radius) noexcept
       : offset_(offset), velocity_(velocity), radius_(radius),
-        exact_only_(numeric::filter_exact_only()) {
+        exact_only_(exact_contacts_only()) {
     // Same operation order as offset.norm2() and offset.dot(velocity), so b
     // and c are bit-identical to the values the contact-time formulas use.
     const double xy2 = offset.x * offset.x + offset.y * offset.y;
@@ -87,7 +101,7 @@ class ContactQuadratic {
     }
     if (!exact_only_ && leaves_normal && bound >= kTiny && std::fabs(value) > bound)
       return value > 0 ? 1 : -1;
-    ++numeric::filter_stats().geom_exact_fallbacks;
+    ++exact_fallback_count;
     return exact_sign(which, w);
   }
 
@@ -135,6 +149,21 @@ class ContactQuadratic {
 };
 
 }  // namespace
+
+bool exact_contacts_only() noexcept { return exact_only_flag.load(std::memory_order_relaxed); }
+
+void set_exact_contacts_only(bool exact_only) noexcept {
+  exact_only_flag.store(exact_only, std::memory_order_relaxed);
+}
+
+std::uint64_t exact_fallbacks() noexcept { return exact_fallback_count; }
+
+void flush_contact_stats() {
+  static support::telemetry::Counter& counter =
+      support::telemetry::registry().counter("geom.exact_fallbacks");
+  if (exact_fallback_count != 0) counter.add(exact_fallback_count);
+  exact_fallback_count = 0;
+}
 
 ApproachResult closest_approach(Vec2 offset, Vec2 relative_velocity, double duration) noexcept {
   const double v2 = relative_velocity.norm2();

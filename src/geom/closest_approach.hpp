@@ -6,6 +6,7 @@
 // what makes the paper's 2^(15 i^2)-long waits simulable.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "geom/vec2.hpp"
@@ -44,6 +45,23 @@ struct ContactInterval {
                                                               Vec2 relative_velocity,
                                                               double radius,
                                                               double duration) noexcept;
+
+/// When true, every contact decision skips the double filter and takes the
+/// exact Rational path: the proof mode behind the AURV_EXACT_ONLY=1
+/// environment toggle (read once at startup). Artifacts must be
+/// byte-identical either way.
+[[nodiscard]] bool exact_contacts_only() noexcept;
+void set_exact_contacts_only(bool exact_only) noexcept;
+
+/// Contact decisions this thread has sent to the exact fallback since its
+/// last flush_contact_stats().
+[[nodiscard]] std::uint64_t exact_fallbacks() noexcept;
+
+/// Adds this thread's fallback count to the telemetry counter
+/// geom.exact_fallbacks and zeroes it. Call sites are the engines' finish
+/// paths, so the total stays thread-count-invariant like every other
+/// telemetry series.
+void flush_contact_stats();
 
 namespace detail {
 

@@ -513,30 +513,6 @@ double BigInt::to_double() const noexcept {
   return sign_ < 0 ? -mag : mag;
 }
 
-std::optional<unsigned __int128> BigInt::magnitude_shifted(u64 shift) const noexcept {
-  const u64 bits = bit_length();
-  if (bits <= shift) return static_cast<u128>(0);
-  if (bits - shift > 128) return std::nullopt;
-  const std::size_t limb_skip = shift / 64;
-  const unsigned bit_skip = static_cast<unsigned>(shift % 64);
-  u128 out = 0;
-  // At most three limbs contribute to a 128-bit window at any bit offset.
-  for (std::size_t i = 0; i < 3; ++i) {
-    const std::size_t limb = limb_skip + i;
-    if (limb >= limbs_.size()) break;
-    const u128 chunk = static_cast<u128>(limbs_[limb]);
-    if (bit_skip == 0) {
-      if (i == 2) break;  // window full: limbs 0 and 1 already cover 128 bits
-      out |= chunk << (64 * i);
-    } else if (i == 0) {
-      out |= chunk >> bit_skip;
-    } else {
-      out |= chunk << (64 * i - bit_skip);
-    }
-  }
-  return out;
-}
-
 bool BigInt::fits_int64() const noexcept {
   if (sign_ == 0) return true;
   if (limbs_.size() > 1) return false;

@@ -17,7 +17,6 @@
 #include <compare>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -234,13 +233,6 @@ class BigInt {
 
   /// Nearest double (round-to-nearest on the top 54 bits; +/-inf on overflow).
   [[nodiscard]] double to_double() const noexcept;
-
-  /// |*this| >> shift when that fits in an unsigned 128-bit word, reading
-  /// the limbs directly — no temporary, no allocation. Used by the filtered
-  /// numeric kernel to lift big-tier dyadic values into its fixed-width
-  /// two-limb tier (numeric/filter.hpp) without touching the heap.
-  [[nodiscard]] std::optional<unsigned __int128> magnitude_shifted(
-      std::uint64_t shift) const noexcept;
 
   /// Exact conversion when the value fits in int64; throws std::overflow_error
   /// otherwise.

@@ -239,37 +239,6 @@ Rational Rational::from_double(double value) {
   return dyadic(scaled, static_cast<std::uint64_t>(-shift));
 }
 
-Rational Rational::from_dyadic128(i128 mantissa, std::int64_t pow2_shift) {
-  if (mantissa == 0) return Rational();
-  if (pow2_shift >= 0) {
-    return Rational(bigint_from_i128(mantissa) << static_cast<std::uint64_t>(pow2_shift));
-  }
-  Rational result;
-  result.assign_dyadic(bigint_from_i128(mantissa), static_cast<std::uint64_t>(-pow2_shift));
-  return result;
-}
-
-bool Rational::dyadic128_view(i128& mantissa, std::int64_t& pow2_shift) const noexcept {
-  if (!big_) {
-    const auto den = static_cast<std::uint64_t>(den_);
-    if ((den & (den - 1)) != 0) return false;
-    mantissa = num_;
-    pow2_shift = -static_cast<std::int64_t>(std::countr_zero(den));
-    return true;
-  }
-  const std::int64_t den_exp = big_->den_exp;
-  if (den_exp < 0) return false;
-  const BigInt& num = big_->num;
-  const std::uint64_t bits = num.bit_length();
-  const std::uint64_t tz = num.trailing_zero_bits();
-  if (bits - tz > 127) return false;
-  const std::optional<u128> mag = num.magnitude_shifted(tz);
-  if (!mag) return false;
-  mantissa = num.is_negative() ? -static_cast<i128>(*mag) : static_cast<i128>(*mag);
-  pow2_shift = static_cast<std::int64_t>(tz) - den_exp;
-  return true;
-}
-
 BigInt Rational::numerator() const { return big_ ? big_->num : BigInt(num_); }
 BigInt Rational::denominator() const { return big_ ? big_->den : BigInt(den_); }
 

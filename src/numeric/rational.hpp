@@ -69,18 +69,6 @@ class Rational {
   /// rational m * 2^e). Throws std::invalid_argument for NaN/inf.
   static Rational from_double(double value);
 
-  /// m * 2^s for a two-limb mantissa (s of either sign). The bridge back
-  /// from the filtered kernel's fixed-width dyadic tier (numeric/filter.hpp).
-  static Rational from_dyadic128(__int128 mantissa, std::int64_t pow2_shift);
-
-  /// Two-limb dyadic view: when the value equals m * 2^s with |m| < 2^127
-  /// after stripping trailing zero bits, fills the outputs and returns true.
-  /// Never allocates (the hot extraction path of the filtered kernel); a
-  /// false return means the value is either non-dyadic or needs more than
-  /// 128 mantissa bits and must stay in the Rational tier.
-  [[nodiscard]] bool dyadic128_view(__int128& mantissa,
-                                    std::int64_t& pow2_shift) const noexcept;
-
   /// Numerator/denominator as BigInt (by value: the inline tier stores
   /// machine integers, not BigInts).
   [[nodiscard]] BigInt numerator() const;

@@ -8,7 +8,7 @@
 
 #include "core/feasibility.hpp"
 #include "geom/angle.hpp"
-#include "numeric/filter.hpp"
+#include "numeric/interval.hpp"
 #include "support/check.hpp"
 
 namespace aurv::search {
@@ -23,7 +23,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Outward slop for the *transcendental* legs of a bound (hypot, cos, sin)
 /// and for core::classify's plain-double slack evaluation, neither of which
 /// the outward-rounded FInterval arithmetic can certify. Rational-derived
-/// endpoints and the +/-/* combining them need no slop — FInterval rounds
+/// endpoints and the +/- combining them need no slop — FInterval rounds
 /// those outward by construction. The absolute floor covers tiny
 /// magnitudes; the relative term keeps the margin conservative at large
 /// coordinates where a fixed absolute slop would be overtaken by round-off.

@@ -6,7 +6,7 @@
 
 #include "geom/angle.hpp"
 #include "geom/closest_approach.hpp"
-#include "numeric/filter.hpp"
+#include "numeric/rational.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
@@ -14,7 +14,6 @@ namespace aurv::sim {
 
 namespace {
 
-using numeric::Filtered;
 using numeric::Rational;
 
 /// Execution state of one agent: the current constant-velocity segment plus
@@ -24,21 +23,20 @@ using numeric::Rational;
 struct AgentSim {
   AgentSim(agents::AgentFrame frame_in, program::Program stream_in)
       : frame(std::move(frame_in)),
-        stream(std::move(stream_in)),
-        time_unit(Filtered(frame.time_unit())) {
+        stream(std::move(stream_in)) {
     seg_start_pos = frame.start_position();
     seg_end_pos = seg_start_pos;
     if (frame.wake_time().sign() > 0) {
       // Pre-wake-up sleep is a segment, not an instruction.
-      seg_end = Filtered(frame.wake_time());
+      seg_end = frame.wake_time();
     } else {
       next_instruction();
     }
   }
 
-  [[nodiscard]] geom::Vec2 position_at(const Filtered& time) const {
+  [[nodiscard]] geom::Vec2 position_at(const Rational& time) const {
     if (velocity.x == 0.0 && velocity.y == 0.0) return seg_start_pos;
-    Filtered elapsed = time;
+    Rational elapsed = time;
     elapsed -= seg_start;
     return seg_start_pos + elapsed.to_double() * velocity;
   }
@@ -54,11 +52,10 @@ struct AgentSim {
     }
     const program::Instruction& instruction = stream.value();
     ++instructions;
-    // Built in place (scale, then accumulate) so the huge event times pass
-    // through the filtered kernel's in-place fast tiers instead of a chain
-    // of temporaries.
-    Filtered end_time = time_unit;
-    end_time *= Filtered(program::duration_of(instruction));
+    // Built in place (scale, then accumulate) so the huge event times do
+    // not pass through a chain of temporaries.
+    Rational end_time = frame.time_unit();
+    end_time *= program::duration_of(instruction);
     end_time += seg_start;
     seg_end = std::move(end_time);
     if (const auto* move = std::get_if<program::Go>(&instruction)) {
@@ -89,7 +86,7 @@ struct AgentSim {
   }
 
   /// The agent saw its peer: it stops forever at `time` (Alg. 1 line 1).
-  void freeze_at(const Filtered& time) {
+  void freeze_at(const Rational& time) {
     seg_start_pos = position_at(time);
     seg_start = time;
     seg_end.reset();
@@ -100,9 +97,8 @@ struct AgentSim {
 
   agents::AgentFrame frame;
   program::Program stream;
-  Filtered time_unit;                     // cached: one tier probe per run, not per instruction
-  Filtered seg_start;                     // absolute time of the segment anchor
-  std::optional<Filtered> seg_end;        // empty = idle forever
+  Rational seg_start;                     // absolute time of the segment anchor
+  std::optional<Rational> seg_end;        // empty = idle forever
   geom::Vec2 seg_start_pos;
   geom::Vec2 seg_end_pos;
   geom::Vec2 velocity;                    // absolute units per absolute time
@@ -164,18 +160,17 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   result.min_distance_seen = std::numeric_limits<double>::infinity();
   result.trace = Trace(config_.trace_capacity);
 
-  std::optional<Filtered> horizon;
-  if (config_.horizon) horizon.emplace(*config_.horizon);
+  const std::optional<Rational>& horizon = config_.horizon;
 
-  Filtered now;
+  Rational now;
 
-  const auto record = [&](const Filtered& time) {
+  const auto record = [&](const Rational& time) {
     if (!result.trace.enabled()) return;
     const geom::Vec2 pa = a.position_at(time);
     const geom::Vec2 pb = b.position_at(time);
     result.trace.record({time.to_double(), pa, pb, geom::dist(pa, pb)});
   };
-  const auto finish = [&](StopReason reason, const Filtered& time) {
+  const auto finish = [&](StopReason reason, const Rational& time) {
     result.reason = reason;
     result.met = reason == StopReason::Rendezvous;
     result.a_position = a.position_at(time);
@@ -194,9 +189,9 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     if (result.met) rendezvous_counter.add();
     if (result.trace.enabled()) trace_dropped_counter.add(result.trace.dropped());
     events_histogram.record(result.events);
-    // Tier-traffic counts drain here, at the run's deterministic end, so
-    // the filter.* totals stay thread-count-invariant like every series.
-    numeric::flush_filter_stats();
+    // The contact fallback count drains here, at the run's deterministic
+    // end, so its total stays thread-count-invariant like every series.
+    geom::flush_contact_stats();
     return result;
   };
 
@@ -206,9 +201,9 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
 
     // Window end: earliest segment boundary, possibly clipped by the
     // horizon. Tracked by pointer: event times can hold multi-limb
-    // rationals, so a per-event std::optional<Filtered> copy is an
+    // rationals, so a per-event std::optional<Rational> copy is an
     // allocation the loop does not need.
-    const Filtered* window_end = nullptr;
+    const Rational* window_end = nullptr;
     for (const AgentSim* agent : {&a, &b}) {
       if (agent->seg_end && (window_end == nullptr || *agent->seg_end < *window_end))
         window_end = &*agent->seg_end;
@@ -231,7 +226,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
                     now);
     }
 
-    Filtered window_span = *window_end;
+    Rational window_span = *window_end;
     window_span -= now;
     const double window = window_span.to_double();
     result.min_distance_seen = std::min(
@@ -244,8 +239,8 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
       ++window_solves;
       if (const std::optional<double> hit =
               geom::first_contact(offset, relative_velocity, r_big, window)) {
-        Filtered freeze_time = now;
-        freeze_time += Filtered::from_double(*hit);
+        Rational freeze_time = now;
+        freeze_time += Rational::from_double(*hit);
         if (freeze_time > *window_end) freeze_time = *window_end;  // round-off guard
         far_sighted->freeze_at(freeze_time);
         now = freeze_time;
@@ -255,10 +250,10 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
       }
     } else if (++window_solves; const std::optional<double> hit =
                    geom::first_contact(offset, relative_velocity, r_success, window)) {
-      Filtered meet_time = now;
-      meet_time += Filtered::from_double(*hit);
+      Rational meet_time = now;
+      meet_time += Rational::from_double(*hit);
       if (meet_time > *window_end) meet_time = *window_end;  // round-off guard
-      result.meet_window_start = now.to_rational();
+      result.meet_window_start = now;
       result.meet_window_offset = *hit;
       result.meet_time = meet_time.to_double();
       a.freeze_at(meet_time);

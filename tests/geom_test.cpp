@@ -19,7 +19,6 @@
 #include "geom/line.hpp"
 #include "geom/similarity.hpp"
 #include "geom/vec2.hpp"
-#include "numeric/filter_stats.hpp"
 #include "numeric/rational.hpp"
 
 namespace aurv::geom {
@@ -370,10 +369,10 @@ using numeric::Rational;
 /// (the suite also runs with AURV_EXACT_ONLY=1, where the ambient mode is on).
 class ExactOnlyGuard {
  public:
-  explicit ExactOnlyGuard(bool exact_only) : previous_(numeric::filter_exact_only()) {
-    numeric::set_filter_exact_only(exact_only);
+  explicit ExactOnlyGuard(bool exact_only) : previous_(exact_contacts_only()) {
+    set_exact_contacts_only(exact_only);
   }
-  ~ExactOnlyGuard() { numeric::set_filter_exact_only(previous_); }
+  ~ExactOnlyGuard() { set_exact_contacts_only(previous_); }
 
  private:
   bool previous_;
@@ -503,7 +502,7 @@ TEST(ContactPredicates, ExactZerosFallBackToRational) {
   // A zero can never clear its error bound, so the filter must hand every
   // one of them to Rational and count the fallback.
   const ExactOnlyGuard guard(false);
-  const auto fallbacks = [] { return numeric::filter_stats().geom_exact_fallbacks; };
+  const auto fallbacks = [] { return exact_fallbacks(); };
   for (const auto& [which, k] : std::vector<std::pair<ContactSign, ContactCase>>{
            {ContactSign::kClearance, kOnCircle},
            {ContactSign::kApproach, kPerpendicular},
@@ -560,9 +559,9 @@ TEST(ContactPredicates, RandomInputsMatchRational) {
       // The simulator's regime: moderate coordinates, speeds and windows.
       k = {{8 * unit(rng), 8 * unit(rng)}, {3 * unit(rng), 3 * unit(rng)},
            0.1 + 4 * std::fabs(unit(rng)), 0.01 + 20 * std::fabs(unit(rng))};
-      const std::uint64_t before = numeric::filter_stats().geom_exact_fallbacks;
+      const std::uint64_t before = exact_fallbacks();
       for (const ContactSign which : kAllSigns) (void)filtered_sign(which, k);
-      moderate_fallbacks += numeric::filter_stats().geom_exact_fallbacks - before;
+      moderate_fallbacks += exact_fallbacks() - before;
     } else if (round < 2000) {
       // One shared magnitude with per-component jitter, near the overflow
       // and underflow ends included.
