@@ -1,6 +1,7 @@
 // TAB-6 (ablation) — which block of Algorithm 1 rescues which instance
-// type. DESIGN.md calls out the one-block-per-type structure of Section
-// 3.1.1; this experiment runs block-masked variants of AlmostUniversalRV:
+// type. docs/ARCHITECTURE.md ("Substituted components") notes the
+// one-block-per-type structure of Section 3.1.1; this experiment runs
+// block-masked variants of AlmostUniversalRV:
 //   * each single block alone ("does block k solve its own type?"),
 //   * leave-one-out ("is block k necessary, or do the others rescue it?").
 // The runs are horizon/fuel-bounded: "no" means no rendezvous within the

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lint: keep the prose as trustworthy as the artifacts.
 
-Two checks, both cheap enough to run on every commit:
+Three checks, all cheap enough to run on every commit:
 
 1. Markdown link check — every relative link in README.md,
    EXPERIMENTS.md and docs/*.md must resolve to an existing file or
@@ -10,6 +10,9 @@ Two checks, both cheap enough to run on every commit:
 2. Architecture coverage — every subsystem directory under src/ must
    be mentioned in docs/ARCHITECTURE.md, so the subsystem map cannot
    silently rot as the tree grows.
+3. Code-to-docs references — every *.md filename mentioned in src/,
+   tests/, bench/ or examples/ must resolve, relative to the repo root
+   or to the mentioning file's directory.
 
 Exit 0 with a one-line summary when clean; exit 1 listing every
 violation otherwise. No dependencies beyond the standard library.
@@ -31,6 +34,11 @@ SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 
 DOC_FILES = ["README.md", "EXPERIMENTS.md"]
 DOC_GLOBS = ["docs/*.md"]
+
+# A markdown filename as code comments cite it: `EXPERIMENTS.md`,
+# `docs/NUMERICS.md`.
+MD_MENTION_RE = re.compile(r"[\w./-]*\w\.md\b")
+CODE_DIRS = ["src", "tests", "bench", "examples"]
 
 
 def lint_links(root: pathlib.Path) -> list[str]:
@@ -82,15 +90,38 @@ def lint_architecture_coverage(root: pathlib.Path) -> list[str]:
     return errors
 
 
+def lint_code_mentions(root: pathlib.Path) -> list[str]:
+    errors: list[str] = []
+    for directory in CODE_DIRS:
+        for path in sorted((root / directory).rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for match in MD_MENTION_RE.finditer(line):
+                    name = match.group(0)
+                    if not ((root / name).exists() or (path.parent / name).exists()):
+                        errors.append(
+                            f"{path.relative_to(root)}:{lineno}: mentions '{name}',"
+                            " which does not exist"
+                        )
+    return errors
+
+
 def main() -> int:
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
-    errors = lint_links(root) + lint_architecture_coverage(root)
+    errors = (
+        lint_links(root) + lint_architecture_coverage(root) + lint_code_mentions(root)
+    )
     if errors:
         for error in errors:
             print(f"docs-lint: {error}", file=sys.stderr)
         print(f"docs-lint: FAILED ({len(errors)} problem(s))", file=sys.stderr)
         return 1
-    print("docs-lint: ok (links resolve, every src/ subsystem documented)")
+    print(
+        "docs-lint: ok (links resolve, every src/ subsystem documented,"
+        " every .md mentioned in code exists)"
+    )
     return 0
 
 

@@ -6,7 +6,7 @@
 // non-synchronous, or has different orientations and equal chirality
 // (phi != 0, chi = 1).
 //
-// Our build (see DESIGN.md "Substituted components"): iterated
+// Our build (see docs/ARCHITECTURE.md, "Substituted components"): iterated
 // PlanarCowWalk(i), i = 1, 2, .... For the instances Algorithm 1 actually
 // feeds to CGKK — all of which have tau = 1 and t = 0 — the two agents stay
 // in lock-step, so B(s) = (x,y) + M*A(s) with M = v*R(phi)*diag(1,chi) at

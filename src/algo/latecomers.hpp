@@ -4,8 +4,8 @@
 // rendezvous for every synchronous instance with phi = 0, chi = 1 and
 // t > dist((0,0),(x,y)) - r.
 //
-// Construction (see DESIGN.md "Substituted components" for the proof
-// sketch): for phase i = 1, 2, ... and every direction theta = k*pi/2^i,
+// Construction (see docs/ARCHITECTURE.md, "Substituted components", for
+// the argument): for phase i = 1, 2, ... and every direction theta = k*pi/2^i,
 // k = 0..2^(i+1)-1, walk straight out to distance 2^i and straight back.
 // With identical shifted frames the later agent replays the earlier one's
 // trajectory delayed by t, so over a single out-and-back trip the

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,13 +53,21 @@ inline sim::EngineConfig engine_from(const support::Json& json) {
   sim::EngineConfig config;
   config.max_events = json.uint_or("max_events", config.max_events);
   config.contact_slack = json.number_or("contact_slack", config.contact_slack);
+  // A negative slack would shrink the contact radius below r, or below 0.
+  if (config.contact_slack < 0.0)
+    throw std::invalid_argument("scenario: engine.contact_slack must be >= 0");
   if (const support::Json* horizon = json.find("horizon");
       horizon != nullptr && !horizon->is_null())
     config.horizon = rational_from(*horizon, "horizon");
-  if (const support::Json* r_a = json.find("r_a"); r_a != nullptr && !r_a->is_null())
-    config.r_a = r_a->as_number();
-  if (const support::Json* r_b = json.find("r_b"); r_b != nullptr && !r_b->is_null())
-    config.r_b = r_b->as_number();
+  const auto radius_from = [&json](const char* key, std::optional<double>& radius) {
+    if (const support::Json* value = json.find(key); value != nullptr && !value->is_null()) {
+      radius = value->as_number();
+      if (!(*radius > 0.0))
+        throw std::invalid_argument(std::string("scenario: engine.") + key + " must be positive");
+    }
+  };
+  radius_from("r_a", config.r_a);
+  radius_from("r_b", config.r_b);
   // trace_capacity deliberately not exposed: a campaign recording traces
   // would not be constant-memory.
   return config;

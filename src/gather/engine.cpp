@@ -7,6 +7,7 @@
 
 #include "geom/closest_approach.hpp"
 #include "numeric/rational.hpp"
+#include "sim/track.hpp"
 #include "support/check.hpp"
 
 namespace aurv::gather {
@@ -15,91 +16,12 @@ namespace {
 
 using numeric::Rational;
 
-/// Execution state of one agent. The restricted model (shifted frames,
-/// unit clock and speed) makes this simpler than the two-agent engine's
-/// state: local time is absolute time minus the wake-up, headings are
-/// absolute, one length unit is one absolute unit.
-struct AgentState {
-  AgentState(GatherAgent parameters, program::Program stream_in)
-      : stream(std::move(stream_in)), seg_start_pos(parameters.start) {
-    seg_end_pos = seg_start_pos;
-    if (parameters.wake.sign() > 0) {
-      seg_end = parameters.wake;  // pre-wake sleep segment
-    } else {
-      next_instruction();
-    }
-  }
-
-  [[nodiscard]] geom::Vec2 position_at(const Rational& time) const {
-    if (velocity.x == 0.0 && velocity.y == 0.0) return seg_start_pos;
-    const double dt = (time - seg_start).to_double();
-    return seg_start_pos + dt * velocity;
-  }
-
-  void next_instruction() {
-    if (frozen || exhausted) return;
-    if (!stream.next()) {
-      exhausted = true;
-      seg_end.reset();
-      velocity = {};
-      seg_end_pos = seg_start_pos;
-      return;
-    }
-    const program::Instruction& instruction = stream.value();
-    ++instructions;
-    seg_end = seg_start + program::duration_of(instruction);
-    if (const auto* move = std::get_if<program::Go>(&instruction)) {
-      if (move->distance.is_zero()) {
-        velocity = {};
-        seg_end_pos = seg_start_pos;
-      } else {
-        const geom::Vec2 direction = geom::unit_vector(move->heading);
-        velocity = direction;  // unit speed
-        seg_end_pos = seg_start_pos + move->distance.to_double() * direction;
-      }
-    } else {
-      velocity = {};
-      seg_end_pos = seg_start_pos;
-    }
-  }
-
-  void advance_segment() {
-    AURV_CHECK(seg_end.has_value());
-    seg_start = *seg_end;
-    seg_start_pos = seg_end_pos;
-    velocity = {};
-    seg_end.reset();
-    next_instruction();
-  }
-
-  void freeze_at(const Rational& time) {
-    seg_start_pos = position_at(time);
-    seg_start = time;
-    seg_end.reset();
-    seg_end_pos = seg_start_pos;
-    velocity = {};
-    frozen = true;
-  }
-
-  [[nodiscard]] bool stopped() const noexcept { return frozen || (exhausted && !seg_end); }
-
-  program::Program stream;
-  Rational seg_start = 0;
-  std::optional<Rational> seg_end;
-  geom::Vec2 seg_start_pos;
-  geom::Vec2 seg_end_pos;
-  geom::Vec2 velocity;
-  std::uint64_t instructions = 0;
-  bool frozen = false;
-  bool exhausted = false;
-};
-
-double diameter_at(const std::vector<AgentState>& states, const Rational& time) {
+/// Widest pairwise distance of a configuration.
+double diameter(const std::vector<geom::Vec2>& positions) {
   double widest = 0.0;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const geom::Vec2 pi = states[i].position_at(time);
-    for (std::size_t j = i + 1; j < states.size(); ++j) {
-      widest = std::max(widest, geom::dist(pi, states[j].position_at(time)));
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    for (std::size_t j = i + 1; j < positions.size(); ++j) {
+      widest = std::max(widest, geom::dist(positions[i], positions[j]));
     }
   }
   return widest;
@@ -151,16 +73,17 @@ GatherEngine::GatherEngine(std::vector<GatherAgent> agents, GatherConfig config)
     : agents_(std::move(agents)), config_(std::move(config)) {
   AURV_CHECK_MSG(!agents_.empty(), "GatherEngine: need at least one agent");
   AURV_CHECK_MSG(config_.r > 0.0, "GatherEngine: r must be positive");
+  AURV_CHECK_MSG(config_.contact_slack >= 0.0, "GatherEngine: contact_slack must be nonnegative");
   for (const GatherAgent& agent : agents_) {
     AURV_CHECK_MSG(agent.wake.sign() >= 0, "GatherEngine: wake times must be nonnegative");
   }
 }
 
 GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
-  std::vector<AgentState> states;
-  states.reserve(agents_.size());
-  for (const GatherAgent& agent : agents_) states.emplace_back(agent, factory());
-  const std::size_t n = states.size();
+  std::vector<sim::Track> tracks;
+  tracks.reserve(agents_.size());
+  for (const GatherAgent& agent : agents_) tracks.emplace_back(agent.start, agent.wake, factory());
+  const std::size_t n = tracks.size();
 
   const double r_sight = config_.r + config_.contact_slack;
   const double target =
@@ -174,26 +97,31 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
   // start, under either stop policy. (The simulation loop below would agree,
   // but only after running the lone agent's program to exhaustion.)
   if (n == 1) {
-    states.front().freeze_at(now);
+    tracks.front().freeze_at(now);
     result.min_diameter_seen = 0.0;
     result.reason = GatherStop::Gathered;
     result.gathered = true;
-    result.positions.push_back(states.front().position_at(now));
+    result.positions.push_back(tracks.front().position_at(now));
     result.frozen.push_back(true);
     return result;
   }
 
+  // Every agent's position at `now`, computed once per iteration. Freezing
+  // an agent at `now` leaves its position where it is.
+  std::vector<geom::Vec2> positions(n);
+  const auto locate = [&](const Rational& time) {
+    for (std::size_t i = 0; i < n; ++i) positions[i] = tracks[i].position_at(time);
+  };
+
   const auto finish = [&](GatherStop reason, const Rational& time) {
+    locate(time);
     result.reason = reason;
     result.gathered = reason == GatherStop::Gathered;
     result.gather_time = time.to_double();
-    result.positions.clear();
+    result.positions = positions;
     result.frozen.clear();
-    for (const AgentState& state : states) {
-      result.positions.push_back(state.position_at(time));
-      result.frozen.push_back(state.frozen);
-    }
-    result.final_diameter = diameter_at(states, time);
+    for (const sim::Track& track : tracks) result.frozen.push_back(track.frozen());
+    result.final_diameter = diameter(positions);
     result.min_diameter_seen = std::min(result.min_diameter_seen, result.final_diameter);
     // Drain the contact fallback count at the run's deterministic end so
     // its total stays thread-count-invariant like every other series.
@@ -203,7 +131,9 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
 
   while (true) {
     if (result.events >= config_.max_events) return finish(GatherStop::FuelExhausted, now);
-    result.min_diameter_seen = std::min(result.min_diameter_seen, diameter_at(states, now));
+    locate(now);
+    const double spread = diameter(positions);
+    result.min_diameter_seen = std::min(result.min_diameter_seen, spread);
 
     // FirstSight: freeze every unfrozen agent that currently sees someone.
     // The extra 1e-9 absorbs the round-off of landing exactly on a contact
@@ -212,11 +142,10 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
       const double r_freeze = r_sight + 1e-9;
       bool froze_any = false;
       for (std::size_t i = 0; i < n; ++i) {
-        if (states[i].frozen) continue;
+        if (tracks[i].frozen()) continue;
         for (std::size_t j = 0; j < n; ++j) {
-          if (j == i) continue;
-          if (geom::dist(states[i].position_at(now), states[j].position_at(now)) <= r_freeze) {
-            states[i].freeze_at(now);
+          if (j != i && geom::dist(positions[i], positions[j]) <= r_freeze) {
+            tracks[i].freeze_at(now);
             froze_any = true;
             ++result.events;
             break;
@@ -227,24 +156,22 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
     }
 
     // Termination: everyone stopped (frozen or program over).
-    const bool all_stopped = std::all_of(states.begin(), states.end(),
-                                         [](const AgentState& s) { return s.stopped(); });
-    if (all_stopped) {
-      return finish(diameter_at(states, now) <= target ? GatherStop::Gathered
-                                                       : GatherStop::AllIdleApart,
-                    now);
+    if (std::all_of(tracks.begin(), tracks.end(),
+                    [](const sim::Track& track) { return track.stopped(); })) {
+      return finish(spread <= target ? GatherStop::Gathered : GatherStop::AllIdleApart, now);
     }
 
     // Window end: earliest segment boundary, possibly clipped by horizon.
-    std::optional<Rational> window_end;
-    for (const AgentState& state : states) {
-      if (state.seg_end && (!window_end || *state.seg_end < *window_end))
-        window_end = state.seg_end;
+    // Tracked by pointer, as in the rendezvous engine: no Rational copy.
+    const Rational* window_end = nullptr;
+    for (const sim::Track& track : tracks) {
+      const std::optional<Rational>& seg_end = track.segment_end();
+      if (seg_end && (window_end == nullptr || *seg_end < *window_end)) window_end = &*seg_end;
     }
-    AURV_CHECK(window_end.has_value());  // not all stopped, so someone has a segment
+    AURV_CHECK(window_end != nullptr);  // not all stopped, so someone has a segment
     bool at_horizon = false;
     if (config_.horizon && *window_end >= *config_.horizon) {
-      window_end = config_.horizon;
+      window_end = &*config_.horizon;
       at_horizon = true;
     }
     const double window = (*window_end - now).to_double();
@@ -254,12 +181,10 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
       double earliest = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
-          if (states[i].frozen && states[j].frozen) continue;
-          const geom::Vec2 offset =
-              states[i].position_at(now) - states[j].position_at(now);
-          const geom::Vec2 relative = states[i].velocity - states[j].velocity;
+          if (tracks[i].frozen() && tracks[j].frozen()) continue;
           const std::optional<double> hit =
-              geom::first_contact(offset, relative, r_sight, window);
+              geom::first_contact(positions[i] - positions[j],
+                                  tracks[i].velocity() - tracks[j].velocity(), r_sight, window);
           if (hit && *hit > 0.0) earliest = std::min(earliest, *hit);
         }
       }
@@ -276,11 +201,10 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
       bool possible = true;
       for (std::size_t i = 0; i < n && possible; ++i) {
         for (std::size_t j = i + 1; j < n && possible; ++j) {
-          const geom::Vec2 offset =
-              states[i].position_at(now) - states[j].position_at(now);
-          const geom::Vec2 relative = states[i].velocity - states[j].velocity;
           const std::optional<geom::ContactInterval> interval =
-              geom::contact_interval(offset, relative, r_sight, window);
+              geom::contact_interval(positions[i] - positions[j],
+                                     tracks[i].velocity() - tracks[j].velocity(), r_sight,
+                                     window);
           if (!interval) {
             possible = false;
           } else {
@@ -292,7 +216,7 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
       if (possible && lo <= hi) {
         Rational gather_time = now + Rational::from_double(lo);
         if (gather_time > *window_end) gather_time = *window_end;
-        for (AgentState& state : states) state.freeze_at(gather_time);
+        for (sim::Track& track : tracks) track.freeze_at(gather_time);
         return finish(GatherStop::Gathered, gather_time);
       }
     }
@@ -300,9 +224,9 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
     if (at_horizon) return finish(GatherStop::HorizonReached, *window_end);
 
     now = *window_end;
-    for (AgentState& state : states) {
-      if (state.seg_end && *state.seg_end == now) {
-        state.advance_segment();
+    for (sim::Track& track : tracks) {
+      if (track.segment_end() && *track.segment_end() == now) {
+        track.advance_segment();
         ++result.events;
       }
     }

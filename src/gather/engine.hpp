@@ -22,7 +22,7 @@
 // This engine makes no correctness claim for any particular gathering
 // algorithm (we do not have [38]'s GATHER(n) construction); TAB-7 maps
 // empirically which configurations our Latecomers gathers under each
-// policy. See DESIGN.md "Substituted components".
+// policy. See docs/ARCHITECTURE.md, "Substituted components".
 #pragma once
 
 #include <cstdint>

@@ -119,6 +119,8 @@ GatherScenarioSpec GatherScenarioSpec::from_json(const Json& json) {
                "engine");
     spec.max_events = engine->uint_or("max_events", spec.max_events);
     spec.contact_slack = engine->number_or("contact_slack", spec.contact_slack);
+    if (spec.contact_slack < 0.0)
+      throw std::invalid_argument("gather scenario: contact_slack must be >= 0");
     if (const Json* horizon = engine->find("horizon");
         horizon != nullptr && !horizon->is_null())
       spec.horizon = rational_from(*horizon, "horizon");

@@ -6,7 +6,8 @@
 // absolute system (agent A's): translation = B's start (x, y), rotation =
 // phi, chirality = chi, scale = B's length unit tau*v. The fixed point of
 // this map, when it exists, is the meeting point the lock-step analysis of
-// our CGKK substitute converges to (see DESIGN.md section 2).
+// our CGKK substitute converges to (see docs/ARCHITECTURE.md,
+// "Substituted components").
 #pragma once
 
 #include <optional>

@@ -4,110 +4,15 @@
 #include <limits>
 #include <utility>
 
-#include "geom/angle.hpp"
 #include "geom/closest_approach.hpp"
 #include "numeric/rational.hpp"
+#include "sim/track.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
 namespace aurv::sim {
 
-namespace {
-
 using numeric::Rational;
-
-/// Execution state of one agent: the current constant-velocity segment plus
-/// the pending instruction stream. Positions are derived lazily from the
-/// segment anchor so long waits cost nothing and positions accumulate
-/// round-off only once per instruction.
-struct AgentSim {
-  AgentSim(agents::AgentFrame frame_in, program::Program stream_in)
-      : frame(std::move(frame_in)),
-        stream(std::move(stream_in)) {
-    seg_start_pos = frame.start_position();
-    seg_end_pos = seg_start_pos;
-    if (frame.wake_time().sign() > 0) {
-      // Pre-wake-up sleep is a segment, not an instruction.
-      seg_end = frame.wake_time();
-    } else {
-      next_instruction();
-    }
-  }
-
-  [[nodiscard]] geom::Vec2 position_at(const Rational& time) const {
-    if (velocity.x == 0.0 && velocity.y == 0.0) return seg_start_pos;
-    Rational elapsed = time;
-    elapsed -= seg_start;
-    return seg_start_pos + elapsed.to_double() * velocity;
-  }
-
-  void next_instruction() {
-    if (frozen || exhausted) return;
-    if (!stream.next()) {
-      exhausted = true;
-      seg_end.reset();
-      velocity = {};
-      seg_end_pos = seg_start_pos;
-      return;
-    }
-    const program::Instruction& instruction = stream.value();
-    ++instructions;
-    // Built in place (scale, then accumulate) so the huge event times do
-    // not pass through a chain of temporaries.
-    Rational end_time = frame.time_unit();
-    end_time *= program::duration_of(instruction);
-    end_time += seg_start;
-    seg_end = std::move(end_time);
-    if (const auto* move = std::get_if<program::Go>(&instruction)) {
-      if (move->distance.is_zero()) {
-        velocity = {};
-        seg_end_pos = seg_start_pos;
-      } else {
-        const geom::Vec2 direction = geom::unit_vector(frame.absolute_heading(move->heading));
-        velocity = frame.speed() * direction;
-        seg_end_pos =
-            seg_start_pos + (move->distance.to_double() * frame.length_unit()) * direction;
-      }
-    } else {
-      velocity = {};
-      seg_end_pos = seg_start_pos;
-    }
-  }
-
-  /// Timeline reached the end of the current segment: anchor there and pull
-  /// the next instruction.
-  void advance_segment() {
-    AURV_CHECK(seg_end.has_value());
-    seg_start = std::move(*seg_end);  // the segment end is consumed, not copied
-    seg_start_pos = seg_end_pos;
-    velocity = {};
-    seg_end.reset();
-    next_instruction();
-  }
-
-  /// The agent saw its peer: it stops forever at `time` (Alg. 1 line 1).
-  void freeze_at(const Rational& time) {
-    seg_start_pos = position_at(time);
-    seg_start = time;
-    seg_end.reset();
-    seg_end_pos = seg_start_pos;
-    velocity = {};
-    frozen = true;
-  }
-
-  agents::AgentFrame frame;
-  program::Program stream;
-  Rational seg_start;                     // absolute time of the segment anchor
-  std::optional<Rational> seg_end;        // empty = idle forever
-  geom::Vec2 seg_start_pos;
-  geom::Vec2 seg_end_pos;
-  geom::Vec2 velocity;                    // absolute units per absolute time
-  std::uint64_t instructions = 0;
-  bool frozen = false;
-  bool exhausted = false;
-};
-
-}  // namespace
 
 std::string to_string(StopReason reason) {
   switch (reason) {
@@ -123,6 +28,7 @@ Engine::Engine(agents::Instance instance, EngineConfig config)
     : instance_(std::move(instance)), config_(std::move(config)) {
   if (config_.r_a) AURV_CHECK_MSG(*config_.r_a > 0.0, "r_a override must be positive");
   if (config_.r_b) AURV_CHECK_MSG(*config_.r_b > 0.0, "r_b override must be positive");
+  AURV_CHECK_MSG(config_.contact_slack >= 0.0, "contact_slack must be nonnegative");
 }
 
 SimResult Engine::run(const AlgorithmFactory& factory) const {
@@ -144,8 +50,8 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   static telemetry::Log2Histogram& events_histogram =
       telemetry::registry().histogram("engine.events_per_run");
 
-  AgentSim a(agents::AgentFrame::for_a(instance_), std::move(for_a));
-  AgentSim b(agents::AgentFrame::for_b(instance_), std::move(for_b));
+  Track a(agents::AgentFrame::for_a(instance_), std::move(for_a));
+  Track b(agents::AgentFrame::for_b(instance_), std::move(for_b));
   std::uint64_t window_solves = 0;
 
   const double radius_a = config_.r_a.value_or(instance_.r());
@@ -154,7 +60,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   const double r_big = std::max(radius_a, radius_b) + config_.contact_slack;
   const bool distinct_radii = radius_a != radius_b;
   // The far-sighted agent sees (and freezes) first in the Section 5 model.
-  AgentSim* const far_sighted = radius_a >= radius_b ? &a : &b;
+  Track* const far_sighted = radius_a >= radius_b ? &a : &b;
 
   SimResult result;
   result.min_distance_seen = std::numeric_limits<double>::infinity();
@@ -177,8 +83,8 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     result.b_position = b.position_at(time);
     result.final_distance = geom::dist(result.a_position, result.b_position);
     result.min_distance_seen = std::min(result.min_distance_seen, result.final_distance);
-    result.instructions_a = a.instructions;
-    result.instructions_b = b.instructions;
+    result.instructions_a = a.instructions();
+    result.instructions_b = b.instructions();
     record(time);
     // Telemetry only observes the finished run — it never feeds back into
     // the result, so instrumented and plain runs produce identical bytes.
@@ -204,9 +110,9 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     // rationals, so a per-event std::optional<Rational> copy is an
     // allocation the loop does not need.
     const Rational* window_end = nullptr;
-    for (const AgentSim* agent : {&a, &b}) {
-      if (agent->seg_end && (window_end == nullptr || *agent->seg_end < *window_end))
-        window_end = &*agent->seg_end;
+    for (const Track* agent : {&a, &b}) {
+      const std::optional<Rational>& seg_end = agent->segment_end();
+      if (seg_end && (window_end == nullptr || *seg_end < *window_end)) window_end = &*seg_end;
     }
     bool at_horizon = false;
     if (horizon && (window_end == nullptr || *window_end >= *horizon)) {
@@ -217,7 +123,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     const geom::Vec2 pa = a.position_at(now);
     const geom::Vec2 pb = b.position_at(now);
     const geom::Vec2 offset = pa - pb;
-    const geom::Vec2 relative_velocity = a.velocity - b.velocity;
+    const geom::Vec2 relative_velocity = a.velocity() - b.velocity();
 
     if (!window_end) {
       // Both agents idle forever: the distance never changes again.
@@ -233,7 +139,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
         result.min_distance_seen,
         geom::closest_approach(offset, relative_velocity, window).min_distance);
 
-    if (distinct_radii && !far_sighted->frozen) {
+    if (distinct_radii && !far_sighted->frozen()) {
       // The larger radius is crossed first; the far-sighted agent freezes
       // there while the other keeps executing (Section 5 of the paper).
       ++window_solves;
@@ -264,8 +170,8 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     if (at_horizon) return finish(StopReason::HorizonReached, *window_end);
 
     now = *window_end;
-    for (AgentSim* agent : {&a, &b}) {
-      if (agent->seg_end && *agent->seg_end == now) {
+    for (Track* agent : {&a, &b}) {
+      if (agent->segment_end() && *agent->segment_end() == now) {
         agent->advance_segment();
         ++result.events;
       }

@@ -6,18 +6,21 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "test_paths.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/spec_util.hpp"
 #include "support/json.hpp"
 
 namespace aurv::exp {
 namespace {
 
 using support::Json;
+using testpaths::scenario_path;
 using testpaths::slurp;
 using testpaths::temp_path;
 
@@ -102,6 +105,15 @@ TEST(Scenario, StrictParsingRejectsMistakes) {
   EXPECT_THROW((void)ScenarioSpec::from_json(Json::parse(
                    R"({"algorithm":"no-such","source":{"sampler":"type1","count":1}})")),
                std::invalid_argument);
+  // A negative contact slack shrinks the contact radius; radius overrides
+  // must be positive. All fail at load, not at job time.
+  for (const char* engine : {R"({"contact_slack":-3})", R"({"r_a":0})", R"({"r_b":-1})"}) {
+    EXPECT_THROW((void)ScenarioSpec::from_json(Json::parse(
+                     std::string(R"({"source":{"sampler":"type1","count":1},"engine":)") +
+                     engine + "}")),
+                 std::invalid_argument)
+        << engine;
+  }
 }
 
 // -------------------------------------------------------------- registry --
@@ -205,6 +217,15 @@ TEST(Campaign, SummaryIsThreadCountInvariant) {
   const std::string summary_1 = run_campaign(spec, serial).summary(spec).dump(2);
   const std::string summary_8 = run_campaign(spec, parallel).summary(spec).dump(2);
   EXPECT_EQ(summary_1, summary_8);  // bit-identical, including double sums
+}
+
+TEST(Campaign, SmokeSummaryBytesArePinned) {
+  // FNV-1a digest of the committed smoke campaign's summary: any change to
+  // the engine that moves a single bit of the artifact fails here.
+  const ScenarioSpec spec = ScenarioSpec::load(scenario_path("smoke_type2.json"));
+  CampaignOptions options;
+  options.threads = 2;
+  EXPECT_EQ(fnv1a_fingerprint(run_campaign(spec, options).summary(spec)), 0x6fd3ca50ec89d88full);
 }
 
 TEST(Campaign, GridModeRunsEveryInstance) {

@@ -12,6 +12,7 @@
 
 #include "test_paths.hpp"
 #include "exp/registry.hpp"
+#include "exp/spec_util.hpp"
 #include "gatherx/aggregate.hpp"
 #include "gatherx/census.hpp"
 #include "gatherx/scenario.hpp"
@@ -119,6 +120,10 @@ TEST(GatherScenario, StrictParsingRejectsMistakes) {
 
   EXPECT_THROW((void)GatherScenarioSpec::from_json(with_key(
                    valid, "source", with_key(valid.at("source"), "sampler", Json("no-such")))),
+               std::invalid_argument);
+
+  EXPECT_THROW((void)GatherScenarioSpec::from_json(with_key(
+                   valid, "engine", with_key(valid.at("engine"), "contact_slack", Json(-3.0)))),
                std::invalid_argument);
 
   // Instance-dispatching algorithms cannot drive a gathering run: every
@@ -231,6 +236,17 @@ TEST(Census, SummaryIsThreadCountInvariant) {
   const std::string summary_1 = run_census(spec, serial).summary(spec).dump(2);
   const std::string summary_8 = run_census(spec, parallel).summary(spec).dump(2);
   EXPECT_EQ(summary_1, summary_8);  // bit-identical, including double sums
+}
+
+TEST(Census, SmokeSummaryBytesArePinned) {
+  // FNV-1a digest of the committed smoke census's summary: any change to
+  // the engine that moves a single bit of the artifact fails here.
+  const GatherScenarioSpec spec =
+      GatherScenarioSpec::load(scenario_path("gather_census_smoke.json"));
+  CensusOptions options;
+  options.threads = 2;
+  EXPECT_EQ(exp::fnv1a_fingerprint(run_census(spec, options).summary(spec)),
+            0x31bf8e4402be2e9full);
 }
 
 TEST(Census, CheckpointResumeMatchesOneShot) {

@@ -162,8 +162,9 @@ TEST(Similarity, InverseComposesToIdentity) {
 }
 
 TEST(Similarity, FixedPointTheory) {
-  // The CGKK substitution's invertibility claim (DESIGN.md): I - M singular
-  // exactly when scale = 1 and (chi=-1 or phi=0).
+  // The CGKK substitution's invertibility claim (docs/ARCHITECTURE.md,
+  // "Substituted components"): I - M singular exactly when scale = 1 and
+  // (chi=-1 or phi=0).
   const Similarity sync_shift({1.0, 2.0}, 0.0, 1, 1.0);
   EXPECT_FALSE(sync_shift.fixed_point().has_value());
   const Similarity mirror_any_phi({1.0, 2.0}, 1.234, -1, 1.0);

@@ -288,6 +288,14 @@ TEST(SearchSpec, StrictParsingRejectsMistakes) {
                    R"({"kind":"search","space":{"family":"tuple","box":{"t":[0,1]}},
                        "budget":{"wave_size":0}})")),
                std::invalid_argument);
+  EXPECT_THROW((void)SearchSpec::from_json(Json::parse(
+                   R"({"kind":"search","space":{"family":"tuple","box":{"t":[0,1]}},
+                       "engine":{"contact_slack":-3}})")),
+               std::invalid_argument);
+  EXPECT_THROW((void)SearchSpec::from_json(Json::parse(
+                   R"({"kind":"search","space":{"family":"tuple","box":{"t":[0,1]}},
+                       "engine":{"r_a":2,"r_b":0}})")),
+               std::invalid_argument);
 }
 
 TEST(SearchSpec, FingerprintDetectsEdits) {

@@ -281,6 +281,9 @@ TEST(Engine, ConfigValidation) {
   EngineConfig bad;
   bad.r_a = -1.0;
   EXPECT_THROW(Engine(basic_instance(Vec2{5, 0}), bad), std::logic_error);
+  EngineConfig negative_slack;
+  negative_slack.contact_slack = -3.0;
+  EXPECT_THROW(Engine(basic_instance(Vec2{5, 0}), negative_slack), std::logic_error);
 }
 
 }  // namespace
