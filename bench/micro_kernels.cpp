@@ -40,6 +40,18 @@ void BM_RationalAddSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_RationalAddSmall);
 
+void BM_RationalAddSmallDyadic(benchmark::State& state) {
+  // The engine's common case: event times and durations k / 2^i, inline.
+  const Rational a = Rational::dyadic(1234567, 6);
+  const Rational b = Rational::dyadic(-77, 3);
+  for (auto _ : state) {
+    Rational c = a;
+    c += b;
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(BM_RationalAddSmallDyadic);
+
 void BM_RationalAddHuge(benchmark::State& state) {
   // The simulator's worst realistic case: a phase-5 wait boundary plus a
   // dyadic offset (hundreds of bits of integer part).

@@ -4,7 +4,8 @@
 // exact-rational wake-up delays) from documented ranges; like the two-agent
 // samplers they are deterministic given the RNG stream, which is what lets
 // the census driver regenerate job j's configuration lazily from
-// seed_seq{seed, sample} at any thread count.
+// agents::sample_stream(seed, sample) — the stream std::seed_seq{seed,
+// sample} seeds — at any thread count.
 //
 // Four families, one per region of the configuration space TAB-7 probes:
 //

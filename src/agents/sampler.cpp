@@ -32,7 +32,58 @@ geom::Vec2 b_with_projection(double phi, double dist_proj, double lateral) {
   return dist_proj * along + lateral * along.perp();
 }
 
+/// std::seed_seq over four fixed 32-bit words, specialised to the 624 words
+/// mt19937_64 requests: the [rand.util.seedseq] generate algorithm with
+/// n = 624 (so t = 11, p = 306, q = 317, m = n), wrapped indices in place of
+/// `% n` and the previous word kept in a local. The words equal
+/// std::seed_seq's; only the cost differs.
+class FourWordSeedSeq {
+ public:
+  using result_type = std::uint32_t;
+
+  FourWordSeedSeq(std::uint64_t first, std::uint64_t second)
+      : v_{static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(first >> 32),
+           static_cast<std::uint32_t>(second), static_cast<std::uint32_t>(second >> 32)} {}
+
+  void generate(std::uint32_t* begin, std::uint32_t* end) const {
+    constexpr std::uint32_t n = 624, s = 4, t = 11, p = (n - t) / 2, q = p + t;
+    AURV_CHECK_MSG(end - begin == n, "FourWordSeedSeq: mt19937_64 requests 624 words");
+    const auto mix = [](std::uint32_t x) { return x ^ (x >> 27); };
+    // k + q wraps at k = n - q and k + p at k = n - p: three ranges keep the
+    // loop bodies free of index arithmetic.
+    const auto for_each_k = [](const auto& body) {
+      for (std::uint32_t k = 0; k < n - q; ++k) body(k, k + p, k + q);
+      for (std::uint32_t k = n - q; k < n - p; ++k) body(k, k + p, k + q - n);
+      for (std::uint32_t k = n - p; k < n; ++k) body(k, k + p - n, k + q - n);
+    };
+    std::fill(begin, end, 0x8b8b8b8bU);
+    std::uint32_t prev = begin[n - 1];
+    for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {
+      const std::uint32_t r1 = 1664525U * mix(begin[k] ^ begin[kp] ^ prev);
+      const std::uint32_t r2 = r1 + (k == 0 ? s : k <= s ? k + v_[k - 1] : k);
+      begin[kp] += r1;
+      begin[kq] += r2;
+      begin[k] = prev = r2;
+    });
+    for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {  // k stands for m + k
+      const std::uint32_t r3 = 1566083941U * mix(begin[k] + begin[kp] + prev);
+      const std::uint32_t r4 = r3 - k;
+      begin[kp] ^= r3;
+      begin[kq] ^= r4;
+      begin[k] = prev = r4;
+    });
+  }
+
+ private:
+  std::uint32_t v_[4];
+};
+
 }  // namespace
+
+std::mt19937_64 sample_stream(std::uint64_t seed, std::uint64_t sample) {
+  FourWordSeedSeq seq(seed, sample);
+  return std::mt19937_64(seq);
+}
 
 Instance sample_type1(std::mt19937_64& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);

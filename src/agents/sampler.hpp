@@ -5,11 +5,18 @@
 // grids and the census experiments; deterministic given the engine seed.
 #pragma once
 
+#include <cstdint>
 #include <random>
 
 #include "agents/instance.hpp"
 
 namespace aurv::agents {
+
+/// The RNG stream of one census sample: a std::mt19937_64 seeded exactly as
+/// std::seed_seq{seed, sample} seeds it (each word split low 32 bits first),
+/// so a sample's instance depends on (seed, sample) alone, never on
+/// execution order or thread count. Shared by every census runner.
+[[nodiscard]] std::mt19937_64 sample_stream(std::uint64_t seed, std::uint64_t sample);
 
 struct SamplerRanges {
   double r_min = 0.5;

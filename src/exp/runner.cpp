@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "agents/sampler.hpp"
 #include "exp/registry.hpp"
 #include "exp/stream_runner.hpp"
 #include "support/check.hpp"
@@ -36,11 +37,7 @@ agents::Instance campaign_instance(const ScenarioSpec& spec, std::uint64_t job) 
     cached_sampler = resolve_sampler(spec.sampler);
     cached_sampler_name = spec.sampler;
   }
-  // One independent, reproducible stream per sample: seeded by (campaign
-  // seed, sample index), never by anything execution-order dependent.
-  std::seed_seq seq{static_cast<std::uint32_t>(spec.seed), static_cast<std::uint32_t>(spec.seed >> 32),
-                    static_cast<std::uint32_t>(sample), static_cast<std::uint32_t>(sample >> 32)};
-  std::mt19937_64 rng(seq);
+  std::mt19937_64 rng = agents::sample_stream(spec.seed, sample);
   return cached_sampler(rng, spec.ranges);
 }
 

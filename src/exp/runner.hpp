@@ -5,9 +5,10 @@
 // Design for "millions of runs in constant memory":
 //
 //   * jobs are never materialized: job j's instance is regenerated on
-//     demand (sampler mode derives an RNG from std::seed_seq{seed, j /
-//     replications}, so every job's stream is independent of execution
-//     order and thread count; grid mode indexes the spec's instances);
+//     demand (sampler mode draws from agents::sample_stream(seed, j /
+//     replications), the stream std::seed_seq{seed, j / replications}
+//     seeds, so every job's stream is independent of execution order and
+//     thread count; grid mode indexes the spec's instances);
 //   * each shard (a contiguous chunk of job indices) accumulates its own
 //     CampaignAggregate and, optionally, a JSONL buffer of per-run records;
 //   * shards are merged/flushed strictly in shard order via

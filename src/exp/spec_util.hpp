@@ -57,8 +57,12 @@ inline sim::EngineConfig engine_from(const support::Json& json) {
   if (config.contact_slack < 0.0)
     throw std::invalid_argument("scenario: engine.contact_slack must be >= 0");
   if (const support::Json* horizon = json.find("horizon");
-      horizon != nullptr && !horizon->is_null())
+      horizon != nullptr && !horizon->is_null()) {
     config.horizon = rational_from(*horizon, "horizon");
+    // A negative horizon would stop every run before t = 0.
+    if (config.horizon->is_negative())
+      throw std::invalid_argument("scenario: engine.horizon must be >= 0");
+  }
   const auto radius_from = [&json](const char* key, std::optional<double>& radius) {
     if (const support::Json* value = json.find(key); value != nullptr && !value->is_null()) {
       radius = value->as_number();

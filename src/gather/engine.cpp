@@ -74,6 +74,8 @@ GatherEngine::GatherEngine(std::vector<GatherAgent> agents, GatherConfig config)
   AURV_CHECK_MSG(!agents_.empty(), "GatherEngine: need at least one agent");
   AURV_CHECK_MSG(config_.r > 0.0, "GatherEngine: r must be positive");
   AURV_CHECK_MSG(config_.contact_slack >= 0.0, "GatherEngine: contact_slack must be nonnegative");
+  if (config_.horizon)
+    AURV_CHECK_MSG(!config_.horizon->is_negative(), "GatherEngine: horizon must be nonnegative");
   for (const GatherAgent& agent : agents_) {
     AURV_CHECK_MSG(agent.wake.sign() >= 0, "GatherEngine: wake times must be nonnegative");
   }

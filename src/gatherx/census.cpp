@@ -3,6 +3,7 @@
 #include <random>
 #include <vector>
 
+#include "agents/sampler.hpp"
 #include "exp/registry.hpp"
 #include "exp/stream_runner.hpp"
 #include "support/check.hpp"
@@ -48,13 +49,7 @@ agents::GatherInstance census_instance(const GatherScenarioSpec& spec, std::uint
     cached_sampler = exp::resolve_gather_sampler(spec.sampler);
     cached_sampler_name = spec.sampler;
   }
-  // One independent, reproducible stream per sample: seeded by (census
-  // seed, sample index), never by anything execution-order dependent.
-  std::seed_seq seq{static_cast<std::uint32_t>(spec.seed),
-                    static_cast<std::uint32_t>(spec.seed >> 32),
-                    static_cast<std::uint32_t>(sample),
-                    static_cast<std::uint32_t>(sample >> 32)};
-  std::mt19937_64 rng(seq);
+  std::mt19937_64 rng = agents::sample_stream(spec.seed, sample);
   return cached_sampler(rng, spec.ranges);
 }
 

@@ -4,7 +4,8 @@
 // counterpart of exp::run_campaign, with the same reproducibility contract:
 //
 //   * job j's configuration is regenerated on demand from
-//     std::seed_seq{seed, j / replications} — independent of execution
+//     agents::sample_stream(seed, j / replications), the stream
+//     std::seed_seq{seed, j / replications} seeds — independent of execution
 //     order and thread count;
 //   * each job runs once per configured stop policy (FirstSight and
 //     AllVisible are different experiments on one population);

@@ -122,8 +122,11 @@ GatherScenarioSpec GatherScenarioSpec::from_json(const Json& json) {
     if (spec.contact_slack < 0.0)
       throw std::invalid_argument("gather scenario: contact_slack must be >= 0");
     if (const Json* horizon = engine->find("horizon");
-        horizon != nullptr && !horizon->is_null())
+        horizon != nullptr && !horizon->is_null()) {
       spec.horizon = rational_from(*horizon, "horizon");
+      if (spec.horizon->is_negative())
+        throw std::invalid_argument("gather scenario: horizon must be >= 0");
+    }
     if (const Json* diameter = engine->find("success_diameter");
         diameter != nullptr && !diameter->is_null()) {
       spec.success_diameter = diameter->as_number();

@@ -65,10 +65,12 @@ Rational::Rational(BigInt value) : Rational(from_bigints(std::move(value), BigIn
 Rational::Rational(BigInt numerator, BigInt denominator)
     : Rational(from_bigints(std::move(numerator), std::move(denominator))) {}
 
-void Rational::copy_from(const Rational& other) {
-  num_ = other.num_;
-  den_ = other.den_;
-  big_ = other.big_ ? std::make_unique<Big>(*other.big_) : nullptr;
+void Rational::assign_big(const Big& big) {
+  if (big_) {
+    *big_ = big;  // LimbVec copy-assignment keeps the existing buffers
+  } else {
+    big_ = std::make_unique<Big>(big);
+  }
 }
 
 Rational Rational::from_i128(i128 numerator, i128 denominator) {
@@ -279,6 +281,35 @@ Rational Rational::reciprocal() const {
 }
 
 void Rational::add_impl(const Rational& rhs, int sign_mult) {
+  const auto da = static_cast<std::uint64_t>(den_);
+  const auto db = static_cast<std::uint64_t>(rhs.den_);
+  // Power-of-two test by bit trick: std::has_single_bit may compile to a
+  // libgcc popcount call on the baseline x86-64 target.
+  if (!big_ && !rhs.big_ && ((da & (da - 1)) | (db & (db - 1))) == 0) {
+    // Dyadic: shift-align both numerators to the larger denominator 2^e
+    // (|num| < 2^62, shifts <= 61: the sum stays below 2^124), then cancel
+    // common factors of two. No products; from_i128 only to promote.
+    const int ea = std::countr_zero(da);
+    const int eb = std::countr_zero(db);
+    const int e = std::max(ea, eb);
+    i128 sum = (static_cast<i128>(sign_mult < 0 ? -rhs.num_ : rhs.num_) << (e - eb)) +
+               (static_cast<i128>(num_) << (e - ea));
+    if (sum == 0) {
+      num_ = 0;
+      den_ = 1;
+      return;
+    }
+    const unsigned t = std::min(tz_u128(static_cast<u128>(sum)), static_cast<unsigned>(e));
+    sum >>= t;  // exact: 2^t divides the sum
+    const std::int64_t den = std::int64_t{1} << (static_cast<unsigned>(e) - t);
+    if (sum < -kInlineMax || sum > kInlineMax) {
+      *this = from_i128(sum, den);
+      return;
+    }
+    num_ = static_cast<std::int64_t>(sum);
+    den_ = den;
+    return;
+  }
   if (!big_ && !rhs.big_) {
     // |a|,|b| < 2^62: each product < 2^124, their sum < 2^125 < 2^127.
     const i128 numerator = static_cast<i128>(num_) * rhs.den_ +
@@ -367,22 +398,11 @@ Rational& Rational::operator/=(const Rational& rhs) {
   return *this = from_bigints(a_num * b_den, a_den * b_num);
 }
 
-bool operator==(const Rational& lhs, const Rational& rhs) noexcept {
-  // Canonical forms are unique and any value that fits the inline tier is
-  // stored inline, so cross-tier values are never equal.
-  if (!lhs.big_ && !rhs.big_) return lhs.num_ == rhs.num_ && lhs.den_ == rhs.den_;
-  if (static_cast<bool>(lhs.big_) != static_cast<bool>(rhs.big_)) return false;
-  return lhs.big_->num == rhs.big_->num && lhs.big_->den == rhs.big_->den;
+bool Rational::big_equal(const Big& lhs, const Big& rhs) noexcept {
+  return lhs.num == rhs.num && lhs.den == rhs.den;
 }
 
-std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept {
-  if (!lhs.big_ && !rhs.big_) {
-    const i128 left = static_cast<i128>(lhs.num_) * rhs.den_;
-    const i128 right = static_cast<i128>(rhs.num_) * lhs.den_;
-    if (left < right) return std::strong_ordering::less;
-    if (left > right) return std::strong_ordering::greater;
-    return std::strong_ordering::equal;
-  }
+std::strong_ordering Rational::big_compare(const Rational& lhs, const Rational& rhs) noexcept {
   const int sign_a = lhs.sign();
   const int sign_b = rhs.sign();
   if (sign_a != sign_b) return sign_a <=> sign_b;
@@ -449,10 +469,7 @@ BigInt Rational::ceil() const {
   return dm.quotient;
 }
 
-double Rational::to_double() const noexcept {
-  if (!big_) {
-    return static_cast<double>(num_) / static_cast<double>(den_);
-  }
+double Rational::big_to_double() const noexcept {
   const BigInt& num = big_->num;
   const BigInt& den = big_->den;
   if (num.is_zero()) return 0.0;

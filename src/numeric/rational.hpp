@@ -9,7 +9,8 @@
 //
 // Representation: a two-tier value. Values whose numerator and denominator
 // fit comfortably in int64 (the overwhelming majority of simulation event
-// arithmetic) are stored inline and combined with __int128 intermediates;
+// arithmetic) are stored inline and combined with __int128 intermediates
+// (two inline dyadics add by shift-align, without products);
 // anything larger promotes transparently to heap-allocated BigInt. The big
 // tier additionally carries a *dyadic tag*: when the denominator is a power
 // of two (virtually always in simulator arithmetic — the paper's quantities
@@ -47,10 +48,20 @@ class Rational {
   /// numerator/denominator; denominator must be nonzero.
   Rational(BigInt numerator, BigInt denominator);
 
-  Rational(const Rational& other) { copy_from(other); }
+  // Copies, ==, <=> and to_double decide the inline tier here, without a
+  // call; big-tier work goes to the out-of-line helpers below.
+  Rational(const Rational& other) : num_(other.num_), den_(other.den_) {
+    if (other.big_) assign_big(*other.big_);
+  }
   Rational(Rational&& other) noexcept = default;
   Rational& operator=(const Rational& other) {
-    if (this != &other) copy_from(other);
+    if (!other.big_) {
+      num_ = other.num_;
+      den_ = other.den_;
+      big_.reset();
+    } else if (this != &other) {
+      assign_big(*other.big_);
+    }
     return *this;
   }
   Rational& operator=(Rational&& other) noexcept = default;
@@ -112,8 +123,18 @@ class Rational {
   friend Rational operator*(Rational lhs, const Rational& rhs) { return lhs *= rhs; }
   friend Rational operator/(Rational lhs, const Rational& rhs) { return lhs /= rhs; }
 
-  friend bool operator==(const Rational& lhs, const Rational& rhs) noexcept;
-  friend std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept;
+  friend bool operator==(const Rational& lhs, const Rational& rhs) noexcept {
+    // Canonical forms are unique and any value that fits the inline tier is
+    // stored inline, so cross-tier values are never equal.
+    if (!lhs.big_ && !rhs.big_) return lhs.num_ == rhs.num_ && lhs.den_ == rhs.den_;
+    return lhs.big_ && rhs.big_ && big_equal(*lhs.big_, *rhs.big_);
+  }
+  friend std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) noexcept {
+    if (lhs.big_ || rhs.big_) return big_compare(lhs, rhs);
+    // |num|, den < 2^62: both cross products fit in __int128.
+    return static_cast<__int128>(lhs.num_) * rhs.den_ <=>
+           static_cast<__int128>(rhs.num_) * lhs.den_;
+  }
 
   /// Largest integer <= *this.
   [[nodiscard]] BigInt floor() const;
@@ -123,7 +144,9 @@ class Rational {
   /// Nearest double. Exact-ish even for huge numerator/denominator: the
   /// quotient is computed from aligned high bits, not via double division
   /// of the (possibly overflowing) parts.
-  [[nodiscard]] double to_double() const noexcept;
+  [[nodiscard]] double to_double() const noexcept {
+    return big_ ? big_to_double() : static_cast<double>(num_) / static_cast<double>(den_);
+  }
 
   [[nodiscard]] std::string to_string() const;
 
@@ -144,7 +167,12 @@ class Rational {
   explicit Rational(std::unique_ptr<Big> big) : big_(std::move(big)) {}
   static Rational from_i128(__int128 numerator, __int128 denominator);
   static Rational from_bigints(BigInt numerator, BigInt denominator);
-  void copy_from(const Rational& other);
+  /// *this = a big-tier value, reusing this value's Big (and its limb
+  /// buffers) when it has one.
+  void assign_big(const Big& big);
+  static bool big_equal(const Big& lhs, const Big& rhs) noexcept;
+  static std::strong_ordering big_compare(const Rational& lhs, const Rational& rhs) noexcept;
+  [[nodiscard]] double big_to_double() const noexcept;
   /// Shared core of += / -=: *this += sign_mult * rhs.
   void add_impl(const Rational& rhs, int sign_mult);
   /// *this = numerator / 2^den_exp, normalized; reuses the existing Big

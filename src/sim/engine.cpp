@@ -29,6 +29,8 @@ Engine::Engine(agents::Instance instance, EngineConfig config)
   if (config_.r_a) AURV_CHECK_MSG(*config_.r_a > 0.0, "r_a override must be positive");
   if (config_.r_b) AURV_CHECK_MSG(*config_.r_b > 0.0, "r_b override must be positive");
   AURV_CHECK_MSG(config_.contact_slack >= 0.0, "contact_slack must be nonnegative");
+  if (config_.horizon)
+    AURV_CHECK_MSG(!config_.horizon->is_negative(), "horizon must be nonnegative");
 }
 
 SimResult Engine::run(const AlgorithmFactory& factory) const {

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "agents/frame.hpp"
 #include "agents/instance.hpp"
+#include "agents/sampler.hpp"
 #include "geom/angle.hpp"
 
 namespace aurv::agents {
@@ -137,6 +140,35 @@ TEST(AgentFrame, DerivedForAgentB) {
   EXPECT_NEAR(b.absolute_heading(0.4), geom::normalize_angle(inst.phi() - 0.4), 1e-12);
   EXPECT_EQ(AgentFrame::for_agent(inst, AgentId::B).wake_time(), Rational(5));
   EXPECT_EQ(AgentFrame::for_agent(inst, AgentId::A).wake_time(), Rational(0));
+}
+
+TEST(SampleStream, MatchesSeedSeqSeededEngine) {
+  // The oracle: std::seed_seq over the four 32-bit halves, low word first.
+  // 700 draws cover more than one 312-word twist of the state.
+  constexpr int kDraws = 700;
+  const auto reference = [](std::uint64_t seed, std::uint64_t sample) {
+    std::seed_seq seq{static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
+                      static_cast<std::uint32_t>(sample),
+                      static_cast<std::uint32_t>(sample >> 32)};
+    std::mt19937_64 rng(seq);
+    std::vector<std::uint64_t> draws(kDraws);
+    for (std::uint64_t& draw : draws) draw = rng();
+    return draws;
+  };
+  std::vector<std::uint64_t> samples;
+  for (std::uint64_t k = 0; k < 500; ++k) samples.push_back(k);
+  for (std::uint64_t k = 0; k < 500; ++k) samples.push_back((std::uint64_t{1} << 32) - 250 + k);
+  for (std::uint64_t k = 0; k < 4; ++k) samples.push_back(~std::uint64_t{0} - k);
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2020},
+                                   (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
+                                   std::uint64_t{0xdeadbeefcafebabe}, ~std::uint64_t{0}}) {
+    for (const std::uint64_t sample : samples) {
+      std::mt19937_64 rng = sample_stream(seed, sample);
+      std::vector<std::uint64_t> draws(kDraws);
+      for (std::uint64_t& draw : draws) draw = rng();
+      ASSERT_EQ(draws, reference(seed, sample)) << "seed " << seed << " sample " << sample;
+    }
+  }
 }
 
 }  // namespace

@@ -106,14 +106,18 @@ TEST(Scenario, StrictParsingRejectsMistakes) {
                    R"({"algorithm":"no-such","source":{"sampler":"type1","count":1}})")),
                std::invalid_argument);
   // A negative contact slack shrinks the contact radius; radius overrides
-  // must be positive. All fail at load, not at job time.
-  for (const char* engine : {R"({"contact_slack":-3})", R"({"r_a":0})", R"({"r_b":-1})"}) {
+  // must be positive; a negative horizon ends every run before t = 0. All
+  // fail at load, not at job time.
+  for (const char* engine : {R"({"contact_slack":-3})", R"({"r_a":0})", R"({"r_b":-1})",
+                             R"({"horizon":"-5"})", R"({"horizon":-1})"}) {
     EXPECT_THROW((void)ScenarioSpec::from_json(Json::parse(
                      std::string(R"({"source":{"sampler":"type1","count":1},"engine":)") +
                      engine + "}")),
                  std::invalid_argument)
         << engine;
   }
+  EXPECT_NO_THROW((void)ScenarioSpec::from_json(Json::parse(
+      R"({"source":{"sampler":"type1","count":1},"engine":{"horizon":0}})")));
 }
 
 // -------------------------------------------------------------- registry --
@@ -226,6 +230,17 @@ TEST(Campaign, SmokeSummaryBytesArePinned) {
   CampaignOptions options;
   options.threads = 2;
   EXPECT_EQ(fnv1a_fingerprint(run_campaign(spec, options).summary(spec)), 0x6fd3ca50ec89d88full);
+}
+
+TEST(Scenario, CommittedScenarioLoadsFromAnyWorkingDirectory) {
+  // scenario_path is anchored at the source tree, not at the working dir.
+  const std::filesystem::path previous = std::filesystem::current_path();
+  std::filesystem::current_path(::testing::TempDir());
+  const std::string path = scenario_path("smoke_type2.json");
+  ScenarioSpec spec;
+  EXPECT_NO_THROW(spec = ScenarioSpec::load(path)) << path;
+  std::filesystem::current_path(previous);
+  EXPECT_EQ(spec.name, "smoke_type2");
 }
 
 TEST(Campaign, GridModeRunsEveryInstance) {

@@ -31,7 +31,13 @@ TEST(GatherEngine, ValidatesInput) {
   negative_slack.contact_slack = -3.0;
   EXPECT_THROW(GatherEngine({{Vec2{0, 0}, 0}, {Vec2{3, 0}, 0}}, negative_slack),
                std::logic_error);
+  GatherConfig negative_horizon;
+  negative_horizon.horizon = Rational(-3);
+  EXPECT_THROW(GatherEngine({{Vec2{0, 0}, 0}, {Vec2{3, 0}, 0}}, negative_horizon),
+               std::logic_error);
   GatherConfig ok;
+  ok.horizon = Rational(0);
+  EXPECT_NO_THROW(GatherEngine({{Vec2{0, 0}, 0}, {Vec2{3, 0}, 0}}, ok));
   EXPECT_THROW(GatherEngine({{Vec2{0, 0}, -1}, {Vec2{3, 0}, 0}}, ok), std::logic_error);
 }
 

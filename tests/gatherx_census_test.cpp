@@ -125,6 +125,11 @@ TEST(GatherScenario, StrictParsingRejectsMistakes) {
   EXPECT_THROW((void)GatherScenarioSpec::from_json(with_key(
                    valid, "engine", with_key(valid.at("engine"), "contact_slack", Json(-3.0)))),
                std::invalid_argument);
+  EXPECT_THROW((void)GatherScenarioSpec::from_json(with_key(
+                   valid, "engine", with_key(valid.at("engine"), "horizon", Json("-3")))),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)GatherScenarioSpec::from_json(
+      with_key(valid, "engine", with_key(valid.at("engine"), "horizon", Json(0.0)))));
 
   // Instance-dispatching algorithms cannot drive a gathering run: every
   // agent executes the *common* program, there is no two-agent instance.

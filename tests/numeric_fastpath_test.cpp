@@ -154,7 +154,14 @@ Rational random_rational(std::mt19937_64& rng) {
   const auto small = [&]() -> long long {
     return static_cast<long long>(rng() % 2048) - 1024;
   };
-  switch (rng() % 8) {
+  const auto sign = [&]() -> long long { return rng() % 2 == 0 ? 1 : -1; };
+  switch (rng() % 10) {
+    case 8:  // inline dyadic, numerator just below +-2^62, exponent 0..61
+      return Rational::dyadic(sign() * ((1LL << 62) - 1 - static_cast<long long>(rng() % 4096)),
+                              rng() % 62);
+    case 9:  // few inline dyadics near 2^62 (so pairs repeat and cancel)
+      return Rational::dyadic(sign() * ((1LL << 62) - 1 - static_cast<long long>(rng() % 4)),
+                              rng() % 3);
     case 0:  // small non-dyadic
       return Rational(BigInt(small()), BigInt(small() * 2 + 1));
     case 1:  // small dyadic
@@ -202,6 +209,9 @@ TEST(FastPathRational, AddSubDifferential) {
     Rational back = sum;
     back -= b;
     expect_same(back, a, "(a + b) - b", a, b);
+    Rational cancelled = a;
+    cancelled += -a;
+    expect_same(cancelled, ref_add(a, -a, 1), "a + (-a)", a, -a);
   }
 }
 
@@ -267,6 +277,50 @@ TEST(FastPathRational, InlineTierBoundaryExact) {
   EXPECT_TRUE(Rational::dyadic(1, 61).is_inline());
   EXPECT_FALSE(Rational::dyadic(1, 62).is_inline());
   EXPECT_EQ(Rational::dyadic(1, 61) * Rational::dyadic(1, 1), Rational::dyadic(1, 62));
+}
+
+TEST(FastPathRational, CopyAssignmentAcrossTiers) {
+  const auto expect_copy = [](const Rational& copy, const Rational& source, const char* what) {
+    EXPECT_EQ(copy, source) << what;
+    EXPECT_EQ(copy.is_inline(), source.is_inline()) << what;
+    EXPECT_EQ(copy.numerator(), source.numerator()) << what;
+    EXPECT_EQ(copy.denominator(), source.denominator()) << what;
+    // The dyadic tag travels with the copy: arithmetic on it still agrees.
+    EXPECT_EQ(copy.is_dyadic(), source.is_dyadic()) << what;
+    const Rational probe = Rational::dyadic(1, 20);
+    EXPECT_EQ(copy + probe, ref_add(source, probe, 1)) << what;
+  };
+  const Rational inline_value = Rational::dyadic(-12345, 7);
+  const Rational two_limbs = Rational::pow2(100) + Rational::dyadic(3, 9);   // < 2^128
+  const Rational five_limbs = -Rational::pow2(300) + Rational::dyadic(5, 2);  // 5 limbs
+  const Rational non_dyadic = Rational(BigInt::pow2(200) + BigInt(1), BigInt(3));
+  ASSERT_TRUE(inline_value.is_inline());
+  ASSERT_FALSE(two_limbs.is_inline());
+  ASSERT_FALSE(five_limbs.is_inline());
+  ASSERT_FALSE(non_dyadic.is_dyadic());
+
+  Rational value = inline_value;
+  value = two_limbs;  // inline <- big
+  expect_copy(value, two_limbs, "inline <- big");
+  value = five_limbs;  // big <- big, more limbs
+  expect_copy(value, five_limbs, "big <- big (2 -> 5 limbs)");
+  value = two_limbs;  // big <- big, fewer limbs
+  expect_copy(value, two_limbs, "big <- big (5 -> 2 limbs)");
+  value = non_dyadic;  // big <- big, the dyadic tag cleared
+  expect_copy(value, non_dyadic, "big <- big (dyadic -> non-dyadic)");
+  value = five_limbs;  // and set again
+  expect_copy(value, five_limbs, "big <- big (non-dyadic -> dyadic)");
+  value = inline_value;  // big <- inline
+  expect_copy(value, inline_value, "big <- inline");
+
+  for (const Rational& source : {inline_value, two_limbs, five_limbs, non_dyadic}) {
+    Rational self = source;
+    const Rational& alias = self;
+    self = alias;  // self-assignment
+    expect_copy(self, source, "self-assignment");
+    const Rational copied(self);  // copy construction
+    expect_copy(copied, source, "copy construction");
+  }
 }
 
 TEST(FastPathRational, DyadicObservability) {

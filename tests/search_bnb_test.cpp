@@ -296,6 +296,10 @@ TEST(SearchSpec, StrictParsingRejectsMistakes) {
                    R"({"kind":"search","space":{"family":"tuple","box":{"t":[0,1]}},
                        "engine":{"r_a":2,"r_b":0}})")),
                std::invalid_argument);
+  EXPECT_THROW((void)SearchSpec::from_json(Json::parse(
+                   R"({"kind":"search","space":{"family":"tuple","box":{"t":[0,1]}},
+                       "engine":{"horizon":"-5"}})")),
+               std::invalid_argument);
 }
 
 TEST(SearchSpec, FingerprintDetectsEdits) {

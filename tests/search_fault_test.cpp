@@ -421,12 +421,13 @@ int run_cli(const std::string& command) {
 }
 
 TEST(ResumeDiagnostics, CliResumeFailuresExitFiveWithAStructuredStderrLine) {
-  if (!fs::exists("./aurv_sweep")) GTEST_SKIP() << "aurv_sweep binary not built next to tests";
+  const std::string sweep = testpaths::sweep_binary();
+  if (!fs::exists(sweep)) GTEST_SKIP() << "aurv_sweep not built: " << sweep;
   const std::string dir = fresh_dir("resume_diag_cli");
   const std::string checkpoint = dir + "/cli.ckpt.json";
   const std::string stderr_path = dir + "/stderr.txt";
 
-  const auto search_cmd = "./aurv_sweep search " + scenario_path("search_smoke.json") +
+  const auto search_cmd = sweep + " search " + scenario_path("search_smoke.json") +
                           " --checkpoint " + checkpoint + " --resume --quiet --out " + dir +
                           "/out.json 2> " + stderr_path;
 
@@ -449,7 +450,7 @@ TEST(ResumeDiagnostics, CliResumeFailuresExitFiveWithAStructuredStderrLine) {
   EXPECT_NE(slurp(stderr_path).find("foreign"), std::string::npos);
 
   // The campaign runner path through `aurv_sweep run`.
-  const auto run_cmd = "./aurv_sweep run " + scenario_path("smoke_type2.json") +
+  const auto run_cmd = sweep + " run " + scenario_path("smoke_type2.json") +
                        " --checkpoint " + checkpoint + " --resume --quiet --out " + dir +
                        "/out.json 2> " + stderr_path;
   std::ofstream(checkpoint, std::ios::binary | std::ios::trunc)

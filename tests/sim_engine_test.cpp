@@ -284,6 +284,12 @@ TEST(Engine, ConfigValidation) {
   EngineConfig negative_slack;
   negative_slack.contact_slack = -3.0;
   EXPECT_THROW(Engine(basic_instance(Vec2{5, 0}), negative_slack), std::logic_error);
+  EngineConfig negative_horizon;
+  negative_horizon.horizon = Rational(-5);
+  EXPECT_THROW(Engine(basic_instance(Vec2{5, 0}), negative_horizon), std::logic_error);
+  EngineConfig zero_horizon;
+  zero_horizon.horizon = Rational(0);
+  EXPECT_NO_THROW(Engine(basic_instance(Vec2{5, 0}), zero_horizon));
 }
 
 }  // namespace

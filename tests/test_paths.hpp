@@ -1,6 +1,6 @@
 // Path plumbing shared by the exp/search test suites: per-test temp files,
 // whole-file reads for byte-identity assertions, and locating the committed
-// scenarios/ directory from wherever ctest runs the binary.
+// scenarios/ directory and the aurv_sweep CLI from any working directory.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -38,14 +38,14 @@ inline void copy_dir(const std::string& from, const std::string& to) {
   std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
-/// scenarios/ relative to the test binary: tests run from build/, the repo
-/// root is the source dir recorded at configure time via the working tree.
+/// A committed scenarios/ file, under the source dir recorded at configure
+/// time (AURV_SOURCE_DIR, set by CMakeLists.txt).
 inline std::string scenario_path(const std::string& leaf) {
-  for (const char* prefix : {"scenarios/", "../scenarios/", "../../scenarios/"}) {
-    const std::string candidate = prefix + leaf;
-    if (std::filesystem::exists(candidate)) return candidate;
-  }
-  return "scenarios/" + leaf;
+  return (std::filesystem::path(AURV_SOURCE_DIR) / "scenarios" / leaf).string();
 }
+
+/// The aurv_sweep binary of the same build (AURV_SWEEP_BINARY, set by
+/// CMakeLists.txt); it may not exist when only the test targets were built.
+inline std::string sweep_binary() { return AURV_SWEEP_BINARY; }
 
 }  // namespace aurv::testpaths
