@@ -183,55 +183,48 @@ int cmd_sweep(int argc, char** argv) {
   // Same kind dispatch as aurv_sweep run: a gather-census spec drives the
   // gathering census runner, anything else the two-agent campaign runner.
   // One load + parse; path context is added to either kind's parse error.
+  using support::trace::Span;
+  telemetry::Timer& load_timer = telemetry::registry().timer("phase.load");
+  telemetry::Timer& run_timer = telemetry::registry().timer("phase.run");
   try {
-    const auto finish = [&](const char* kind, std::uint64_t fingerprint) {
+    const auto finish = [&](const telemetry::RunInfo& run) {
       telemetry_cli.close_trace(quiet);
-      telemetry::RunManifest manifest;
-      manifest.kind = kind;
-      manifest.spec_path = spec_path;
-      manifest.fingerprint = support::fingerprint_hex(fingerprint);
-      manifest.threads = driver::resolved_threads(options.threads);
-      telemetry_cli.write_metrics(manifest, driver::wall_ms_since(started), quiet);
+      telemetry_cli.write_metrics(run, driver::wall_ms_since(started), quiet);
     };
     support::Json spec_json;
     {
-      const support::trace::Span span("load", "phase",
-                                      support::trace::Span::Options{.announce = true});
+      const Span span(load_timer, "load", "phase", {.announce = true});
       spec_json = support::Json::load_file(spec_path);
     }
     if (spec_json.string_or("kind", "") == "gather-census") {
       const gatherx::GatherScenarioSpec spec = gatherx::GatherScenarioSpec::from_json(spec_json);
-      std::optional<telemetry::Heartbeat> heartbeat =
-          telemetry_cli.start_heartbeat("gather-census", spec_path);
-      const auto statusd = telemetry_cli.start_statusd(
-          "gather-census", spec_path, support::fingerprint_hex(spec.fingerprint()),
-          driver::resolved_threads(options.threads));
+      const telemetry::RunInfo identity =
+          driver::run_info("gather-census", spec_path, spec.fingerprint(), options.threads);
+      std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(identity);
+      const auto statusd = telemetry_cli.start_statusd(identity);
       std::optional<gatherx::CensusResult> run;
       {
-        const support::trace::Span span("run", "phase",
-                                        support::trace::Span::Options{.announce = true});
+        const Span span(run_timer, "run", "phase", {.announce = true});
         run.emplace(gatherx::run_census(spec, options));
       }
       if (heartbeat.has_value()) heartbeat->stop();
       std::printf("%s", run->summary(spec).dump(2).c_str());
-      finish("gather-census", spec.fingerprint());
+      finish(identity);
       return 0;
     }
     const exp::ScenarioSpec spec = exp::ScenarioSpec::from_json(spec_json);
-    std::optional<telemetry::Heartbeat> heartbeat =
-        telemetry_cli.start_heartbeat("campaign", spec_path);
-    const auto statusd = telemetry_cli.start_statusd(
-        "campaign", spec_path, support::fingerprint_hex(spec.fingerprint()),
-        driver::resolved_threads(options.threads));
+    const telemetry::RunInfo identity =
+        driver::run_info("campaign", spec_path, spec.fingerprint(), options.threads);
+    std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(identity);
+    const auto statusd = telemetry_cli.start_statusd(identity);
     std::optional<exp::CampaignResult> run;
     {
-      const support::trace::Span span("run", "phase",
-                                      support::trace::Span::Options{.announce = true});
+      const Span span(run_timer, "run", "phase", {.announce = true});
       run.emplace(exp::run_campaign(spec, options));
     }
     if (heartbeat.has_value()) heartbeat->stop();
     std::printf("%s", run->summary(spec).dump(2).c_str());
-    finish("campaign", spec.fingerprint());
+    finish(identity);
     return 0;
   } catch (const std::invalid_argument& error) {
     throw std::invalid_argument(spec_path + ": " + error.what());

@@ -109,8 +109,8 @@ namespace {
 using namespace aurv;
 namespace telemetry = support::telemetry;
 using driver::TelemetryCli;
-using driver::resolved_threads;
 using driver::wall_ms_since;
+using support::trace::Span;
 
 int usage() {
   std::fprintf(stderr,
@@ -247,18 +247,20 @@ int cmd_search(int argc, char** argv) {
 
   std::optional<exp::SearchSpec> loaded;
   {
-    const telemetry::ScopedTimer time_load(load_timer);
-    const support::trace::Span span("load", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(load_timer, "load", "phase", {.announce = true});
     loaded.emplace(exp::SearchSpec::load(spec_path));
   }
   const exp::SearchSpec& spec = *loaded;
-  std::optional<telemetry::Heartbeat> heartbeat =
-      telemetry_cli.start_heartbeat("search", spec_path);
+  support::Json config = support::Json::object();
+  config.set("max_waves", support::Json(static_cast<std::uint64_t>(options.max_waves)));
+  config.set("spill_dir", support::Json(options.spill_dir));
+  config.set("frontier_mem", support::Json(static_cast<std::uint64_t>(options.frontier_mem)));
+  config.set("resume", support::Json(options.resume));
+  const telemetry::RunInfo identity = driver::run_info(
+      "search", spec_path, spec.fingerprint(), options.max_shards, std::move(config));
+  std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(identity);
   // Held to end of scope: scraping stays live through emit + metrics.
-  const auto statusd = telemetry_cli.start_statusd(
-      "search", spec_path, support::fingerprint_hex(spec.fingerprint()),
-      resolved_threads(options.max_shards));
+  const auto statusd = telemetry_cli.start_statusd(identity);
   if (!quiet) {
     options.progress = [](std::uint64_t evaluated, std::uint64_t open) {
       std::fprintf(stderr, "\r%llu boxes evaluated, %llu open   ",
@@ -269,9 +271,7 @@ int cmd_search(int argc, char** argv) {
 
   std::optional<exp::SearchRunResult> run;
   {
-    const telemetry::ScopedTimer time_run(run_timer);
-    const support::trace::Span span("run", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(run_timer, "run", "phase", {.announce = true});
     run.emplace(exp::run_search(spec, options));
   }
   const exp::SearchRunResult& result = *run;
@@ -289,9 +289,7 @@ int cmd_search(int argc, char** argv) {
                  result.bnb.frontier_degradation.c_str());
 
   {
-    const telemetry::ScopedTimer time_emit(emit_timer);
-    const support::trace::Span span("emit", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(emit_timer, "emit", "phase", {.announce = true});
     const support::Json certificate = result.certificate(spec);
     if (out_path.empty()) {
       std::printf("%s", certificate.dump(2).c_str());
@@ -303,17 +301,7 @@ int cmd_search(int argc, char** argv) {
   // Seal the trace before the snapshot so its trace.* counters are final.
   telemetry_cli.close_trace(quiet);
 
-  telemetry::RunManifest manifest;
-  manifest.kind = "search";
-  manifest.spec_path = spec_path;
-  manifest.fingerprint = support::fingerprint_hex(spec.fingerprint());
-  manifest.threads = resolved_threads(options.max_shards);
-  manifest.extra.set("max_waves", support::Json(static_cast<std::uint64_t>(options.max_waves)));
-  manifest.extra.set("spill_dir", support::Json(options.spill_dir));
-  manifest.extra.set("frontier_mem",
-                     support::Json(static_cast<std::uint64_t>(options.frontier_mem)));
-  manifest.extra.set("resume", support::Json(options.resume));
-  telemetry_cli.write_metrics(manifest, wall_ms_since(started), quiet);
+  telemetry_cli.write_metrics(identity, wall_ms_since(started), quiet);
 
   return result.bnb.complete() ? 0 : 4;  // 4 = stopped early (max_waves)
 }
@@ -360,9 +348,7 @@ int cmd_run(int argc, char** argv) {
 
   support::Json spec_json;
   {
-    const telemetry::ScopedTimer time_load(load_timer);
-    const support::trace::Span span("load", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(load_timer, "load", "phase", {.announce = true});
     try {
       spec_json = support::Json::load_file(spec_path);
     } catch (const std::exception& error) {
@@ -393,9 +379,7 @@ int cmd_run(int argc, char** argv) {
                  resumed_shards > 0 ? ", resumed" : "");
   };
   const auto emit = [&](const support::Json& summary) {
-    const telemetry::ScopedTimer time_emit(emit_timer);
-    const support::trace::Span span("emit", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(emit_timer, "emit", "phase", {.announce = true});
     if (out_path.empty()) {
       std::printf("%s", summary.dump(2).c_str());
     } else {
@@ -403,20 +387,18 @@ int cmd_run(int argc, char** argv) {
       if (!quiet) std::fprintf(stderr, "summary written to %s\n", out_path.c_str());
     }
   };
-  const auto write_metrics = [&](const char* kind, std::uint64_t fingerprint) {
+  const auto identity = [&](const char* kind, std::uint64_t fingerprint) {
+    support::Json config = support::Json::object();
+    config.set("shard_size", support::Json(static_cast<std::uint64_t>(options.shard_size)));
+    config.set("checkpoint_every",
+               support::Json(static_cast<std::uint64_t>(options.checkpoint_every)));
+    config.set("resume", support::Json(options.resume));
+    return driver::run_info(kind, spec_path, fingerprint, options.threads, std::move(config));
+  };
+  const auto write_metrics = [&](const telemetry::RunInfo& run) {
     // Seal the trace before the snapshot so its trace.* counters are final.
     telemetry_cli.close_trace(quiet);
-    telemetry::RunManifest manifest;
-    manifest.kind = kind;
-    manifest.spec_path = spec_path;
-    manifest.fingerprint = support::fingerprint_hex(fingerprint);
-    manifest.threads = resolved_threads(options.threads);
-    manifest.extra.set("shard_size",
-                       support::Json(static_cast<std::uint64_t>(options.shard_size)));
-    manifest.extra.set("checkpoint_every",
-                       support::Json(static_cast<std::uint64_t>(options.checkpoint_every)));
-    manifest.extra.set("resume", support::Json(options.resume));
-    telemetry_cli.write_metrics(manifest, wall_ms_since(started), quiet);
+    telemetry_cli.write_metrics(run, wall_ms_since(started), quiet);
   };
 
   if (spec_json.string_or("kind", "") == "gather-census") {
@@ -426,23 +408,19 @@ int cmd_run(int argc, char** argv) {
     } catch (const std::exception& error) {
       throw std::invalid_argument(spec_path + ": " + error.what());
     }
-    std::optional<telemetry::Heartbeat> heartbeat =
-        telemetry_cli.start_heartbeat("gather-census", spec_path);
-    const auto statusd = telemetry_cli.start_statusd(
-        "gather-census", spec_path, support::fingerprint_hex(spec.fingerprint()),
-        resolved_threads(options.threads));
+    const telemetry::RunInfo run_identity = identity("gather-census", spec.fingerprint());
+    std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(run_identity);
+    const auto statusd = telemetry_cli.start_statusd(run_identity);
     std::optional<gatherx::CensusResult> run;
     {
-      const telemetry::ScopedTimer time_run(run_timer);
-      const support::trace::Span span("run", "phase",
-                                      support::trace::Span::Options{.announce = true});
+      const Span span(run_timer, "run", "phase", {.announce = true});
       run.emplace(gatherx::run_census(spec, options));
     }
     const gatherx::CensusResult& result = *run;
     if (heartbeat.has_value()) heartbeat->stop();
     report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
     emit(result.summary(spec));
-    write_metrics("gather-census", spec.fingerprint());
+    write_metrics(run_identity);
     return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
   }
 
@@ -452,23 +430,19 @@ int cmd_run(int argc, char** argv) {
   } catch (const std::exception& error) {
     throw std::invalid_argument(spec_path + ": " + error.what());
   }
-  std::optional<telemetry::Heartbeat> heartbeat =
-      telemetry_cli.start_heartbeat("campaign", spec_path);
-  const auto statusd = telemetry_cli.start_statusd(
-      "campaign", spec_path, support::fingerprint_hex(spec.fingerprint()),
-      resolved_threads(options.threads));
+  const telemetry::RunInfo run_identity = identity("campaign", spec.fingerprint());
+  std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(run_identity);
+  const auto statusd = telemetry_cli.start_statusd(run_identity);
   std::optional<exp::CampaignResult> run;
   {
-    const telemetry::ScopedTimer time_run(run_timer);
-    const support::trace::Span span("run", "phase",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(run_timer, "run", "phase", {.announce = true});
     run.emplace(exp::run_campaign(spec, options));
   }
   const exp::CampaignResult& result = *run;
   if (heartbeat.has_value()) heartbeat->stop();
   report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
   emit(result.summary(spec));
-  write_metrics("campaign", spec.fingerprint());
+  write_metrics(run_identity);
   return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
 }
 

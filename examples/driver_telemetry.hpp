@@ -23,6 +23,7 @@
 #include <utility>
 
 #include "support/json.hpp"
+#include "support/jsonl.hpp"
 #include "support/parse.hpp"
 #include "support/statusd.hpp"
 #include "support/telemetry.hpp"
@@ -94,23 +95,17 @@ struct TelemetryCli {
   }
 
   [[nodiscard]] std::optional<telemetry::Heartbeat> start_heartbeat(
-      std::string kind, std::string spec) const {
+      const telemetry::RunInfo& run) const {
     if (heartbeat_s <= 0) return std::nullopt;
     telemetry::HeartbeatConfig config;
     config.interval_s = heartbeat_s;
-    config.extra = [kind = std::move(kind), spec = std::move(spec)] {
-      support::Json extra = support::Json::object();
-      extra.set("kind", support::Json(kind));
-      extra.set("spec", support::Json(spec));
-      return extra;
-    };
+    config.run = run;
     return std::optional<telemetry::Heartbeat>(std::in_place, std::move(config));
   }
 
-  void write_metrics(const telemetry::RunManifest& manifest, double wall_ms,
-                     bool quiet) const {
+  void write_metrics(const telemetry::RunInfo& run, double wall_ms, bool quiet) const {
     if (metrics_out.empty()) return;
-    telemetry::write_metrics(metrics_out, manifest, wall_ms);
+    telemetry::write_metrics(metrics_out, run, wall_ms);
     if (!quiet) std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
   }
 
@@ -119,15 +114,11 @@ struct TelemetryCli {
   /// bind fails soft (one stderr warning + `statusd.dropped`) — callers
   /// just hold the handle; destruction stops the server.
   [[nodiscard]] std::unique_ptr<support::statusd::StatusServer> start_statusd(
-      std::string kind, std::string spec, std::string fingerprint,
-      std::uint64_t threads) const {
+      const telemetry::RunInfo& run) const {
     if (status_port < 0) return nullptr;
     support::statusd::Config config;
     config.port = status_port;
-    config.run.kind = std::move(kind);
-    config.run.spec = std::move(spec);
-    config.run.fingerprint = std::move(fingerprint);
-    config.run.threads = threads;
+    config.run = run;
     return support::statusd::StatusServer::start(std::move(config));
   }
 };
@@ -137,13 +128,27 @@ inline double wall_ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The manifest records the *effective* worker count: 0 means "hardware"
-/// everywhere in the option structs, which would read as nonsense in a
-/// metrics snapshot.
+/// The run identity records the *effective* worker count: 0 means
+/// "hardware" everywhere in the option structs, which would read as
+/// nonsense in a metrics snapshot.
 inline std::uint64_t resolved_threads(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+/// The identity of one driver command's run, built once and shared by
+/// the heartbeat, the status server and the metrics snapshot.
+inline telemetry::RunInfo run_info(std::string kind, std::string spec,
+                                   std::uint64_t fingerprint, std::size_t threads,
+                                   support::Json config = support::Json::object()) {
+  telemetry::RunInfo run;
+  run.kind = std::move(kind);
+  run.spec = std::move(spec);
+  run.fingerprint = support::fingerprint_hex(fingerprint);
+  run.threads = resolved_threads(threads);
+  run.config = std::move(config);
+  return run;
 }
 
 }  // namespace aurv::driver

@@ -30,7 +30,6 @@
 #include "support/check.hpp"
 #include "support/jsonl.hpp"
 #include "support/parallel.hpp"
-#include "support/statusd.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
@@ -137,30 +136,19 @@ template <typename Aggregate, typename RunJob>
   // Telemetry: jobs are tallied into a shard-local accumulator in `body`
   // and folded into the registry by `complete`, which run_sharded calls
   // strictly in shard order — so even the intermediate counter sequence
-  // is thread-count-invariant. Gauges track progress for the heartbeat.
+  // is thread-count-invariant. The jobs gauges are the run's live
+  // progress (heartbeat and /status).
   namespace telemetry = support::telemetry;
+  using support::trace::Span;
   telemetry::Counter& shards_counter = telemetry::registry().counter("runner.shards");
   telemetry::Counter& checkpoints_counter = telemetry::registry().counter("runner.checkpoints");
   telemetry::Gauge& jobs_done_gauge = telemetry::registry().gauge("runner.jobs_done");
   telemetry::Gauge& jobs_total_gauge = telemetry::registry().gauge("runner.jobs_total");
   telemetry::Timer& checkpoint_timer = telemetry::registry().timer("runner.checkpoint_write");
+  telemetry::Timer& shard_timer = telemetry::registry().timer("runner.shard");
   jobs_total_gauge.set(static_cast<std::int64_t>(total_jobs));
   jobs_done_gauge.set(
       static_cast<std::int64_t>(std::min(total_jobs, state.completed_shards * options.shard_size)));
-
-  // Live /status progress for the embedded status server: reads only
-  // registry atomics (process-lifetime objects), unregistered — blocking
-  // on any in-flight scrape — when this frame unwinds.
-  const support::statusd::ScopedProgress progress_provider(
-      "runner", [&jobs_done_gauge, &jobs_total_gauge, &shards_counter] {
-        Json progress = Json::object();
-        progress.set("jobs_done", Json(static_cast<std::uint64_t>(
-                                      std::max<std::int64_t>(0, jobs_done_gauge.value()))));
-        progress.set("jobs_total", Json(static_cast<std::uint64_t>(
-                                       std::max<std::int64_t>(0, jobs_total_gauge.value()))));
-        progress.set("shards", Json(shards_counter.value()));
-        return progress;
-      });
 
   const std::uint64_t start_shard = state.completed_shards;
   std::uint64_t end_shard = total_shards;
@@ -195,8 +183,7 @@ template <typename Aggregate, typename RunJob>
     output.trace = support::trace::TraceBuffer(static_cast<std::uint32_t>(shard + 1));
     {
       // Scoped so the span lands in the buffer before the output moves.
-      support::trace::Span span(
-          "shard", "runner", support::trace::Span::Options{.buffer = &output.trace});
+      Span span(shard_timer, "shard", "runner", {.buffer = &output.trace});
       if (span.armed()) {
         Json args = Json::object();
         args.set("shard", Json(shard));
@@ -237,9 +224,7 @@ template <typename Aggregate, typename RunJob>
     if (!options.checkpoint_path.empty() &&
         ((shard + 1) % options.checkpoint_every == 0 || shard + 1 == total_shards)) {
       jsonl.flush();
-      const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
-      const support::trace::Span span("checkpoint", "runner",
-                                      support::trace::Span::Options{.announce = true});
+      const Span span(checkpoint_timer, "checkpoint", "runner", {.announce = true});
       support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
       checkpoints_counter.add();
     }
@@ -264,9 +249,7 @@ template <typename Aggregate, typename RunJob>
   result.complete = state.completed_shards == total_shards;
   if (!result.complete && !options.checkpoint_path.empty()) {
     jsonl.flush();
-    const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
-    const support::trace::Span span("checkpoint", "runner",
-                                    support::trace::Span::Options{.announce = true});
+    const Span span(checkpoint_timer, "checkpoint", "runner", {.announce = true});
     support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
     checkpoints_counter.add();
   }

@@ -1,7 +1,6 @@
 #include "search/bnb.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +15,6 @@
 #include "support/jsonl.hpp"
 #include "support/parallel.hpp"
 #include "support/spill.hpp"
-#include "support/statusd.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 
@@ -408,9 +406,12 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   AURV_CHECK_MSG(options.dim_names.empty() || options.dim_names.size() == root.dim_count(),
                  "dim_names must match the root box dimensions");
 
-  // Telemetry. Every bump below happens on the serialized side of the wave
-  // (assembly loop, in-order completion hook, post-wave bookkeeping), so
-  // the counter sequence — not just the totals — is shard-count-invariant.
+  // Telemetry. Every counter and gauge bump below happens on the
+  // serialized side of the wave (assembly loop, in-order completion hook,
+  // post-wave bookkeeping), so the counter sequence — not just the totals
+  // — is shard-count-invariant; only the wall-clock `search.box` timer is
+  // fed from the workers. The post-wave gauges and the `search.*`
+  // counters are the search's live progress (heartbeat and /status).
   // Certificate stats (state.stats) are tracked independently; telemetry
   // is a read-only shadow that can never change an artifact byte.
   namespace telemetry = support::telemetry;
@@ -427,37 +428,11 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   telemetry::Gauge& frontier_open_gauge = metrics.gauge("search.frontier_open");
   telemetry::Gauge& frontier_high_water_gauge = metrics.gauge("search.frontier_high_water");
   telemetry::Gauge& frontier_spilled_gauge = metrics.gauge("search.frontier_spilled");
-  telemetry::Gauge& frontier_degraded_gauge = metrics.gauge("search.frontier_degraded");
+  telemetry::Gauge& frontier_degraded_gauge = metrics.gauge("search.frontier.degraded");
   telemetry::Timer& wave_timer = metrics.timer("search.wave");
+  telemetry::Timer& box_timer = metrics.timer("search.box");
   telemetry::Timer& checkpoint_timer = metrics.timer("search.checkpoint");
-
-  // Live /status progress for the embedded status server: a shadow of the
-  // wave-end state in relaxed atomics. Written only on the serialized
-  // side (post-wave bookkeeping below), read only by the server thread —
-  // it can never feed back into the search. The provider unregisters —
-  // blocking on any in-flight scrape — when this frame unwinds.
-  struct LiveProgress {
-    std::atomic<std::uint64_t> waves{0};
-    std::atomic<std::uint64_t> evaluated{0};
-    std::atomic<std::uint64_t> open{0};
-    std::atomic<std::uint64_t> spilled{0};
-    std::atomic<bool> degraded{false};
-    std::atomic<bool> incumbent_found{false};
-    std::atomic<double> incumbent_score{0.0};
-  } live;
-  const support::statusd::ScopedProgress progress_provider("search", [&live] {
-    Json progress = Json::object();
-    progress.set("waves", Json(live.waves.load(std::memory_order_relaxed)));
-    progress.set("evaluated", Json(live.evaluated.load(std::memory_order_relaxed)));
-    progress.set("frontier_open", Json(live.open.load(std::memory_order_relaxed)));
-    progress.set("frontier_spilled", Json(live.spilled.load(std::memory_order_relaxed)));
-    progress.set("frontier_degraded", Json(live.degraded.load(std::memory_order_relaxed)));
-    if (live.incumbent_found.load(std::memory_order_relaxed)) {
-      progress.set("incumbent_score",
-                   Json(live.incumbent_score.load(std::memory_order_relaxed)));
-    }
-    return progress;
-  });
+  using support::trace::Span;
 
   Frontier::Config frontier_config;
   frontier_config.spill_dir = options.spill_dir;
@@ -556,9 +531,7 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     state.log_bytes = log.bytes();
     ++state.generation;
     {
-      const telemetry::ScopedTimer time_checkpoint(checkpoint_timer);
-      const support::trace::Span span("checkpoint", "search",
-                                      support::trace::Span::Options{.announce = true});
+      const Span span(checkpoint_timer, "checkpoint", "search", {.announce = true});
       support::save_json_atomically(options.checkpoint_path,
                                     checkpoint_to_json(state, root, objective, limits, options));
     }
@@ -672,8 +645,7 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     const auto body = [&](std::size_t shard) {
       ShardOutput& out = outputs[shard];
       out.trace = support::trace::TraceBuffer(static_cast<std::uint32_t>(shard + 1));
-      support::trace::Span span("box", "search",
-                                support::trace::Span::Options{.buffer = &out.trace});
+      Span span(box_timer, "box", "search", {.buffer = &out.trace});
       if (span.armed()) {
         Json args = Json::object();
         args.set("id", Json(wave[shard].box.id()));
@@ -763,9 +735,7 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     support::ShardedRunOptions sharded;
     sharded.threads = options.max_shards;
     {
-      const telemetry::ScopedTimer time_wave(wave_timer);
-      support::trace::Span span("wave", "search",
-                                support::trace::Span::Options{.announce = true});
+      Span span(wave_timer, "wave", "search", {.announce = true});
       if (span.armed()) {
         Json args = Json::object();
         args.set("wave", Json(wave_number));
@@ -782,15 +752,6 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     frontier_high_water_gauge.set_max(static_cast<std::int64_t>(state.stats.max_frontier));
     frontier_spilled_gauge.set(static_cast<std::int64_t>(state.frontier.spilled()));
     frontier_degraded_gauge.set(state.frontier.degraded() ? 1 : 0);
-    live.waves.store(state.stats.waves, std::memory_order_relaxed);
-    live.evaluated.store(state.stats.evaluated, std::memory_order_relaxed);
-    live.open.store(state.frontier.size(), std::memory_order_relaxed);
-    live.spilled.store(state.frontier.spilled(), std::memory_order_relaxed);
-    live.degraded.store(state.frontier.degraded(), std::memory_order_relaxed);
-    if (state.incumbent.found) {
-      live.incumbent_score.store(state.incumbent.score, std::memory_order_relaxed);
-      live.incumbent_found.store(true, std::memory_order_relaxed);
-    }
 
     if (checkpointing) {
       // Delta checkpoint: flush the incumbent log (so its recorded offset

@@ -382,7 +382,8 @@ class SpillDeque {
       enforce_degraded_cap();
       return;
     }
-    trace::Span span("spill.segment", "spill", trace::Span::Options{.announce = true});
+    static telemetry::Timer& segment_timer = telemetry::registry().timer("spill.segment");
+    trace::Span span(segment_timer, "spill.segment", "spill", {.announce = true});
     const std::size_t keep = config_.mem_capacity / 2;
     auto first_cold = hot_.begin();
     std::advance(first_cold, keep);
@@ -424,7 +425,8 @@ class SpillDeque {
   /// unmerged segments) instead of losing records.
   void merge_segments() {
     if (segments_.size() <= 1) return;
-    trace::Span span("spill.merge", "spill", trace::Span::Options{.announce = true});
+    static telemetry::Timer& merge_timer = telemetry::registry().timer("spill.merge");
+    trace::Span span(merge_timer, "spill.merge", "spill", {.announce = true});
     struct Scratch {
       SpillSegmentReader reader;
       T head;

@@ -124,59 +124,11 @@ std::optional<std::uint64_t> query_uint(std::string_view query, std::string_view
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Progress providers
-// ----------------------------------------------------------------------
-
-ProgressRegistry& ProgressRegistry::instance() {
-  static ProgressRegistry* the_registry = new ProgressRegistry();  // leaked like
-                                                                   // the metric registry
-  return *the_registry;
-}
-
-std::uint64_t ProgressRegistry::add(std::string name, std::function<Json()> provider) {
-  std::lock_guard lock(mutex_);
-  const std::uint64_t token = next_token_++;
-  entries_.push_back(Entry{token, std::move(name), std::move(provider)});
-  return token;
-}
-
-void ProgressRegistry::remove(std::uint64_t token) {
-  // Taking the mutex is what blocks until an in-flight collect() — which
-  // invokes providers under the same mutex — has finished.
-  std::lock_guard lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->token == token) {
-      entries_.erase(it);
-      return;
-    }
-  }
-}
-
-Json ProgressRegistry::collect() const {
-  std::lock_guard lock(mutex_);
-  Json out = Json::object();
-  for (const Entry& entry : entries_) {
-    try {
-      out.set(entry.name, entry.provider());
-    } catch (const std::exception& error) {
-      Json failed = Json::object();
-      failed.set("error", Json(std::string(error.what())));
-      out.set(entry.name, std::move(failed));
-    } catch (...) {
-      Json failed = Json::object();
-      failed.set("error", Json("provider threw"));
-      out.set(entry.name, std::move(failed));
-    }
-  }
-  return out;
-}
-
-// ----------------------------------------------------------------------
 // Renderers
 // ----------------------------------------------------------------------
 
 std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
-                              const RunInfo& run, double uptime_s) {
+                              const telemetry::RunInfo& run, double uptime_s) {
   std::string out;
   out.reserve(4096);
 
@@ -221,39 +173,8 @@ std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
   return out;
 }
 
-Json degradation_detail() {
-  Json out = Json::array();
-  const telemetry::Registry::Snapshot snapshot = telemetry::registry().read_snapshot();
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (value != 0 && name.size() > 9 && name.ends_with(".degraded"))
-      out.push_back(Json(name));
-  }
-  if (trace::sink().degraded()) out.push_back(Json("trace"));
-  return out;
-}
-
-Json render_status(const RunInfo& run, double uptime_s) {
-  Json out = Json::object();
-  out.set("kind", Json(run.kind));
-  out.set("spec", Json(run.spec));
-  out.set("fingerprint", Json(run.fingerprint));
-  out.set("threads", Json(run.threads));
-  out.set("elapsed_s", Json(uptime_s));
-  out.set("phase", Json(telemetry::activity().current()));
-  out.set("progress", ProgressRegistry::instance().collect());
-
-  const telemetry::Registry::Snapshot snapshot = telemetry::registry().read_snapshot();
-  Json spill = Json::object();
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.starts_with("spill.")) spill.set(name, Json(value));
-  }
-  out.set("spill", std::move(spill));
-  out.set("degraded", degradation_detail());
-  return out;
-}
-
 Response handle_request(std::string_view method, std::string_view target,
-                        const RunInfo& run, double uptime_s) {
+                        const telemetry::RunInfo& run, double uptime_s) {
   telemetry::registry().counter("statusd.requests").add();
   if (method != "GET") return error_response(405, "method not allowed (GET only)");
 
@@ -271,9 +192,12 @@ Response handle_request(std::string_view method, std::string_view target,
         render_prometheus(telemetry::registry().read_snapshot(), run, uptime_s);
     return response;
   }
-  if (path == "/status") return json_response(200, render_status(run, uptime_s));
+  if (path == "/status") {
+    return json_response(
+        200, telemetry::live_view(run, uptime_s, telemetry::registry().read_snapshot()));
+  }
   if (path == "/healthz") {
-    Json detail = degradation_detail();
+    Json detail = telemetry::degradations(telemetry::registry().read_snapshot());
     if (detail.as_array().empty()) {
       Response response;
       response.body = "ok\n";

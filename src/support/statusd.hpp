@@ -4,19 +4,20 @@
 // line on stderr). Four GET endpoints:
 //
 //   /metrics   Prometheus text exposition (format 0.0.4) rendered from a
-//              live telemetry::Registry snapshot + run-manifest labels
-//   /status    one JSON object: active phase, per-run progress providers
-//              (jobs or waves/frontier/incumbent), spill + degradation
-//              state, elapsed seconds, spec fingerprint
-//   /healthz   200 "ok" / 503 with a JSON degradation detail
+//              live telemetry::Registry snapshot + run-identity labels
+//   /status    telemetry::live_view — run identity, elapsed seconds, the
+//              active phase, every counter and gauge, the degradations —
+//              the same fields as a heartbeat line minus "heartbeat" and
+//              "rates"
+//   /healthz   200 "ok" / 503 naming every nonzero `*.degraded` gauge
 //   /trace     tail of the in-memory span ring (?last=N) when a
 //              --trace-out stream is active
 //
 // The same hard invariant as the rest of the observability layer: the
 // server NEVER touches a deterministic artifact and NEVER fails a run.
 // Every handler only *reads* — registry atomics via the lock-free
-// snapshot path, the activity stack, the trace ring, and progress
-// providers that read per-run atomics — and writes to a socket. A port
+// snapshot path, the activity stack and the trace ring — and writes to a
+// socket. A port
 // that cannot be bound degrades soft: one stderr warning, a tick of
 // `statusd.dropped`, and the run proceeds unobserved. Certificates,
 // JSONL streams and checkpoints are byte-identical with the server on or
@@ -31,91 +32,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
 
 namespace aurv::support::statusd {
-
-// ------------------------------------------------------------------------
-// Progress providers (what /status reports beyond the registry)
-// ------------------------------------------------------------------------
-
-/// Process-wide registry of named progress providers. A runner that
-/// knows its own notion of progress (jobs done/total, wave + frontier +
-/// incumbent) registers a callback for the lifetime of the run; /status
-/// invokes every provider and embeds the results under its name.
-///
-/// Thread-safety contract: collect() invokes providers *under the
-/// registry mutex*, so remove() blocks until any in-flight collection
-/// has finished — a provider whose captures die with the caller's stack
-/// frame is safe as long as it is removed (ScopedProgress) before the
-/// frame unwinds. Providers run on the server thread: they must only
-/// read atomics / take their own short locks, and must not register or
-/// remove providers themselves (the registry mutex is not recursive).
-class ProgressRegistry {
- public:
-  [[nodiscard]] static ProgressRegistry& instance();
-
-  /// Registers `provider` under `name`; returns a token for remove().
-  std::uint64_t add(std::string name, std::function<Json()> provider);
-  /// Unregisters; blocks until any in-flight collect() finishes, so the
-  /// provider's captures may be destroyed immediately afterwards.
-  void remove(std::uint64_t token);
-
-  /// {"<name>": provider(), ...} in registration order. A provider that
-  /// throws contributes {"error": "..."} instead of killing the scrape.
-  [[nodiscard]] Json collect() const;
-
- private:
-  ProgressRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::uint64_t next_token_ = 1;
-  struct Entry {
-    std::uint64_t token;
-    std::string name;
-    std::function<Json()> provider;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// Shorthand for ProgressRegistry::instance().
-[[nodiscard]] inline ProgressRegistry& progress() { return ProgressRegistry::instance(); }
-
-/// RAII provider registration: adds on construction, removes (blocking
-/// on in-flight scrapes) on destruction.
-class ScopedProgress {
- public:
-  ScopedProgress(std::string name, std::function<Json()> provider)
-      : token_(ProgressRegistry::instance().add(std::move(name), std::move(provider))) {}
-  ~ScopedProgress() { ProgressRegistry::instance().remove(token_); }
-  ScopedProgress(const ScopedProgress&) = delete;
-  ScopedProgress& operator=(const ScopedProgress&) = delete;
-
- private:
-  std::uint64_t token_;
-};
-
-// ------------------------------------------------------------------------
-// Server
-// ------------------------------------------------------------------------
-
-/// What identifies the run in /metrics labels and /status fields — the
-/// live-run analogue of telemetry::RunManifest.
-struct RunInfo {
-  std::string kind;         ///< "campaign" | "gather-census" | "search" | ...
-  std::string spec;         ///< the spec file the run executes
-  std::string fingerprint;  ///< spec fingerprint, 16 hex digits ("" if n/a)
-  std::uint64_t threads = 0;  ///< effective worker count
-};
 
 struct Config {
   /// TCP port to bind; 0 = ephemeral (kernel-chosen, reported by port()
@@ -126,7 +50,7 @@ struct Config {
   int read_timeout_ms = 2000;   ///< per-connection receive deadline
   int write_timeout_ms = 2000;  ///< per-send deadline
   std::size_t max_request_bytes = 8192;
-  RunInfo run;
+  telemetry::RunInfo run;
 };
 
 /// One rendered HTTP response (status + body), exposed so unit tests can
@@ -146,23 +70,13 @@ struct Response {
 /// `scripts/metrics_report.py prom` renders the identical format from an
 /// offline snapshot file — keep the two in lockstep.
 [[nodiscard]] std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
-                                            const RunInfo& run, double uptime_s);
-
-/// The /status JSON: run identity, elapsed, innermost activity phase,
-/// every registered progress provider, spill.* metrics and the active
-/// degradation list.
-[[nodiscard]] Json render_status(const RunInfo& run, double uptime_s);
-
-/// Active degradations as a JSON array of metric-ish names — every gauge
-/// ending in ".degraded" with a nonzero value, plus "trace" when the
-/// trace sink has degraded. Empty array = healthy (/healthz 200).
-[[nodiscard]] Json degradation_detail();
+                                            const telemetry::RunInfo& run, double uptime_s);
 
 /// Routes one parsed request to an endpoint response and ticks
 /// `statusd.requests`. `target` is the raw request target (path +
 /// optional ?query). Exposed for unit tests.
 [[nodiscard]] Response handle_request(std::string_view method, std::string_view target,
-                                      const RunInfo& run, double uptime_s);
+                                      const telemetry::RunInfo& run, double uptime_s);
 
 /// The embedded status server. start() binds, announces the chosen port
 /// as one stderr JSON line ({"statusd":{"port":N}}) and spawns the

@@ -14,20 +14,25 @@ std::string bucket_lower_bound(int index) {
   return std::to_string(std::uint64_t{1} << (index - 1));
 }
 
-}  // namespace
-
-Json Log2Histogram::to_json() const {
-  Json buckets = Json::object();
-  for (int i = 0; i < 65; ++i) {
-    const std::uint64_t n = bucket(i);
-    if (n != 0) buckets.set(bucket_lower_bound(i), Json(n));
-  }
-  Json out = Json::object();
-  out.set("count", Json(count()));
-  out.set("sum", Json(sum()));
-  out.set("buckets", std::move(buckets));
+/// (name, object) pairs of one registry family, in name order.
+template <typename Metric>
+std::vector<std::pair<std::string, const Metric*>> index_of(
+    const std::map<std::string, std::unique_ptr<Metric>>& family) {
+  std::vector<std::pair<std::string, const Metric*>> out;
+  out.reserve(family.size());
+  for (const auto& [name, metric] : family) out.emplace_back(name, metric.get());
   return out;
 }
+
+/// {"<name>": value, ...} of one scalar family, in snapshot (name) order.
+template <typename Value>
+Json family_json(const std::vector<std::pair<std::string, Value>>& family) {
+  Json out = Json::object();
+  for (const auto& [name, value] : family) out.set(name, Json(value));
+  return out;
+}
+
+}  // namespace
 
 Registry& Registry::instance() {
   static Registry* the_registry = new Registry();  // never destroyed: references
@@ -35,44 +40,34 @@ Registry& Registry::instance() {
   return *the_registry;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  auto& slot = counters_[std::string(name)];
+template <typename Metric>
+Metric& Registry::find_or_add(Family<Metric>& family, std::string_view name) {
+  auto& slot = family[std::string(name)];
   if (!slot) {
-    slot = std::make_unique<Counter>();
+    slot = std::make_unique<Metric>();
     generation_.fetch_add(1, std::memory_order_release);
   }
   return *slot;
+}
+
+Counter& Registry::counter(std::string_view name) {
+  std::lock_guard lock(mutex_);
+  return find_or_add(counters_, name);
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard lock(mutex_);
-  auto& slot = gauges_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  return *slot;
+  return find_or_add(gauges_, name);
 }
 
 Log2Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard lock(mutex_);
-  auto& slot = histograms_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Log2Histogram>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  return *slot;
+  return find_or_add(histograms_, name);
 }
 
 Timer& Registry::timer(std::string_view name) {
   std::lock_guard lock(mutex_);
-  auto& slot = timers_[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Timer>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  return *slot;
+  return find_or_add(timers_, name);
 }
 
 void Registry::merge(const ShardAccumulator& shard) {
@@ -95,14 +90,10 @@ std::shared_ptr<const Registry::Index> Registry::current_index() const {
   std::lock_guard lock(mutex_);
   auto index = std::make_shared<Index>();
   index->generation = generation_.load(std::memory_order_relaxed);
-  index->counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) index->counters.emplace_back(name, c.get());
-  index->gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) index->gauges.emplace_back(name, g.get());
-  index->histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) index->histograms.emplace_back(name, h.get());
-  index->timers.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) index->timers.emplace_back(name, t.get());
+  index->counters = index_of(counters_);
+  index->gauges = index_of(gauges_);
+  index->histograms = index_of(histograms_);
+  index->timers = index_of(timers_);
   index_.store(index, std::memory_order_release);
   return index;
 }
@@ -134,10 +125,6 @@ Registry::Snapshot Registry::read_snapshot() const {
 
 Json Registry::snapshot() const {
   const Snapshot snap = read_snapshot();
-  Json counters = Json::object();
-  for (const auto& [name, value] : snap.counters) counters.set(name, Json(value));
-  Json gauges = Json::object();
-  for (const auto& [name, value] : snap.gauges) gauges.set(name, Json(value));
   Json histograms = Json::object();
   for (const auto& [name, value] : snap.histograms) {
     Json buckets = Json::object();
@@ -156,17 +143,10 @@ Json Registry::snapshot() const {
     timers.set(name, std::move(entry));
   }
   Json out = Json::object();
-  out.set("counters", std::move(counters));
-  out.set("gauges", std::move(gauges));
+  out.set("counters", family_json(snap.counters));
+  out.set("gauges", family_json(snap.gauges));
   out.set("histograms", std::move(histograms));
   out.set("timers", std::move(timers));
-  return out;
-}
-
-std::map<std::string, std::uint64_t> Registry::counter_values() const {
-  const Snapshot snap = read_snapshot();
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, value] : snap.counters) out.emplace(name, value);
   return out;
 }
 
@@ -217,13 +197,39 @@ std::string ActivityStack::current() const {
 }
 
 // ------------------------------------------------------------------------
+// Live view
+// ------------------------------------------------------------------------
+
+Json degradations(const Registry::Snapshot& snapshot) {
+  Json out = Json::array();
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (value != 0 && name.size() > 9 && name.ends_with(".degraded")) out.push_back(Json(name));
+  }
+  return out;
+}
+
+Json live_view(const RunInfo& run, double elapsed_s, const Registry::Snapshot& snapshot) {
+  Json out = Json::object();
+  out.set("kind", Json(run.kind));
+  out.set("spec", Json(run.spec));
+  out.set("fingerprint", Json(run.fingerprint));
+  out.set("threads", Json(run.threads));
+  out.set("elapsed_s", Json(elapsed_s));
+  out.set("phase", Json(activity().current()));
+  out.set("counters", family_json(snapshot.counters));
+  out.set("gauges", family_json(snapshot.gauges));
+  out.set("degraded", degradations(snapshot));
+  return out;
+}
+
+// ------------------------------------------------------------------------
 // Heartbeat
 // ------------------------------------------------------------------------
 
 Heartbeat::Heartbeat(HeartbeatConfig config)
     : config_(std::move(config)), start_(std::chrono::steady_clock::now()), last_beat_(start_) {
   if (config_.out == nullptr) config_.out = stderr;
-  last_counters_ = registry().counter_values();
+  last_counters_ = registry().read_snapshot().counters;
   if (config_.interval_s > 0) {
     thread_ = std::thread([this] { run(); });
   }
@@ -260,53 +266,35 @@ void Heartbeat::run() {
 }
 
 void Heartbeat::emit() {
-  // Called with mutex_ held. One read_snapshot() call feeds the counter
-  // list, the rate computation AND the gauges — a single capture instead
-  // of the counter-walk + full-snapshot pair this used to do.
+  // Called with mutex_ held. One read_snapshot() feeds the live view and
+  // the rates.
   const auto now = std::chrono::steady_clock::now();
   const double elapsed_s = std::chrono::duration<double>(now - start_).count();
   const double since_last_s = std::chrono::duration<double>(now - last_beat_).count();
-  const Registry::Snapshot snap = registry().read_snapshot();
+  Registry::Snapshot snap = registry().read_snapshot();
 
-  Json counters_json = Json::object();
-  for (const auto& [name, value] : snap.counters) counters_json.set(name, Json(value));
-
+  // Both counter lists are name-sorted and names are never unregistered,
+  // so one forward walk pairs every counter with its previous value.
   Json rates = Json::object();
-  if (since_last_s > 0) {
-    for (const auto& [name, value] : snap.counters) {
-      const auto it = last_counters_.find(name);
-      const std::uint64_t before = it == last_counters_.end() ? 0 : it->second;
-      if (value > before) {
-        rates.set(name, Json(static_cast<double>(value - before) / since_last_s));
-      }
-    }
+  auto before = last_counters_.cbegin();
+  for (const auto& [name, value] : snap.counters) {
+    while (before != last_counters_.cend() && before->first < name) ++before;
+    const std::uint64_t base =
+        before != last_counters_.cend() && before->first == name ? before->second : 0;
+    if (since_last_s > 0 && value > base)
+      rates.set(name, Json(static_cast<double>(value - base) / since_last_s));
   }
-
-  Json gauges = Json::object();
-  for (const auto& [name, value] : snap.gauges) gauges.set(name, Json(value));
 
   const std::uint64_t seq = beats_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Json line = Json::object();
-  line.set("heartbeat", Json(seq));
-  line.set("elapsed_s", Json(elapsed_s));
-  line.set("phase", Json(activity().current()));
-  if (config_.extra) {
-    // Named, not inlined into the range-for: the range-init temporary is
-    // not lifetime-extended in C++20.
-    const Json extra = config_.extra();
-    for (const auto& [key, value] : extra.as_object()) line.set(key, value);
-  }
-  line.set("counters", std::move(counters_json));
-  line.set("gauges", std::move(gauges));
+  Json line = live_view(config_.run, elapsed_s, snap);
+  line.as_object().emplace(line.as_object().begin(), "heartbeat", Json(seq));
   line.set("rates", std::move(rates));
 
   const std::string text = line.dump() + "\n";
   std::fwrite(text.data(), 1, text.size(), config_.out);
   std::fflush(config_.out);
 
-  last_counters_.clear();
-  for (const auto& [name, value] : snap.counters) last_counters_.emplace_hint(
-      last_counters_.end(), name, value);  // snapshot order is name-sorted
+  last_counters_ = std::move(snap.counters);
   last_beat_ = now;
 }
 
@@ -334,29 +322,29 @@ Json build_info() {
   return out;
 }
 
-Json metrics_snapshot(const RunManifest& manifest, double wall_ms) {
-  Json run = Json::object();
-  run.set("kind", Json(manifest.kind));
-  run.set("spec", Json(manifest.spec_path));
-  run.set("fingerprint", Json(manifest.fingerprint));
-  run.set("threads", Json(manifest.threads));
-  if (manifest.extra.is_object() && !manifest.extra.as_object().empty()) {
-    run.set("config", manifest.extra);
+Json metrics_snapshot(const RunInfo& run, double wall_ms) {
+  Json identity = Json::object();
+  identity.set("kind", Json(run.kind));
+  identity.set("spec", Json(run.spec));
+  identity.set("fingerprint", Json(run.fingerprint));
+  identity.set("threads", Json(run.threads));
+  if (run.config.is_object() && !run.config.as_object().empty()) {
+    identity.set("config", run.config);
   }
-  run.set("build", build_info());
+  identity.set("build", build_info());
 
   Json out = Json::object();
   out.set("schema", Json(1));
   out.set("kind", Json("metrics-snapshot"));
-  out.set("run", std::move(run));
+  out.set("run", std::move(identity));
   out.set("wall_ms", Json(wall_ms));
   const Json metrics = registry().snapshot();
   for (const auto& [key, value] : metrics.as_object()) out.set(key, value);
   return out;
 }
 
-void write_metrics(const std::string& path, const RunManifest& manifest, double wall_ms) {
-  metrics_snapshot(manifest, wall_ms).save_file(path);
+void write_metrics(const std::string& path, const RunInfo& run, double wall_ms) {
+  metrics_snapshot(run, wall_ms).save_file(path);
 }
 
 }  // namespace aurv::support::telemetry

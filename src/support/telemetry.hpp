@@ -1,6 +1,9 @@
 // Run telemetry: process-wide named counters, gauges, log2 histograms and
-// scoped wall-clock timers, a clock-driven heartbeat reporter, and a
-// versioned end-of-run metrics snapshot.
+// wall-clock timers, the activity stack behind the `phase` field, the one
+// live view of a run (rendered by both the heartbeat and statusd's
+// /status), and a versioned end-of-run metrics snapshot. Timed, announced
+// and traced regions are all `trace::Span`s (support/trace.hpp), which add
+// their wall time to a Timer from this registry.
 //
 // The hard invariant the whole layer is built around: telemetry NEVER
 // touches a deterministic artifact. Certificates, JSONL streams,
@@ -35,7 +38,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -106,11 +108,6 @@ class Log2Histogram {
     return buckets_[static_cast<std::size_t>(index)].load(std::memory_order_relaxed);
   }
 
-  /// {"count":n,"sum":s,"buckets":{"<lower bound>":count,...}} — only
-  /// nonzero buckets, keyed by the bucket's lower bound ("0", "1", "2",
-  /// "4", "8", ...), in increasing order.
-  [[nodiscard]] Json to_json() const;
-
  private:
   friend class Registry;
   std::array<std::atomic<std::uint64_t>, 65> buckets_{};
@@ -137,24 +134,6 @@ class Timer {
   friend class Registry;
   std::atomic<std::uint64_t> total_ns_{0};
   std::atomic<std::uint64_t> count_{0};
-};
-
-/// RAII wall-clock span: adds the elapsed time to `timer` on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer) noexcept
-      : timer_(&timer), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_->add_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Thread-local (well, shard-local) counter deltas: plain integers on the
@@ -187,7 +166,7 @@ class ShardAccumulator {
 /// dangle. Snapshots render every family with name-sorted keys.
 ///
 /// Snapshot thread-safety: `read_snapshot()` is the one snapshot
-/// implementation (the JSON `snapshot()` and `counter_values()` are thin
+/// implementation (the JSON `snapshot()`, the live view and /metrics are
 /// renderings of it) and is safe to call concurrently from any number of
 /// threads — the heartbeat thread and every statusd scrape share it.
 /// After the first call following a registration, readers take no lock
@@ -246,10 +225,6 @@ class Registry {
   /// Rendered from read_snapshot().
   [[nodiscard]] Json snapshot() const;
 
-  /// Counter values only (the heartbeat's rate baseline). Rendered from
-  /// read_snapshot().
-  [[nodiscard]] std::map<std::string, std::uint64_t> counter_values() const;
-
   /// Zeroes every value in place; registered objects (and references to
   /// them) survive. For tests and multi-spec drivers.
   void reset();
@@ -267,15 +242,22 @@ class Registry {
     std::vector<std::pair<std::string, const Timer*>> timers;
   };
 
+  template <typename Metric>
+  using Family = std::map<std::string, std::unique_ptr<Metric>>;
+
   Registry() = default;
+
+  /// The metric registered as `name`, registering it first (mutex_ held).
+  template <typename Metric>
+  Metric& find_or_add(Family<Metric>& family, std::string_view name);
 
   [[nodiscard]] std::shared_ptr<const Index> current_index() const;
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Log2Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
+  Family<Counter> counters_;
+  Family<Gauge> gauges_;
+  Family<Log2Histogram> histograms_;
+  Family<Timer> timers_;
   /// Bumped (under mutex_) by every first-use registration; readers
   /// compare it against the cached index's generation without locking.
   std::atomic<std::uint64_t> generation_{1};
@@ -290,11 +272,12 @@ class Registry {
 // ------------------------------------------------------------------------
 
 /// Process-wide stack of named activities (phases, waves, checkpoint
-/// writes, spill merges). The heartbeat stamps the innermost name into
-/// every beat line, so a long checkpoint or merge reads as itself instead
-/// of a stall. Entries are token-addressed, not strictly LIFO: announced
-/// spans may close out of order across threads, and pop(token) removes
-/// the matching entry wherever it sits.
+/// writes, spill merges), pushed and popped by announced trace::Spans.
+/// The live view's `phase` is the innermost name, so a long checkpoint
+/// or merge reads as itself instead of a stall. Entries are
+/// token-addressed, not strictly LIFO: announced spans may close out of
+/// order across threads, and pop(token) removes the matching entry
+/// wherever it sits.
 class ActivityStack {
  public:
   [[nodiscard]] static ActivityStack& instance();
@@ -316,18 +299,38 @@ class ActivityStack {
 /// Shorthand for ActivityStack::instance().
 [[nodiscard]] inline ActivityStack& activity() { return ActivityStack::instance(); }
 
-/// RAII activity entry: pushes on construction, pops on destruction.
-class ScopedActivity {
- public:
-  explicit ScopedActivity(std::string name)
-      : token_(ActivityStack::instance().push(std::move(name))) {}
-  ~ScopedActivity() { ActivityStack::instance().pop(token_); }
-  ScopedActivity(const ScopedActivity&) = delete;
-  ScopedActivity& operator=(const ScopedActivity&) = delete;
+// ------------------------------------------------------------------------
+// Run identity and the live view
+// ------------------------------------------------------------------------
 
- private:
-  std::uint64_t token_;
+/// What identifies a run: the heartbeat and /status fields, the /metrics
+/// `aurv_run_info` labels and the metrics snapshot's `run` object. Each
+/// driver command builds one and hands it to all three.
+struct RunInfo {
+  std::string kind;           ///< "campaign" | "gather-census" | "search" | ...
+  std::string spec;           ///< the spec file the run executes
+  std::string fingerprint;    ///< spec fingerprint, 16 hex digits ("" if n/a)
+  std::uint64_t threads = 0;  ///< effective worker count
+  /// Driver-specific shape (shard_size, wave counts, spill config, ...);
+  /// only the metrics snapshot records it, as `run.config`.
+  Json config = Json::object();
 };
+
+/// Active degradations: the name of every nonzero gauge ending in
+/// ".degraded" (`trace.degraded`, `search.frontier.degraded`, ...), as a
+/// JSON array. Empty = healthy.
+[[nodiscard]] Json degradations(const Registry::Snapshot& snapshot);
+
+/// The one live view of a running process, rendered from one snapshot:
+///
+///   {"kind","spec","fingerprint","threads","elapsed_s",
+///    "phase":"<innermost activity>","counters":{...},"gauges":{...},
+///    "degraded":[...]}
+///
+/// statusd's /status serves exactly this; each heartbeat line adds only
+/// "heartbeat" and "rates".
+[[nodiscard]] Json live_view(const RunInfo& run, double elapsed_s,
+                             const Registry::Snapshot& snapshot);
 
 // ------------------------------------------------------------------------
 // Heartbeat
@@ -340,16 +343,16 @@ struct HeartbeatConfig {
   /// One-line JSON per beat lands here (default stderr). Never a
   /// deterministic artifact stream.
   std::FILE* out = nullptr;
-  /// Optional extra fields merged into every beat line (e.g. the spec
-  /// name). Called on the heartbeat thread; must be thread-safe.
-  std::function<Json()> extra;
+  /// Identity fields stamped into every beat line.
+  RunInfo run;
 };
 
 /// Clock-driven progress reporter: a background thread that every
-/// `interval_s` seconds writes one line of compact JSON to `out`:
+/// `interval_s` seconds writes one line of compact JSON to `out`: the
+/// live view, preceded by the beat number and followed by per-second
+/// counter rates since the previous beat:
 ///
-///   {"heartbeat":k,"elapsed_s":...,"phase":"<innermost activity>",
-///    "counters":{...},"gauges":{...},
+///   {"heartbeat":k,<live_view fields>,
 ///    "rates":{"<counter>":per_second_since_last_beat,...}}
 ///
 /// Purely observational: it reads the registry's atomics and writes to a
@@ -376,7 +379,8 @@ class Heartbeat {
 
   HeartbeatConfig config_;
   std::chrono::steady_clock::time_point start_;
-  std::map<std::string, std::uint64_t> last_counters_;  ///< rate baseline
+  /// Rate baseline: the previous beat's counters, name-sorted.
+  std::vector<std::pair<std::string, std::uint64_t>> last_counters_;
   std::chrono::steady_clock::time_point last_beat_;
   std::atomic<std::uint64_t> beats_{0};
   std::mutex mutex_;
@@ -389,32 +393,21 @@ class Heartbeat {
 // Metrics snapshot
 // ------------------------------------------------------------------------
 
-/// What identifies the run inside a metrics snapshot. All fields are
-/// stamped by the driver; `extra` is an open object for driver-specific
-/// shape (shard_size, wave counts, spill config, ...).
-struct RunManifest {
-  std::string kind;         ///< "campaign" | "gather-census" | "search" | ...
-  std::string spec_path;    ///< the spec file the run executed
-  std::string fingerprint;  ///< spec fingerprint, 16 hex digits ("" if n/a)
-  std::uint64_t threads = 0;  ///< worker cap the invocation asked for
-  Json extra = Json::object();
-};
-
 /// Compiler / standard / build-mode identification, for snapshot triage.
 [[nodiscard]] Json build_info();
 
 /// The versioned end-of-run snapshot (`schema` 1, `kind`
-/// "metrics-snapshot"): run manifest + build info + wall_ms + the full
-/// registry snapshot. THE one place wall-clock values are allowed besides
-/// stderr. `wall_ms` is measured from the registry-process start of this
-/// manifest's construction — pass the driver's own span for honesty.
-[[nodiscard]] Json metrics_snapshot(const RunManifest& manifest, double wall_ms);
+/// "metrics-snapshot"): run identity (with `config` when nonempty) +
+/// build info + wall_ms + the full registry snapshot. THE one place
+/// wall-clock values are allowed besides stderr. Pass the driver's own
+/// wall span as `wall_ms`.
+[[nodiscard]] Json metrics_snapshot(const RunInfo& run, double wall_ms);
 
 /// Writes `metrics_snapshot(...)` to `path` (pretty-printed, trailing
 /// newline). Deliberately NOT routed through the support::vfs() seam: the
 /// metrics sink is diagnostics, not a durable artifact, so it must not
 /// enlarge the fault-injection site enumeration the torture matrix
 /// replays against.
-void write_metrics(const std::string& path, const RunManifest& manifest, double wall_ms);
+void write_metrics(const std::string& path, const RunInfo& run, double wall_ms);
 
 }  // namespace aurv::support::telemetry

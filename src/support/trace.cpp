@@ -23,6 +23,45 @@ std::uint64_t steady_ns() {
           .count());
 }
 
+/// The sink's own metrics, looked up once: `append` runs under the sink
+/// mutex and spans open on worker threads, so neither may take the
+/// registry lock per event.
+struct SinkMetrics {
+  telemetry::Counter& events = telemetry::registry().counter("trace.events");
+  telemetry::Counter& dropped = telemetry::registry().counter("trace.dropped");
+  telemetry::Counter& retries = telemetry::registry().counter("trace.retries");
+  telemetry::Counter& backoff_ms = telemetry::registry().counter("trace.backoff_ms");
+  telemetry::Gauge& degraded = telemetry::registry().gauge("trace.degraded");
+};
+
+SinkMetrics& sink_metrics() {
+  static SinkMetrics metrics;
+  return metrics;
+}
+
+/// An event that finds the sink closed is a drop only when a trace was
+/// requested and its writer failed.
+void count_unrecorded(const TraceSink& sink) {
+  if (sink.degraded()) sink_metrics().dropped.add();
+}
+
+/// One serialized complete event ("ph":"X"): `ts`/`dur` in microseconds,
+/// `pid` 1, `tid` = lane. `args` optional.
+std::string complete_event(std::string_view name, std::string_view cat,
+                           std::uint64_t ts_us, std::uint64_t dur_us, std::uint32_t lane,
+                           const Json* args) {
+  Json event = Json::object();
+  event.set("name", Json(std::string(name)));
+  event.set("cat", Json(std::string(cat)));
+  event.set("ph", Json("X"));
+  event.set("ts", Json(ts_us));
+  event.set("dur", Json(dur_us));
+  event.set("pid", Json(1));
+  event.set("tid", Json(lane));
+  if (args != nullptr) event.set("args", *args);
+  return event.dump();
+}
+
 }  // namespace
 
 struct TraceSink::Impl {
@@ -64,8 +103,8 @@ struct TraceSink::Impl {
         }
         if (!error.transient() || attempt >= retry.attempts) return false;
         const std::uint64_t backoff = retry.backoff_ms << (attempt - 1);
-        telemetry::registry().counter("trace.retries").add();
-        telemetry::registry().counter("trace.backoff_ms").add(backoff);
+        sink_metrics().retries.add();
+        sink_metrics().backoff_ms.add(backoff);
         vfs().sleep_for_ms(backoff);
       }
     }
@@ -89,8 +128,8 @@ struct TraceSink::Impl {
   void degrade(const std::string& reason) {
     enabled.store(false, std::memory_order_relaxed);
     degraded.store(true, std::memory_order_relaxed);
-    if (pending_events > 0)
-      telemetry::registry().counter("trace.dropped").add(pending_events);
+    sink_metrics().degraded.set(1);
+    if (pending_events > 0) sink_metrics().dropped.add(pending_events);
     pending.clear();
     pending_events = 0;
     file.reset();  // closes silently; a partial trace file is left for triage
@@ -100,8 +139,7 @@ struct TraceSink::Impl {
 
   void append(std::string line) {
     if (!enabled.load(std::memory_order_relaxed)) {
-      if (degraded.load(std::memory_order_relaxed))
-        telemetry::registry().counter("trace.dropped").add();
+      if (degraded.load(std::memory_order_relaxed)) sink_metrics().dropped.add();
       return;
     }
     if (!first_event) pending += ",\n";
@@ -114,7 +152,7 @@ struct TraceSink::Impl {
       ring[ring_next] = std::move(line);
       ring_next = (ring_next + 1) % kRingCapacity;
     }
-    telemetry::registry().counter("trace.events").add();
+    sink_metrics().events.add();
     if (pending.size() >= kFlushBytes) flush_pending();
   }
 };
@@ -143,11 +181,13 @@ bool TraceSink::open(const std::string& path) {
   }
   impl_->enabled.store(false, std::memory_order_relaxed);
   impl_->degraded.store(false, std::memory_order_relaxed);
+  sink_metrics().degraded.set(0);
   try {
     impl_->file = vfs().open_write(path, Vfs::OpenMode::Truncate);
   } catch (const VfsError& error) {
     impl_->file.reset();
     impl_->degraded.store(true, std::memory_order_relaxed);
+    sink_metrics().degraded.set(1);
     std::fprintf(stderr, "aurv: trace: cannot open %s (%s); tracing disabled\n",
                  path.c_str(), error.reason().c_str());
     return false;
@@ -162,15 +202,7 @@ bool TraceSink::open(const std::string& path) {
   impl_->open_ns.store(steady_ns(), std::memory_order_relaxed);
   impl_->enabled.store(true, std::memory_order_relaxed);
 
-  Json args = Json::object();
-  args.set("name", Json("aurv"));
-  Json meta = Json::object();
-  meta.set("name", Json("process_name"));
-  meta.set("ph", Json("M"));
-  meta.set("pid", Json(1));
-  meta.set("tid", Json(0));
-  meta.set("args", std::move(args));
-  impl_->append(meta.dump());
+  impl_->append(R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"aurv"}})");
   return true;
 }
 
@@ -230,29 +262,13 @@ std::vector<std::string> TraceSink::recent(std::size_t last_n) const {
 }
 
 // ------------------------------------------------------------------------
-// Event serialization
+// Instant events and spans
 // ------------------------------------------------------------------------
 
-std::string complete_event(std::string_view name, std::string_view cat,
-                           std::uint64_t ts_us, std::uint64_t dur_us, std::uint32_t lane,
-                           const Json* args) {
-  Json event = Json::object();
-  event.set("name", Json(std::string(name)));
-  event.set("cat", Json(std::string(cat)));
-  event.set("ph", Json("X"));
-  event.set("ts", Json(ts_us));
-  event.set("dur", Json(dur_us));
-  event.set("pid", Json(1));
-  event.set("tid", Json(lane));
-  if (args != nullptr) event.set("args", *args);
-  return event.dump();
-}
-
-void instant(std::string_view name, std::string_view cat, TraceBuffer* buffer,
-             std::uint32_t lane) {
+void instant(std::string_view name, std::string_view cat) {
   TraceSink& the_sink = sink();
   if (!the_sink.enabled()) {
-    if (the_sink.degraded()) telemetry::registry().counter("trace.dropped").add();
+    count_unrecorded(the_sink);
     return;
   }
   Json event = Json::object();
@@ -262,36 +278,33 @@ void instant(std::string_view name, std::string_view cat, TraceBuffer* buffer,
   event.set("s", Json("p"));
   event.set("ts", Json(the_sink.now_us()));
   event.set("pid", Json(1));
-  event.set("tid", Json(buffer != nullptr ? buffer->lane() : lane));
-  if (buffer != nullptr) {
-    buffer->add(event.dump());
-  } else {
-    the_sink.emit(event.dump());
-  }
+  event.set("tid", Json(0));
+  the_sink.emit(event.dump());
 }
 
-// ------------------------------------------------------------------------
-// Span
-// ------------------------------------------------------------------------
-
-Span::Span(std::string_view name, std::string_view cat, Options options)
-    : name_(name), cat_(cat), options_(options) {
-  if (options_.announce) activity_token_ = telemetry::activity().push(name_);
+Span::Span(telemetry::Timer& timer, std::string_view name, std::string_view cat,
+           Options options)
+    : timer_(timer), name_(name), cat_(cat), options_(options) {
+  if (options_.announce) activity_token_ = telemetry::activity().push(std::string(name_));
   TraceSink& the_sink = sink();
   armed_ = the_sink.enabled();
   if (armed_) {
     start_us_ = the_sink.now_us();
-  } else if (the_sink.degraded()) {
-    telemetry::registry().counter("trace.dropped").add();
+  } else {
+    count_unrecorded(the_sink);
   }
+  start_ = std::chrono::steady_clock::now();
 }
 
 Span::~Span() {
+  timer_.add_ns(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                           start_)
+          .count()));
   try {
     if (armed_) {
       const std::uint64_t end_us = sink().now_us();
-      const std::uint32_t lane =
-          options_.buffer != nullptr ? options_.buffer->lane() : options_.lane;
+      const std::uint32_t lane = options_.buffer != nullptr ? options_.buffer->lane() : 0;
       std::string line =
           complete_event(name_, cat_, start_us_, end_us > start_us_ ? end_us - start_us_ : 0,
                          lane, args_ ? &*args_ : nullptr);

@@ -1,25 +1,27 @@
-// Structured trace spans: a process-wide sink emitting Chrome Trace Event
-// Format JSON (loadable in Perfetto / chrome://tracing), opened by the
-// drivers' `--trace-out PATH` flag.
+// `Span`, the one instrumentation primitive, and the process-wide trace
+// sink it writes to: Chrome Trace Event Format JSON (loadable in Perfetto
+// / chrome://tracing), opened by the drivers' `--trace-out PATH` flag.
+//
+// A Span always adds its wall time to the telemetry Timer its site
+// caches; with `announce` it is the live view's `phase` while open; and
+// whenever the sink is open it emits one complete trace event.
 //
 // The same hard invariant as the rest of the telemetry layer: tracing
 // NEVER touches a deterministic artifact, and it NEVER fails a run. The
 // sink writes through the support::vfs() seam so fault-injection tests
 // can script its disk dying, and on any persistent write failure it
-// degrades to a counting no-op — `trace.dropped` ticks, one warning lands
-// on stderr, the run continues untouched.
+// degrades to a counting no-op — `trace.dropped` ticks, the
+// `trace.degraded` gauge reads 1 (so /healthz reports it), one warning
+// lands on stderr, the run continues untouched.
 //
 // Two emission paths, mirroring the telemetry counter discipline:
 //   * serialized contexts (CLI phases, wave loop, checkpoint writes,
-//     spill merges) construct a `Span` that writes straight to the sink;
-//   * sharded work records spans into a shard-local `TraceBuffer` (plain
-//     vector, no locks on the hot path), which the runner's *in-order*
-//     completion hook folds into the sink — so the event order of a trace
-//     file is shard-deterministic even though the timestamps are not.
-//
-// A `Span` with `announce = true` additionally pushes its name onto the
-// telemetry ActivityStack for the heartbeat's "phase" field — that part
-// works whether or not a trace file is open.
+//     spill merges) emit straight to the sink;
+//   * sharded work stages its events in a shard-local `TraceBuffer`
+//     (`Options::buffer`; plain vector, no locks on the hot path), which
+//     the runner's *in-order* completion hook folds into the sink — so
+//     the event order of a trace file is shard-deterministic even though
+//     the timestamps are not.
 //
 // Include-cycle note: this header includes only json.hpp + telemetry.hpp;
 // all vfs interaction lives behind the TraceSink pimpl in trace.cpp. That
@@ -27,6 +29,7 @@
 // retry/merge events without a cycle.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -60,7 +63,8 @@ class TraceSink {
   /// Whether events are currently being collected.
   [[nodiscard]] bool enabled() const noexcept;
   /// Whether a trace was requested but the writer has failed (events are
-  /// being counted into `trace.dropped` instead of written).
+  /// being counted into `trace.dropped` instead of written). Mirrored in
+  /// the `trace.degraded` gauge.
   [[nodiscard]] bool degraded() const noexcept;
 
   /// Microseconds since open() — the `ts` clock of every event.
@@ -107,32 +111,32 @@ class TraceBuffer {
   std::vector<std::string> lines_;
 };
 
-/// One serialized complete event ("ph":"X"): `ts`/`dur` in microseconds,
-/// `pid` 1, `tid` = lane. `args` optional.
-[[nodiscard]] std::string complete_event(std::string_view name, std::string_view cat,
-                                         std::uint64_t ts_us, std::uint64_t dur_us,
-                                         std::uint32_t lane, const Json* args);
+/// Emits a zero-duration instant event ("ph":"i") straight to the sink,
+/// e.g. a vfs retry firing inside a span. No-op when the sink is not
+/// collecting.
+void instant(std::string_view name, std::string_view cat);
 
-/// Emits (or buffers) a zero-duration instant event ("ph":"i"), e.g. a
-/// vfs retry firing inside a span. No-op when the sink is not collecting.
-void instant(std::string_view name, std::string_view cat, TraceBuffer* buffer = nullptr,
-             std::uint32_t lane = 0);
+/// What a Span does beyond timing (see Span).
+struct SpanOptions {
+  bool announce = false;          ///< surface as the live view's "phase"
+  TraceBuffer* buffer = nullptr;  ///< stage shard-locally instead of emitting
+};
 
-/// RAII trace span: measures from construction to destruction and emits
-/// one complete event — to `options.buffer` when given (shard-local
-/// path), else straight to the sink. With `announce`, also pushes `name`
-/// onto the telemetry ActivityStack for the heartbeat's "phase" field
-/// (independent of whether a trace file is open). Never throws.
+/// RAII instrumented region, from construction to destruction:
+///   * always adds its wall time (and one span) to `timer` — the caller's
+///     cached registry reference, so no registry lookup happens per span;
+///   * with `announce`, pushes `name` onto the telemetry ActivityStack,
+///     making it the live view's `phase` while open;
+///   * when the trace sink is open, emits one complete event — into
+///     `buffer` when given (shard-local path), else straight to the sink.
+/// `name` and `cat` are not copied: pass string literals. Never throws
+/// from the destructor.
 class Span {
  public:
-  struct Options {
-    bool announce = false;        ///< surface in heartbeat "phase"
-    TraceBuffer* buffer = nullptr;  ///< stage shard-locally instead of emitting
-    std::uint32_t lane = 0;       ///< tid when buffer == nullptr
-  };
+  using Options = SpanOptions;
 
-  Span(std::string_view name, std::string_view cat) : Span(name, cat, Options{}) {}
-  Span(std::string_view name, std::string_view cat, Options options);
+  Span(telemetry::Timer& timer, std::string_view name, std::string_view cat,
+       Options options = {});
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -146,10 +150,12 @@ class Span {
   [[nodiscard]] bool armed() const noexcept { return armed_; }
 
  private:
-  std::string name_;
-  std::string cat_;
+  telemetry::Timer& timer_;
+  std::string_view name_;
+  std::string_view cat_;
   Options options_;
   std::optional<Json> args_;
+  std::chrono::steady_clock::time_point start_;
   std::uint64_t activity_token_ = 0;
   std::uint64_t start_us_ = 0;
   bool armed_ = false;

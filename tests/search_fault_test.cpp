@@ -46,6 +46,8 @@
 #include "search/bnb.hpp"
 #include "search/box.hpp"
 #include "support/jsonl.hpp"
+#include "support/statusd.hpp"
+#include "support/telemetry.hpp"
 #include "support/vfs.hpp"
 
 namespace aurv {
@@ -335,6 +337,26 @@ TEST(FaultTorture, FullSpillDiskMidSearchDegradesWithIdenticalCertificate) {
   EXPECT_NE(degraded_bnb.frontier_degradation.find("injected"), std::string::npos)
       << degraded_bnb.frontier_degradation;
   EXPECT_EQ(degraded.certificate.find("degrad"), std::string::npos);
+}
+
+TEST(FaultTorture, FullSpillDiskMidSearchTurnsHealthzUnhealthy) {
+  // The same dead spill disk: the degraded frontier must reach /healthz
+  // through its `search.frontier.degraded` gauge.
+  support::telemetry::registry().reset();
+  FaultSchedule schedule;
+  schedule.faults.push_back(FaultSpec{4, "seg-", FaultClass::NoSpace, true});
+  FaultVfs faulty(schedule);
+  search::BnbResult degraded_bnb;
+  {
+    ScopedVfs seam(faulty);
+    (void)run_search_in(fresh_dir("fault_degrade_healthz"), false, &degraded_bnb);
+  }
+  ASSERT_TRUE(degraded_bnb.frontier_degraded);
+
+  const support::statusd::Response health =
+      support::statusd::handle_request("GET", "/healthz", {}, 0.0);
+  EXPECT_EQ(health.status, 503) << health.body;
+  EXPECT_NE(health.body.find("\"search.frontier.degraded\""), std::string::npos) << health.body;
 }
 
 TEST(FaultTorture, DegradedCapacityBoundFailsWithAStructuredError) {

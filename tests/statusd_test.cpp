@@ -1,5 +1,6 @@
-// The embedded status server, bottom to top: ProgressRegistry semantics,
-// the Prometheus renderer, the request router (no sockets), the real
+// The embedded status server, bottom to top: the Prometheus renderer, the
+// request router (no sockets), the live view it shares with the heartbeat
+// (and the Span that names its phase), the real
 // HTTP/1.1 transport (timeouts, oversized requests, port-in-use soft
 // degradation) — and the layer's hard invariant: a spilled multi-shard
 // search scraped in a tight client loop produces certificates, incumbent
@@ -13,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -73,29 +75,6 @@ bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
-// --------------------------------------------------- progress registry --
-
-TEST(StatusdProgress, CollectEmbedsProvidersAndIsolatesFailures) {
-  const statusd::ScopedProgress good("unit_good", [] {
-    Json value = Json::object();
-    value.set("done", Json(std::uint64_t{7}));
-    return value;
-  });
-  const statusd::ScopedProgress bad("unit_bad",
-                                    []() -> Json { throw std::runtime_error("provider broke"); });
-  const Json collected = statusd::progress().collect();
-  EXPECT_EQ(collected.at("unit_good").at("done").as_uint(), 7u);
-  EXPECT_TRUE(contains(collected.at("unit_bad").at("error").as_string(), "provider broke"));
-}
-
-TEST(StatusdProgress, RemoveUnregistersImmediately) {
-  {
-    const statusd::ScopedProgress scoped("unit_transient", [] { return Json::object(); });
-    EXPECT_NE(statusd::progress().collect().find("unit_transient"), nullptr);
-  }
-  EXPECT_EQ(statusd::progress().collect().find("unit_transient"), nullptr);
-}
-
 // ------------------------------------------------- prometheus renderer --
 
 TEST(StatusdPrometheus, RendersCountersGaugesAndRunInfo) {
@@ -103,7 +82,7 @@ TEST(StatusdPrometheus, RendersCountersGaugesAndRunInfo) {
   telemetry::registry().counter("statusd-test.count").add(3);
   telemetry::registry().gauge("statusd_test.level").set(-5);
 
-  statusd::RunInfo run;
+  telemetry::RunInfo run;
   run.kind = "search";
   run.spec = "spec\"with\\odd\nchars.json";
   run.fingerprint = "deadbeefdeadbeef";
@@ -129,7 +108,7 @@ TEST(StatusdPrometheus, HistogramBucketsAreCumulativeWithInf) {
   histogram.record(5);    // bucket le="7"
   histogram.record(100);  // bucket le="127"
   const std::string text =
-      statusd::render_prometheus(telemetry::registry().read_snapshot(), statusd::RunInfo{}, 0.0);
+      statusd::render_prometheus(telemetry::registry().read_snapshot(), telemetry::RunInfo{}, 0.0);
 
   EXPECT_TRUE(contains(text, "# TYPE aurv_statusd_test_hist histogram\n"));
   EXPECT_TRUE(contains(text, "aurv_statusd_test_hist_bucket{le=\"0\"} 1\n"));
@@ -168,23 +147,19 @@ TEST(StatusdRouter, HealthzReflectsDegradedGauges) {
 
 TEST(StatusdRouter, StatusEmbedsRunAndProviders) {
   telemetry::registry().reset();
-  statusd::RunInfo run;
+  telemetry::RunInfo run;
   run.kind = "campaign";
   run.spec = "scenario.json";
   run.fingerprint = "0123456789abcdef";
   run.threads = 2;
-  const statusd::ScopedProgress scoped("unit_runner", [] {
-    Json value = Json::object();
-    value.set("jobs_done", Json(std::uint64_t{12}));
-    return value;
-  });
+  telemetry::registry().gauge("runner.jobs_done").set(12);
   const statusd::Response response = statusd::handle_request("GET", "/status", run, 3.0);
   EXPECT_EQ(response.status, 200);
   const Json body = Json::parse(response.body);
   EXPECT_EQ(body.at("kind").as_string(), "campaign");
   EXPECT_EQ(body.at("fingerprint").as_string(), "0123456789abcdef");
   EXPECT_EQ(body.at("threads").as_uint(), 2u);
-  EXPECT_EQ(body.at("progress").at("unit_runner").at("jobs_done").as_uint(), 12u);
+  EXPECT_EQ(body.at("gauges").at("runner.jobs_done").as_int(), 12);
 }
 
 TEST(StatusdRouter, TraceEndpointNeedsAnOpenSink) {
@@ -205,6 +180,76 @@ TEST(StatusdRouter, TraceEndpointNeedsAnOpenSink) {
   const statusd::Response bad = statusd::handle_request("GET", "/trace?last=bogus", {}, 0.0);
   EXPECT_EQ(bad.status, 400);
   support::trace::sink().close();
+}
+
+// --------------------------------------------------------- live view --
+
+/// The keys of a JSON object, in order.
+std::vector<std::string> keys_of(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.as_object()) keys.push_back(key);
+  return keys;
+}
+
+/// One synchronous heartbeat line for `run`, parsed.
+Json beat_once(const telemetry::RunInfo& run) {
+  const std::string path = temp_path("statusd_live_view_beat.jsonl");
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(out, nullptr);
+  {
+    telemetry::HeartbeatConfig config;
+    config.interval_s = 0.0;  // manual beats only
+    config.out = out;
+    config.run = run;
+    telemetry::Heartbeat heartbeat(std::move(config));
+    heartbeat.beat_now();
+  }
+  std::fclose(out);
+  return Json::parse(slurp(path));
+}
+
+TEST(StatusdLiveView, StatusKeysAreHeartbeatKeysMinusBeatAndRates) {
+  telemetry::registry().reset();
+  telemetry::registry().counter("statusd_test.keys").add(2);
+  telemetry::RunInfo run;
+  run.kind = "search";
+  const Json line = beat_once(run);
+  const Json status = Json::parse(statusd::handle_request("GET", "/status", run, 1.0).body);
+
+  std::vector<std::string> expected;
+  for (const std::string& key : keys_of(line))
+    if (key != "heartbeat" && key != "rates") expected.push_back(key);
+  EXPECT_EQ(keys_of(status), expected);
+  EXPECT_EQ(expected, (std::vector<std::string>{"kind", "spec", "fingerprint", "threads",
+                                                 "elapsed_s", "phase", "counters", "gauges",
+                                                 "degraded"}));
+  EXPECT_TRUE(line.at("rates").is_object());
+}
+
+TEST(StatusdLiveView, SpanTimesAnnouncesAndTraces) {
+  telemetry::registry().reset();
+  telemetry::Timer& timer = telemetry::registry().timer("statusd_test.span");
+  const std::string trace_path = temp_path("statusd_span_trace.json");
+  ASSERT_TRUE(support::trace::sink().open(trace_path));
+  {
+    const support::trace::Span span(timer, "unit-phase", "test", {.announce = true});
+    EXPECT_EQ(beat_once({}).at("phase").as_string(), "unit-phase");
+    const Json status = Json::parse(statusd::handle_request("GET", "/status", {}, 0.0).body);
+    EXPECT_EQ(status.at("phase").as_string(), "unit-phase");
+  }
+  support::trace::sink().close();
+  EXPECT_EQ(timer.count(), 1u);
+  EXPECT_EQ(beat_once({}).at("phase").as_string(), "");
+
+  std::uint64_t complete_events = 0;
+  const Json document = Json::load_file(trace_path);
+  for (const Json& event : document.at("traceEvents").as_array()) {
+    if (event.at("ph").as_string() != "X") continue;
+    ++complete_events;
+    EXPECT_EQ(event.at("name").as_string(), "unit-phase");
+    EXPECT_EQ(event.at("cat").as_string(), "test");
+  }
+  EXPECT_EQ(complete_events, 1u);
 }
 
 // ---------------------------------------------------------- transport --

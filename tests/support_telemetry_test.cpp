@@ -63,8 +63,12 @@ TEST(Telemetry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(histogram.bucket(3), 1u);
   EXPECT_EQ(histogram.bucket(10), 1u);
 
-  // to_json: only the nonzero buckets, keyed by their lower bound.
-  const Json json = histogram.to_json();
+  // The snapshot rendering: only the nonzero buckets, keyed by their
+  // lower bound.
+  registry().reset();
+  Log2Histogram& registered = registry().histogram("test.histogram.buckets");
+  for (const std::uint64_t sample : {0, 1, 2, 3, 4, 1023}) registered.record(sample);
+  const Json json = registry().snapshot().at("histograms").at("test.histogram.buckets");
   EXPECT_EQ(json.at("count").as_uint(), 6u);
   EXPECT_EQ(json.at("sum").as_uint(), 1033u);
   const Json& buckets = json.at("buckets");
@@ -73,16 +77,6 @@ TEST(Telemetry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(buckets.at("2").as_uint(), 2u);
   EXPECT_EQ(buckets.at("512").as_uint(), 1u);
   EXPECT_EQ(buckets.find("1024"), nullptr);
-}
-
-TEST(Telemetry, ScopedTimerRecordsElapsed) {
-  Timer timer;
-  {
-    const ScopedTimer scope(timer);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(timer.count(), 1u);
-  EXPECT_GE(timer.total_ns(), 1'000'000u);  // at least ~1ms of the 2ms sleep
 }
 
 // --------------------------------------------------------------- registry --
@@ -206,11 +200,7 @@ TEST(Telemetry, HeartbeatEmitsParseableLines) {
     HeartbeatConfig config;
     config.interval_s = 0.002;
     config.out = sink;
-    config.extra = [] {
-      Json extra = Json::object();
-      extra.set("kind", Json("unit-test"));
-      return extra;
-    };
+    config.run.kind = "unit-test";
     Heartbeat heartbeat(std::move(config));
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     registry().counter("test.beat.events").add(90);
@@ -232,7 +222,7 @@ TEST(Telemetry, HeartbeatEmitsParseableLines) {
     EXPECT_EQ(seq, last_seq + 1) << "beat sequence numbers are contiguous";
     last_seq = seq;
     EXPECT_GT(line.at("elapsed_s").as_number(), 0.0);
-    EXPECT_EQ(line.at("kind").as_string(), "unit-test");  // the extra hook
+    EXPECT_EQ(line.at("kind").as_string(), "unit-test");  // the run identity
     EXPECT_EQ(line.at("counters").at("test.beat.events").as_uint() % 10, 0u);
     EXPECT_TRUE(line.at("gauges").is_object());
     EXPECT_TRUE(line.at("rates").is_object());
@@ -269,12 +259,12 @@ TEST(Telemetry, MetricsSnapshotShape) {
   registry().histogram("test.snap.histogram").record(5);
   registry().timer("test.snap.timer").add_ns(1234);
 
-  RunManifest manifest;
+  RunInfo manifest;
   manifest.kind = "search";
-  manifest.spec_path = "scenarios/unit.json";
+  manifest.spec = "scenarios/unit.json";
   manifest.fingerprint = "00000000deadbeef";
   manifest.threads = 4;
-  manifest.extra.set("max_waves", Json(std::uint64_t{7}));
+  manifest.config.set("max_waves", Json(std::uint64_t{7}));
 
   const Json snapshot = metrics_snapshot(manifest, 12.5);
   EXPECT_EQ(snapshot.at("schema").as_uint(), 1u);
@@ -303,9 +293,9 @@ TEST(Telemetry, MetricsSnapshotShape) {
 }
 
 TEST(Telemetry, ManifestWithoutExtraOmitsConfig) {
-  RunManifest manifest;
+  RunInfo manifest;
   manifest.kind = "campaign";
-  manifest.spec_path = "x.json";
+  manifest.spec = "x.json";
   manifest.fingerprint = "0";
   manifest.threads = 1;
   const Json snapshot = metrics_snapshot(manifest, 0.0);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "test_paths.hpp"
@@ -63,6 +64,14 @@ exp::ScenarioSpec campaign_spec() {
   return spec;
 }
 
+/// Every registered counter's current value, by name.
+std::map<std::string, std::uint64_t> counters_now() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : telemetry::registry().read_snapshot().counters)
+    out.emplace(name, value);
+  return out;
+}
+
 /// A discarding heartbeat sink: observation pressure without terminal spam.
 class NullSink {
  public:
@@ -112,7 +121,7 @@ TEST(TelemetryDeterminism, SearchArtifactsIdenticalUnderObservation) {
   EXPECT_EQ(slurp(observed.incumbent_log_path), baseline_log);
 
   // The run populated the counter families the snapshot schema promises.
-  const auto counters = telemetry::registry().counter_values();
+  const auto counters = counters_now();
   const auto nonzero = [&](const char* name) {
     const auto it = counters.find(name);
     return it != counters.end() && it->second > 0;
@@ -125,9 +134,9 @@ TEST(TelemetryDeterminism, SearchArtifactsIdenticalUnderObservation) {
   EXPECT_TRUE(nonzero("spill.segments")) << "frontier_mem=2 must spill";
 
   // And the snapshot of this run validates structurally.
-  telemetry::RunManifest manifest;
+  telemetry::RunInfo manifest;
   manifest.kind = "search";
-  manifest.spec_path = "inline";
+  manifest.spec = "inline";
   manifest.fingerprint = "0";
   manifest.threads = 4;
   const Json snapshot = telemetry::metrics_snapshot(manifest, 1.0);
@@ -142,13 +151,13 @@ TEST(TelemetryDeterminism, SearchCountersAreThreadCountInvariant) {
   SearchOptions serial;
   serial.max_shards = 1;
   (void)exp::run_search(spec, serial);
-  const auto counters_serial = telemetry::registry().counter_values();
+  const auto counters_serial = counters_now();
 
   telemetry::registry().reset();
   SearchOptions parallel;
   parallel.max_shards = 4;
   (void)exp::run_search(spec, parallel);
-  const auto counters_parallel = telemetry::registry().counter_values();
+  const auto counters_parallel = counters_now();
 
   EXPECT_EQ(counters_serial, counters_parallel)
       << "counter totals are part of the determinism contract";
@@ -188,7 +197,7 @@ TEST(TelemetryDeterminism, CampaignArtifactsIdenticalUnderObservation) {
   }
   EXPECT_EQ(slurp(observed.jsonl_path), baseline_jsonl);
 
-  const auto counters = telemetry::registry().counter_values();
+  const auto counters = counters_now();
   EXPECT_EQ(counters.at("runner.jobs"), 60u);
   EXPECT_EQ(counters.at("runner.shards"), 4u);  // 60 jobs / shard_size 16
   EXPECT_GT(counters.at("runner.checkpoints"), 0u);

@@ -99,9 +99,7 @@ void reset_trace_sink() {
 }
 
 std::uint64_t counter_value(const char* name) {
-  const auto counters = telemetry::registry().counter_values();
-  const auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
+  return telemetry::registry().counter(name).value();
 }
 
 // ---------------------------------------------------------- activity stack --
@@ -136,7 +134,8 @@ TEST(TraceProvenance, HeartbeatLinesNameTheActivePhase) {
     config.out = out;
     telemetry::Heartbeat heartbeat(std::move(config));
     {
-      const telemetry::ScopedActivity phase("wave");
+      const trace::Span phase(telemetry::registry().timer("test.phase"), "wave", "test",
+                              {.announce = true});
       heartbeat.beat_now();
     }
     heartbeat.beat_now();  // idle again
