@@ -166,7 +166,7 @@ BENCHMARK(BM_TakeDurationSlicing);
 void BM_AurvProgramStart(benchmark::State& state) {
   // What every engine run pays before its first events: a fresh Algorithm 1
   // stream and its first 64 instructions (all of phase 1's block 1), read
-  // from the warm shared block table.
+  // as rotated views over phase 1's warm shared walk.
   constexpr int kPulls = 64;
   auto warm = aurv::core::almost_universal_rv();
   for (int k = 0; k < kPulls; ++k) warm.next();

@@ -1,7 +1,6 @@
 #include "core/almost_universal.hpp"
 
 #include <array>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -32,19 +31,22 @@ namespace {
 // below this cap.
 constexpr std::size_t kMaterializeCap = 200'000'000;
 
+// PlanarCowWalk(i), materialized.
+std::vector<Instruction> cow_walk(std::uint32_t i) {
+  std::vector<Instruction> walk;
+  for (const Instruction& instruction : algo::planar_cow_walk(i)) walk.push_back(instruction);
+  return walk;
+}
+
 std::vector<Instruction> block1(std::uint32_t i) {
+  const std::vector<Instruction> walk = cow_walk(i);
   std::vector<Instruction> result;
   const std::uint64_t epochs = std::uint64_t{1} << (i + 1);  // 2^(i+1)
   for (std::uint64_t j = 1; j <= epochs; ++j) {
     // PlanarCowWalk(i) "in the coordinate system Rot(j*pi/2^i)".
-    const double alpha = geom::dyadic_angle(static_cast<std::int64_t>(j), i);
-    for (const Instruction& instruction : algo::planar_cow_walk(i)) {
-      if (const auto* move = std::get_if<program::Go>(&instruction)) {
-        result.push_back(Instruction{program::Go{move->heading + alpha, move->distance}});
-      } else {
-        result.push_back(instruction);
-      }
-    }
+    const std::vector<Instruction> turned =
+        program::rotated(walk, geom::dyadic_angle(static_cast<std::int64_t>(j), i));
+    result.insert(result.end(), turned.begin(), turned.end());
   }
   return result;
 }
@@ -64,11 +66,9 @@ std::vector<Instruction> block2(std::uint32_t i) {
 }
 
 std::vector<Instruction> block3(std::uint32_t i) {
-  std::vector<Instruction> result;
-  result.push_back(program::wait(algo::wait_and_search_pause(i)));  // line 14: 2^(15 i^2)
-  for (const Instruction& instruction : algo::planar_cow_walk(i)) { // line 15
-    result.push_back(instruction);
-  }
+  std::vector<Instruction> result{program::wait(algo::wait_and_search_pause(i))};  // line 14
+  const std::vector<Instruction> walk = cow_walk(i);                                // line 15
+  result.insert(result.end(), walk.begin(), walk.end());
   return result;
 }
 
@@ -86,65 +86,69 @@ std::vector<Instruction> block4(std::uint32_t i) {
   return result;
 }
 
-}  // namespace
-
-namespace {
-
-// Blocks are pure functions of (phase, block) and every agent of every run
-// executes the same ones, so blocks of at most kSharedBlockCap instructions
-// are built once per process, on first use, and shared read-only by every
-// stream. Longer blocks (block 1 from phase 4 on) are still built per
-// stream by aurv_phase_block and freed when the stream moves on. The cap
-// admits every block of phases 1-3 (0.93 MiB of Instruction storage) and
-// the short blocks of phases 4-6 (3.06 MiB in all); any later phase sits
-// behind a per-stream block 1 of about 20M instructions.
-constexpr std::size_t kSharedBlockCap = std::size_t{1} << 16;
-
-using Block = std::shared_ptr<const std::vector<Instruction>>;
-
+// The parts every agent of every run executes in phase i: blocks 1 and 3
+// are views over the walk, blocks 2 and 4 are read as built. They are pure
+// functions of the phase, so each phase's parts are built once per process,
+// on first use, and shared read-only by every stream.
 struct SharedSlot {
   std::once_flag built;
-  Block shared;  ///< null once built: the block is over the cap
+  std::vector<Instruction> walk;  ///< PlanarCowWalk(i)
+  std::vector<Instruction> block2;
+  std::vector<Instruction> block4;
 };
 
 // Constant-initialized: nothing is built before a program asks for it.
-std::array<std::array<SharedSlot, 4>, algo::kMaxCowWalkIndex> shared_blocks;
+std::array<SharedSlot, algo::kMaxCowWalkIndex> shared_phases;
 
-Block phase_block(std::uint32_t phase, int block) {
-  SharedSlot& slot = shared_blocks[phase - 1][static_cast<std::size_t>(block - 1)];
-  Block own;  // the over-cap block this call built, if any
+const SharedSlot& shared_phase(std::uint32_t phase) {
+  SharedSlot& slot = shared_phases[phase - 1];
   std::call_once(slot.built, [&] {
-    auto instructions =
-        std::make_shared<const std::vector<Instruction>>(aurv_phase_block(phase, block));
-    if (instructions->size() > kSharedBlockCap) {
-      own = std::move(instructions);
-      return;
-    }
-    // Gauges of the table's contents: admissions happen once per process,
-    // so they are not counters (a counter would differ between two runs in
-    // one process).
-    static telemetry::Gauge& blocks = telemetry::registry().gauge("program.shared_blocks");
+    slot.walk = cow_walk(phase);
+    slot.block2 = block2(phase);
+    slot.block4 = block4(phase);
+    // A gauge, not a counter: a phase is built once per process, so a
+    // counter would differ between two runs in one process.
     static telemetry::Gauge& bytes = telemetry::registry().gauge("program.shared_bytes");
-    blocks.add(1);
-    bytes.add(static_cast<std::int64_t>(instructions->size() * sizeof(Instruction)));
-    slot.shared = std::move(instructions);
+    bytes.add(static_cast<std::int64_t>(
+        (slot.walk.size() + slot.block2.size() + slot.block4.size()) * sizeof(Instruction)));
   });
-  if (slot.shared) return slot.shared;
-  // Per-stream builds depend only on what the streams pull, so their count
-  // is the same at any worker count.
-  static telemetry::Counter& unshared = telemetry::registry().counter("program.unshared_builds");
-  unshared.add();
-  if (!own) own = std::make_shared<const std::vector<Instruction>>(aurv_phase_block(phase, block));
-  return own;
+  return slot;
 }
 
 Program almost_universal_rv_impl(unsigned block_mask) {
+  const auto runs = [block_mask](int block) { return (block_mask & (1u << (block - 1))) != 0; };
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= algo::kMaxCowWalkIndex, "almost_universal_rv: phase index overflow");
-    for (int block = 1; block <= 4; ++block) {
-      if ((block_mask & (1u << (block - 1))) == 0) continue;
-      const Block instructions = phase_block(i, block);
-      for (const Instruction& instruction : *instructions) co_yield instruction;
+    const SharedSlot& phase = shared_phase(i);
+    if (runs(1)) {
+      // The walk in Rot(j*pi/2^i), turned per Go as program::rotated does,
+      // into one reused instruction.
+      Instruction turned{program::Go{}};
+      auto& turned_go = std::get<program::Go>(turned);
+      const std::uint64_t epochs = std::uint64_t{1} << (i + 1);
+      for (std::uint64_t j = 1; j <= epochs; ++j) {
+        const double alpha = geom::dyadic_angle(static_cast<std::int64_t>(j), i);
+        for (const Instruction& instruction : phase.walk) {
+          if (const auto* move = std::get_if<program::Go>(&instruction)) {
+            turned_go.heading = move->heading + alpha;
+            turned_go.distance = move->distance;
+            co_yield turned;
+          } else {
+            co_yield instruction;
+          }
+        }
+      }
+    }
+    if (runs(2)) {
+      for (const Instruction& instruction : phase.block2) co_yield instruction;
+    }
+    if (runs(3)) {
+      const Instruction pause = program::wait(algo::wait_and_search_pause(i));
+      co_yield pause;
+      for (const Instruction& instruction : phase.walk) co_yield instruction;
+    }
+    if (runs(4)) {
+      for (const Instruction& instruction : phase.block4) co_yield instruction;
     }
   }
 }

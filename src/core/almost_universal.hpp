@@ -40,8 +40,9 @@ namespace aurv::core {
 
 /// Blocks of one phase, materialized — the exact instructions an agent
 /// executes during phase i's block (1-based block index, 1..4). Always a
-/// fresh build; the program streams above share one build per process of
-/// every block short enough (see almost_universal.cpp).
+/// fresh build; the program streams above yield every block as a view over
+/// one shared build per process of each phase's PlanarCowWalk, block 2 and
+/// block 4 (see almost_universal.cpp).
 [[nodiscard]] std::vector<program::Instruction> aurv_phase_block(std::uint32_t phase,
                                                                  int block);
 

@@ -70,7 +70,10 @@ u64 BigInt::bit_length() const noexcept {
 
 bool BigInt::is_pow2() const noexcept {
   if (sign_ == 0) return false;
-  if (std::popcount(limbs_.back()) != 1) return false;
+  // Bit trick, not std::popcount: that is a libgcc call on the baseline
+  // x86-64 target.
+  const u64 top = limbs_.back();
+  if (top == 0 || (top & (top - 1)) != 0) return false;
   for (std::size_t i = 0; i + 1 < limbs_.size(); ++i)
     if (limbs_[i] != 0) return false;
   return true;

@@ -8,17 +8,6 @@
 
 namespace aurv::program {
 
-Program rotated(Program inner, double alpha) {
-  for (const Instruction& instruction : inner) {
-    if (const auto* move = std::get_if<Go>(&instruction)) {
-      const Instruction turned{Go{move->heading + alpha, move->distance}};
-      co_yield turned;
-    } else {
-      co_yield instruction;
-    }
-  }
-}
-
 std::vector<Instruction> rotated(std::vector<Instruction> instructions, double alpha) {
   for (Instruction& instruction : instructions) {
     if (auto* move = std::get_if<Go>(&instruction)) move->heading += alpha;
@@ -119,11 +108,6 @@ Program replay(std::vector<Instruction> instructions) {
   for (const Instruction& instruction : instructions) {
     co_yield instruction;
   }
-}
-
-Program concat(Program first, Program second) {
-  for (const Instruction& instruction : first) co_yield instruction;
-  for (const Instruction& instruction : second) co_yield instruction;
 }
 
 geom::Vec2 net_displacement(const std::vector<Instruction>& instructions) {

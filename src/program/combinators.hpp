@@ -1,8 +1,8 @@
-// Stream-to-stream combinators over mobility programs. These are the direct
-// transcriptions of the structural operations Algorithm 1 performs on its
-// sub-procedures:
+// Combinators over mobility programs and materialized instruction
+// sequences. These are the direct transcriptions of the structural
+// operations Algorithm 1 performs on its sub-procedures:
 //
-//   rotated      — execute a program "in the coordinate system Rot(alpha)"
+//   rotated      — execute a walk "in the coordinate system Rot(alpha)"
 //                  (Alg. 1 line 6): every heading is offset by alpha.
 //   take_duration— "execute P during time D" (lines 10, 17): the exact
 //                  prefix of local duration D, splitting the instruction
@@ -13,7 +13,7 @@
 //   segmented_with_waits — line 18's S_1 wait S_2 wait ... : re-cut a solo
 //                  trajectory into segments of exact local duration,
 //                  inserting a wait after each segment.
-//   replay / concat — plumbing to compose materialized and lazy pieces.
+//   replay       — a program that yields a materialized sequence.
 #pragma once
 
 #include <vector>
@@ -23,10 +23,8 @@
 
 namespace aurv::program {
 
-/// Heading-offset view of a program (local system Rot(alpha)).
-[[nodiscard]] Program rotated(Program inner, double alpha);
-
-/// Rotates headings of a materialized instruction sequence.
+/// Rotates headings of a materialized instruction sequence (local system
+/// Rot(alpha)).
 [[nodiscard]] std::vector<Instruction> rotated(std::vector<Instruction> instructions,
                                                double alpha);
 
@@ -56,9 +54,6 @@ namespace aurv::program {
 
 /// A program that yields a materialized sequence.
 [[nodiscard]] Program replay(std::vector<Instruction> instructions);
-
-/// first, then second.
-[[nodiscard]] Program concat(Program first, Program second);
 
 /// Net local displacement (double precision) of a finite instruction
 /// sequence — used by tests for the paper's Lemma 3.1 "every block returns

@@ -45,10 +45,6 @@ std::size_t first_mismatch(program::Program& stream, const std::vector<Instructi
   return expected.size();
 }
 
-std::uint64_t unshared_builds() {
-  return telemetry::registry().counter("program.unshared_builds").value();
-}
-
 TEST(AurvStructure, Lemma31EveryBlockReturnsToStart) {
   // Lemma 3.1: each time an agent starts a line other than the backtrack
   // bookkeeping it does so from its initial position — equivalently, every
@@ -157,6 +153,38 @@ TEST(AurvStructure, PhaseAtInvertsPhaseStart) {
   EXPECT_THROW((void)aurv_phase_at(Rational(-1)), std::logic_error);
 }
 
+TEST(AurvStructure, ConcurrentFirstUseMatchesSerialReference) {
+  // Defined before every other stream test, so that a run of the whole
+  // binary (as under ThreadSanitizer) races the table's first use. Eight
+  // threads start fresh programs at the same moment, racing to fill the
+  // table; each must still see the serial reference prefix. The
+  // block-3 stream then reaches phase 4 after a few thousand instructions,
+  // so the threads also race into that phase's first use.
+  const std::vector<Instruction> expected = fresh_blocks(3);
+  const std::vector<Instruction> expected_block3 = fresh_blocks(4, 0b0100u);
+  constexpr int kThreads = 8;
+  std::vector<std::size_t> matched(kThreads, 0);
+  std::vector<std::size_t> matched_block3(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      program::Program stream = almost_universal_rv();
+      matched[static_cast<std::size_t>(t)] = first_mismatch(stream, expected);
+      program::Program block3 = almost_universal_rv_blocks(0b0100u);
+      matched_block3[static_cast<std::size_t>(t)] = first_mismatch(block3, expected_block3);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(matched[static_cast<std::size_t>(t)], expected.size()) << "thread " << t;
+    EXPECT_EQ(matched_block3[static_cast<std::size_t>(t)], expected_block3.size())
+        << "thread " << t;
+  }
+}
+
 TEST(AurvStructure, StreamMatchesMaterializedBlocks) {
   // The infinite program yields exactly phase-1 blocks 1..4, then phase 2's
   // and phase 3's (12 block boundaries), then continues into phase 4.
@@ -167,18 +195,18 @@ TEST(AurvStructure, StreamMatchesMaterializedBlocks) {
   EXPECT_EQ(stream.value(), aurv_phase_block(4, 1).front());
 }
 
-TEST(AurvStructure, SharedBlocksEqualFreshBuildsPhases1To4) {
-  // A single-block stream yields that block of phase 1, 2, 3, 4, ... so
-  // four streams cover every block of phases 1-4. Only block 1 of phase 4
-  // (213440 instructions) is over the sharing cap: the 0b0001 stream runs
-  // from shared blocks into one built for it alone.
+TEST(AurvStructure, StreamBlocksEqualFreshBuildsPhases1To5) {
+  // A single-block stream yields that block of phase 1, 2, 3, ... so four
+  // streams cover every block of phases 1-5. Blocks 1 and 3 are views over
+  // the shared walk (block 1 of phase 5 is 64 rotated copies of it, 2.1M
+  // instructions); blocks 2 and 4 are read as built.
   for (int block = 1; block <= 4; ++block) {
-    const unsigned mask = 1u << (block - 1);
-    const std::vector<Instruction> expected = fresh_blocks(4, mask);
-    const std::uint64_t before = unshared_builds();
-    program::Program stream = almost_universal_rv_blocks(mask);
-    EXPECT_EQ(first_mismatch(stream, expected), expected.size()) << "block " << block;
-    EXPECT_EQ(unshared_builds() - before, block == 1 ? 1u : 0u) << "block " << block;
+    program::Program stream = almost_universal_rv_blocks(1u << (block - 1));
+    for (std::uint32_t phase = 1; phase <= 5; ++phase) {
+      const std::vector<Instruction> expected = aurv_phase_block(phase, block);
+      EXPECT_EQ(first_mismatch(stream, expected), expected.size())
+          << "phase " << phase << " block " << block;
+    }
   }
 }
 
@@ -186,41 +214,13 @@ TEST(AurvStructure, SharedBlocksAreBuiltOnce) {
   const std::vector<Instruction> expected = fresh_blocks(3);
   program::Program first = almost_universal_rv();
   ASSERT_EQ(first_mismatch(first, expected), expected.size());
-  const std::int64_t blocks = telemetry::registry().gauge("program.shared_blocks").value();
   const std::int64_t bytes = telemetry::registry().gauge("program.shared_bytes").value();
-  // All 12 blocks of phases 1-3 are under the cap (24492 instructions).
-  EXPECT_GE(blocks, 12);
-  EXPECT_GE(bytes, 24492 * static_cast<std::int64_t>(sizeof(Instruction)));
+  EXPECT_GT(bytes, 0);
   // A second stream over the same phases reads the table: nothing is
-  // admitted or built again.
-  const std::uint64_t before = unshared_builds();
+  // built again.
   program::Program second = almost_universal_rv();
   ASSERT_EQ(first_mismatch(second, expected), expected.size());
-  EXPECT_EQ(telemetry::registry().gauge("program.shared_blocks").value(), blocks);
   EXPECT_EQ(telemetry::registry().gauge("program.shared_bytes").value(), bytes);
-  EXPECT_EQ(unshared_builds(), before);
-}
-
-TEST(AurvStructure, ConcurrentFirstUseMatchesSerialReference) {
-  // Eight threads start fresh programs at the same moment, racing to fill
-  // the table; each must still see the serial reference prefix.
-  const std::vector<Instruction> expected = fresh_blocks(3);
-  constexpr int kThreads = 8;
-  std::vector<std::size_t> matched(kThreads, 0);
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      program::Program stream = almost_universal_rv();
-      matched[static_cast<std::size_t>(t)] = first_mismatch(stream, expected);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(matched[static_cast<std::size_t>(t)], expected.size()) << "thread " << t;
-  }
 }
 
 TEST(AurvStructure, PhaseBlockValidation) {

@@ -67,6 +67,10 @@ TEST(Golden, HardType4MeetsAfterHugeWait) {
   // Sub-unit structure above the huge integer part is preserved exactly:
   // the window start is not a round power of two.
   EXPECT_NE(result.meet_window_start, Rational::pow2(135));
+  // The meet lies inside phase 4's block 1; pin it exactly.
+  EXPECT_EQ(result.events, 49940u);
+  EXPECT_EQ(result.meet_window_start,
+            Rational::from_string("174224571863520493293252410691083752328737/4"));
 }
 
 TEST(Golden, BoundaryS1ExactMeetGeometry) {
