@@ -1,6 +1,7 @@
 // KERN — google-benchmark micro-kernels for the library's hot paths: exact
 // rational time arithmetic, the closest-approach solver, instruction-stream
-// generation, and end-to-end simulator event throughput.
+// generation, census sample seeding, and end-to-end simulator event
+// throughput.
 //
 // Run with --json[=path] to additionally write a flat { name -> ns/op }
 // baseline file (default BENCH_micro.json); see bench/bench_json.hpp.
@@ -14,6 +15,7 @@
 
 #include "bench_json.hpp"
 
+#include "agents/sampler.hpp"
 #include "algo/cow_walk.hpp"
 #include "core/almost_universal.hpp"
 #include "algo/latecomers.hpp"
@@ -180,6 +182,17 @@ void BM_AurvProgramStart(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kPulls);
 }
 BENCHMARK(BM_AurvProgramStart);
+
+void BM_SampleStream(benchmark::State& state) {
+  // A census's fixed cost per sample: the sample's stream, then one type-2
+  // instance drawn from it, over consecutive samples as a shard visits them.
+  std::uint64_t sample = 0;
+  for (auto _ : state) {
+    auto rng = aurv::agents::sample_stream(2020, sample++);
+    benchmark::DoNotOptimize(aurv::agents::sample_type2(rng));
+  }
+}
+BENCHMARK(BM_SampleStream);
 
 void BM_GatherEngineThreeAgents(benchmark::State& state) {
   // Multi-agent window processing: O(n^2) pair checks per event.

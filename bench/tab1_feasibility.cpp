@@ -101,7 +101,7 @@ int main() {
   // analytic closest-approach bound.
   bench::section("randomized sweeps (40 draws per region, parallel)");
   {
-    std::mt19937_64 sweep_rng(99);
+    agents::SampleRng sweep_rng(99);
     std::vector<Instance> covered;
     for (int k = 0; k < 10; ++k) covered.push_back(agents::sample_type1(sweep_rng));
     for (int k = 0; k < 10; ++k) covered.push_back(agents::sample_type2(sweep_rng));

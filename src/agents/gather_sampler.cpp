@@ -1,6 +1,7 @@
 #include "agents/gather_sampler.hpp"
 
 #include <algorithm>
+#include <random>
 #include <sstream>
 
 #include "geom/angle.hpp"
@@ -13,13 +14,13 @@ namespace {
 using gather::GatherAgent;
 using numeric::Rational;
 
-double uniform(std::mt19937_64& rng, double lo, double hi) {
+double uniform(SampleRng& rng, double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(rng);
 }
 
 /// A random exact rational in [lo, hi], quantized to 1/64 — same grid as the
 /// two-agent samplers, so wake-up delays stay cheap exact dyadics.
-Rational rational_in(std::mt19937_64& rng, double lo, double hi) {
+Rational rational_in(SampleRng& rng, double lo, double hi) {
   const auto lo64 = static_cast<long long>(lo * 64.0);
   const auto hi64 = static_cast<long long>(hi * 64.0);
   AURV_CHECK_MSG(lo64 <= hi64, "gather rational_in: empty range");
@@ -27,7 +28,7 @@ Rational rational_in(std::mt19937_64& rng, double lo, double hi) {
   return Rational::dyadic(dist(rng), 6);
 }
 
-std::uint32_t draw_n(std::mt19937_64& rng, const GatherSamplerRanges& ranges) {
+std::uint32_t draw_n(SampleRng& rng, const GatherSamplerRanges& ranges) {
   const std::uint32_t lo = std::max<std::uint32_t>(1, ranges.n_min);
   const std::uint32_t hi = std::max(lo, ranges.n_max);
   return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
@@ -55,7 +56,7 @@ std::string GatherInstance::to_string() const {
   return os.str();
 }
 
-GatherInstance sample_gather_disk(std::mt19937_64& rng, const GatherSamplerRanges& ranges) {
+GatherInstance sample_gather_disk(SampleRng& rng, const GatherSamplerRanges& ranges) {
   GatherInstance instance;
   instance.r = uniform(rng, ranges.r_min, ranges.r_max);
   const double radius = uniform(rng, ranges.spread_min, ranges.spread_max);
@@ -71,7 +72,7 @@ GatherInstance sample_gather_disk(std::mt19937_64& rng, const GatherSamplerRange
   return instance;
 }
 
-GatherInstance sample_gather_cluster(std::mt19937_64& rng, const GatherSamplerRanges& ranges) {
+GatherInstance sample_gather_cluster(SampleRng& rng, const GatherSamplerRanges& ranges) {
   GatherInstance instance;
   instance.r = uniform(rng, ranges.r_min, ranges.r_max);
   const double separation = uniform(rng, ranges.spread_min, ranges.spread_max);
@@ -89,7 +90,7 @@ GatherInstance sample_gather_cluster(std::mt19937_64& rng, const GatherSamplerRa
   return instance;
 }
 
-GatherInstance sample_gather_ring(std::mt19937_64& rng, const GatherSamplerRanges& ranges) {
+GatherInstance sample_gather_ring(SampleRng& rng, const GatherSamplerRanges& ranges) {
   GatherInstance instance;
   instance.r = uniform(rng, ranges.r_min, ranges.r_max);
   const double radius = uniform(rng, ranges.spread_min, ranges.spread_max);
@@ -109,7 +110,7 @@ GatherInstance sample_gather_ring(std::mt19937_64& rng, const GatherSamplerRange
   return instance;
 }
 
-GatherInstance sample_gather_spread(std::mt19937_64& rng, const GatherSamplerRanges& ranges) {
+GatherInstance sample_gather_spread(SampleRng& rng, const GatherSamplerRanges& ranges) {
   GatherInstance instance;
   instance.r = uniform(rng, ranges.r_min, ranges.r_max);
   const double spacing = uniform(rng, ranges.spread_min, ranges.spread_max);

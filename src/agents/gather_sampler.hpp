@@ -4,8 +4,8 @@
 // exact-rational wake-up delays) from documented ranges; like the two-agent
 // samplers they are deterministic given the RNG stream, which is what lets
 // the census driver regenerate job j's configuration lazily from
-// agents::sample_stream(seed, sample) — the stream std::seed_seq{seed,
-// sample} seeds — at any thread count.
+// agents::sample_stream(seed, sample) — an agents::SampleRng, the stream
+// std::seed_seq{seed, sample} seeds — at any thread count.
 //
 // Four families, one per region of the configuration space TAB-7 probes:
 //
@@ -22,10 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
+#include "agents/sampler.hpp"
 #include "gather/engine.hpp"
 
 namespace aurv::agents {
@@ -55,13 +55,13 @@ struct GatherInstance {
   [[nodiscard]] std::string to_string() const;
 };
 
-[[nodiscard]] GatherInstance sample_gather_disk(std::mt19937_64& rng,
+[[nodiscard]] GatherInstance sample_gather_disk(SampleRng& rng,
                                                 const GatherSamplerRanges& ranges = {});
-[[nodiscard]] GatherInstance sample_gather_cluster(std::mt19937_64& rng,
+[[nodiscard]] GatherInstance sample_gather_cluster(SampleRng& rng,
                                                    const GatherSamplerRanges& ranges = {});
-[[nodiscard]] GatherInstance sample_gather_ring(std::mt19937_64& rng,
+[[nodiscard]] GatherInstance sample_gather_ring(SampleRng& rng,
                                                 const GatherSamplerRanges& ranges = {});
-[[nodiscard]] GatherInstance sample_gather_spread(std::mt19937_64& rng,
+[[nodiscard]] GatherInstance sample_gather_spread(SampleRng& rng,
                                                   const GatherSamplerRanges& ranges = {});
 
 }  // namespace aurv::agents

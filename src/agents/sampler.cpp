@@ -1,6 +1,7 @@
 #include "agents/sampler.hpp"
 
 #include <algorithm>
+#include <random>
 
 #include "geom/angle.hpp"
 #include "support/check.hpp"
@@ -11,13 +12,13 @@ namespace {
 
 using numeric::Rational;
 
-double uniform(std::mt19937_64& rng, double lo, double hi) {
+double uniform(SampleRng& rng, double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(rng);
 }
 
 /// A random exact rational in (lo, hi), quantized to 1/64 so the exact
 /// arithmetic stays cheap and the value is reproducible from its string.
-Rational rational_in(std::mt19937_64& rng, double lo, double hi) {
+Rational rational_in(SampleRng& rng, double lo, double hi) {
   const auto lo64 = static_cast<long long>(lo * 64.0) + 1;
   const auto hi64 = static_cast<long long>(hi * 64.0);
   AURV_CHECK_MSG(lo64 <= hi64, "rational_in: empty range");
@@ -32,60 +33,91 @@ geom::Vec2 b_with_projection(double phi, double dist_proj, double lateral) {
   return dist_proj * along + lateral * along.perp();
 }
 
-/// std::seed_seq over four fixed 32-bit words, specialised to the 624 words
-/// mt19937_64 requests: the [rand.util.seedseq] generate algorithm with
+/// The std::seed_seq{seed, first + lane} words of the four samples
+/// first .. first + 3 (first 4-aligned), generated in one pass as four
+/// interleaved chains: the [rand.util.seedseq] generate algorithm with
 /// n = 624 (so t = 11, p = 306, q = 317, m = n), wrapped indices in place of
-/// `% n` and the previous word kept in a local. The words equal
-/// std::seed_seq's; only the cost differs.
-class FourWordSeedSeq {
- public:
-  using result_type = std::uint32_t;
+/// `% n` and each chain's previous word kept in a local. A chain is
+/// latency-bound, so the four share the cost of one. One array per lane
+/// keeps the chains scalar (imul); baseline x86-64 vectors have no 32-bit
+/// lane multiply, and their emulation measured slower.
+using SeedGroup = std::array<std::array<std::uint32_t, 624>, 4>;
 
-  FourWordSeedSeq(std::uint64_t first, std::uint64_t second)
-      : v_{static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(first >> 32),
-           static_cast<std::uint32_t>(second), static_cast<std::uint32_t>(second >> 32)} {}
-
-  void generate(std::uint32_t* begin, std::uint32_t* end) const {
-    constexpr std::uint32_t n = 624, s = 4, t = 11, p = (n - t) / 2, q = p + t;
-    AURV_CHECK_MSG(end - begin == n, "FourWordSeedSeq: mt19937_64 requests 624 words");
-    const auto mix = [](std::uint32_t x) { return x ^ (x >> 27); };
-    // k + q wraps at k = n - q and k + p at k = n - p: three ranges keep the
-    // loop bodies free of index arithmetic.
-    const auto for_each_k = [](const auto& body) {
-      for (std::uint32_t k = 0; k < n - q; ++k) body(k, k + p, k + q);
-      for (std::uint32_t k = n - q; k < n - p; ++k) body(k, k + p, k + q - n);
-      for (std::uint32_t k = n - p; k < n; ++k) body(k, k + p - n, k + q - n);
-    };
-    std::fill(begin, end, 0x8b8b8b8bU);
-    std::uint32_t prev = begin[n - 1];
-    for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {
-      const std::uint32_t r1 = 1664525U * mix(begin[k] ^ begin[kp] ^ prev);
-      const std::uint32_t r2 = r1 + (k == 0 ? s : k <= s ? k + v_[k - 1] : k);
-      begin[kp] += r1;
-      begin[kq] += r2;
-      begin[k] = prev = r2;
-    });
-    for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {  // k stands for m + k
-      const std::uint32_t r3 = 1566083941U * mix(begin[k] + begin[kp] + prev);
+void generate_group(std::uint64_t seed, std::uint64_t first, SeedGroup& words) {
+  constexpr std::uint32_t n = 624, s = 4, t = 11, p = (n - t) / 2, q = p + t;
+  // The seed words of `first`; lane's sample differs only in word 2, by
+  // lane (first is 4-aligned, so no carry).
+  const std::uint32_t v[4] = {static_cast<std::uint32_t>(seed),
+                              static_cast<std::uint32_t>(seed >> 32),
+                              static_cast<std::uint32_t>(first),
+                              static_cast<std::uint32_t>(first >> 32)};
+  const auto mix = [](std::uint32_t x) { return x ^ (x >> 27); };
+  // k + q wraps at k = n - q and k + p at k = n - p: three ranges keep the
+  // loop bodies free of index arithmetic.
+  const auto for_each_k = [](const auto& body) {
+    for (std::uint32_t k = 0; k < n - q; ++k) body(k, k + p, k + q);
+    for (std::uint32_t k = n - q; k < n - p; ++k) body(k, k + p, k + q - n);
+    for (std::uint32_t k = n - p; k < n; ++k) body(k, k + p - n, k + q - n);
+  };
+  for (auto& lane : words) lane.fill(0x8b8b8b8bU);
+  std::uint32_t prev[4] = {0x8b8b8b8bU, 0x8b8b8b8bU, 0x8b8b8b8bU, 0x8b8b8b8bU};
+  for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {
+    for (std::uint32_t lane = 0; lane < 4; ++lane) {
+      std::uint32_t* w = words[lane].data();
+      const std::uint32_t r1 = 1664525U * mix(w[k] ^ w[kp] ^ prev[lane]);
+      const std::uint32_t r2 = r1 + (k == 0 ? s : k <= s ? k + v[k - 1] + (k == 3 ? lane : 0) : k);
+      w[kp] += r1;
+      w[kq] += r2;
+      w[k] = prev[lane] = r2;
+    }
+  });
+  for_each_k([&](std::uint32_t k, std::uint32_t kp, std::uint32_t kq) {  // k stands for m + k
+    for (std::uint32_t lane = 0; lane < 4; ++lane) {
+      std::uint32_t* w = words[lane].data();
+      const std::uint32_t r3 = 1566083941U * mix(w[k] + w[kp] + prev[lane]);
       const std::uint32_t r4 = r3 - k;
-      begin[kp] ^= r3;
-      begin[kq] ^= r4;
-      begin[k] = prev = r4;
-    });
-  }
-
- private:
-  std::uint32_t v_[4];
-};
+      w[kp] ^= r3;
+      w[kq] ^= r4;
+      w[k] = prev[lane] = r4;
+    }
+  });
+}
 
 }  // namespace
 
-std::mt19937_64 sample_stream(std::uint64_t seed, std::uint64_t sample) {
-  FourWordSeedSeq seq(seed, sample);
-  return std::mt19937_64(seq);
+SampleRng::SampleRng(std::uint64_t seed) {
+  x_[0] = seed;
+  for (std::size_t i = 1; i < kWords; ++i) {
+    x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+  }
 }
 
-Instance sample_type1(std::mt19937_64& rng, const SamplerRanges& ranges) {
+SampleRng sample_stream(std::uint64_t seed, std::uint64_t sample) {
+  // One group of four per thread is kept: consecutive samples reuse it, and
+  // any other visit order only regenerates.
+  static thread_local struct {
+    std::uint64_t seed = 0, first = 1;  // first = 1 is never 4-aligned: nothing generated yet
+    SeedGroup words;
+  } memo;
+  const std::uint64_t first = sample & ~std::uint64_t{3};
+  if (memo.seed != seed || memo.first != first) {
+    generate_group(seed, first, memo.words);
+    memo.seed = seed;
+    memo.first = first;
+  }
+  const std::array<std::uint32_t, 624>& words = memo.words[sample & 3];
+  SampleRng rng;  // word i pairs words 2i (low) and 2i + 1, as mt19937_64's seed(seq)
+  for (std::size_t i = 0; i < SampleRng::kWords; ++i) {
+    rng.x_[i] = words[2 * i] | std::uint64_t{words[2 * i + 1]} << 32;
+  }
+  // seed(seq) replaces an all-zero state (word 0's low 31 bits aside).
+  if ((rng.x_[0] >> 31) == 0 && *std::max_element(rng.x_.begin() + 1, rng.x_.end()) == 0) {
+    rng.x_[0] = std::uint64_t{1} << 63;
+  }
+  return rng;
+}
+
+Instance sample_type1(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double phi = uniform(rng, 0.0, geom::kTwoPi);
   // dist >= dist_proj must exceed r or the instance is a trivial overlap.
@@ -100,7 +132,7 @@ Instance sample_type1(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return Instance::synchronous(r, b, phi, t, -1);
 }
 
-Instance sample_type2(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_type2(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double direction = uniform(rng, 0.0, geom::kTwoPi);
   const double dist = uniform(rng, std::max(ranges.dist_min, r + 0.2), ranges.dist_max + r);
@@ -110,7 +142,7 @@ Instance sample_type2(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return Instance::synchronous(r, b, 0.0, t, 1);
 }
 
-Instance sample_type3(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_type3(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double phi = uniform(rng, 0.0, geom::kTwoPi);
   const double dist = uniform(rng, std::max(ranges.dist_min, r + 0.2), ranges.dist_max);
@@ -124,7 +156,7 @@ Instance sample_type3(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return Instance(r, b, phi, tau, v, t, chi);
 }
 
-Instance sample_type4(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_type4(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double dist = uniform(rng, std::max(ranges.dist_min, r + 0.2), ranges.dist_max);
   const geom::Vec2 b = dist * geom::unit_vector(uniform(rng, 0.0, geom::kTwoPi));
@@ -143,7 +175,7 @@ Instance sample_type4(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return Instance::synchronous(r, b, phi, t, 1);
 }
 
-Instance sample_boundary_s1(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_boundary_s1(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double direction = uniform(rng, 0.0, geom::kTwoPi);
   const double dist = uniform(rng, std::max(ranges.dist_min, r + 0.2), ranges.dist_max + r);
@@ -153,7 +185,7 @@ Instance sample_boundary_s1(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return probe.with_delay(Rational::from_double(probe.initial_distance() - r));
 }
 
-Instance sample_boundary_s2(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_boundary_s2(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   const double phi = uniform(rng, 0.0, geom::kTwoPi);
   const double dist_proj = uniform(rng, std::max(ranges.dist_min, r + 0.2), ranges.dist_max);
@@ -163,7 +195,7 @@ Instance sample_boundary_s2(std::mt19937_64& rng, const SamplerRanges& ranges) {
   return probe.with_delay(Rational::from_double(probe.projection_distance() - r));
 }
 
-Instance sample_infeasible(std::mt19937_64& rng, const SamplerRanges& ranges) {
+Instance sample_infeasible(SampleRng& rng, const SamplerRanges& ranges) {
   const double r = uniform(rng, ranges.r_min, ranges.r_max);
   if (std::uniform_int_distribution<int>(0, 1)(rng) == 0) {
     // chi = +1, phi = 0, t < dist - r.

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -23,11 +22,11 @@ namespace aurv::exp {
 using AlgorithmResolver = std::function<sim::AlgorithmFactory(const agents::Instance&)>;
 
 /// Draws one instance from a region of the Theorem 3.1 characterization.
-using SamplerFn = std::function<agents::Instance(std::mt19937_64&,
-                                                 const agents::SamplerRanges&)>;
+using SamplerFn =
+    std::function<agents::Instance(agents::SampleRng&, const agents::SamplerRanges&)>;
 
 /// Draws one n-agent gathering configuration (gatherx censuses).
-using GatherSamplerFn = std::function<agents::GatherInstance(std::mt19937_64&,
+using GatherSamplerFn = std::function<agents::GatherInstance(agents::SampleRng&,
                                                              const agents::GatherSamplerRanges&)>;
 
 /// Resolve by name; throws std::invalid_argument listing the known names on

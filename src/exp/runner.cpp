@@ -1,6 +1,5 @@
 #include "exp/runner.hpp"
 
-#include <random>
 
 #include "agents/sampler.hpp"
 #include "exp/registry.hpp"
@@ -37,7 +36,7 @@ agents::Instance campaign_instance(const ScenarioSpec& spec, std::uint64_t job) 
     cached_sampler = resolve_sampler(spec.sampler);
     cached_sampler_name = spec.sampler;
   }
-  std::mt19937_64 rng = agents::sample_stream(spec.seed, sample);
+  agents::SampleRng rng = agents::sample_stream(spec.seed, sample);
   return cached_sampler(rng, spec.ranges);
 }
 

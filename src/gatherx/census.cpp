@@ -1,6 +1,5 @@
 #include "gatherx/census.hpp"
 
-#include <random>
 #include <vector>
 
 #include "agents/sampler.hpp"
@@ -49,7 +48,7 @@ agents::GatherInstance census_instance(const GatherScenarioSpec& spec, std::uint
     cached_sampler = exp::resolve_gather_sampler(spec.sampler);
     cached_sampler_name = spec.sampler;
   }
-  std::mt19937_64 rng = agents::sample_stream(spec.seed, sample);
+  agents::SampleRng rng = agents::sample_stream(spec.seed, sample);
   return cached_sampler(rng, spec.ranges);
 }
 

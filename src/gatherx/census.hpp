@@ -4,9 +4,9 @@
 // counterpart of exp::run_campaign, with the same reproducibility contract:
 //
 //   * job j's configuration is regenerated on demand from
-//     agents::sample_stream(seed, j / replications), the stream
-//     std::seed_seq{seed, j / replications} seeds — independent of execution
-//     order and thread count;
+//     agents::sample_stream(seed, j / replications), an agents::SampleRng:
+//     the stream std::seed_seq{seed, j / replications} seeds — independent
+//     of execution order and thread count;
 //   * each job runs once per configured stop policy (FirstSight and
 //     AllVisible are different experiments on one population);
 //   * shards are merged/flushed strictly in shard order via

@@ -102,9 +102,9 @@ class Track {
     const program::Instruction& instruction = stream_.value();
     ++instructions_;
     // Built in place (scale, then accumulate) so the huge event times do
-    // not pass through a chain of temporaries.
-    numeric::Rational end_time = frame_.time_unit();
-    end_time *= program::duration_of(instruction);
+    // not pass through a chain of temporaries. A unit clock skips the scale.
+    numeric::Rational end_time = program::duration_of(instruction);
+    if (!unit_clock_) end_time *= frame_.time_unit();
     end_time += seg_start_;
     seg_end_ = std::move(end_time);
     const auto* move = std::get_if<program::Go>(&instruction);
@@ -123,6 +123,7 @@ class Track {
   agents::AgentFrame frame_;
   program::Program stream_;
   bool rotated_;
+  bool unit_clock_ = frame_.time_unit() == 1;  // every synchronous and every gather agent
   numeric::Rational seg_start_;               // absolute time of the segment anchor
   std::optional<numeric::Rational> seg_end_;  // empty = idle forever
   geom::Vec2 seg_start_pos_;

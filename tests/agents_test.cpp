@@ -1,9 +1,13 @@
 // Tests for the instance model and agent frames (Section 1.2 of the paper).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "agents/frame.hpp"
@@ -163,11 +167,99 @@ TEST(SampleStream, MatchesSeedSeqSeededEngine) {
                                    (std::uint64_t{1} << 32) - 1, std::uint64_t{1} << 32,
                                    std::uint64_t{0xdeadbeefcafebabe}, ~std::uint64_t{0}}) {
     for (const std::uint64_t sample : samples) {
-      std::mt19937_64 rng = sample_stream(seed, sample);
+      SampleRng rng = sample_stream(seed, sample);
       std::vector<std::uint64_t> draws(kDraws);
       for (std::uint64_t& draw : draws) draw = rng();
       ASSERT_EQ(draws, reference(seed, sample)) << "seed " << seed << " sample " << sample;
     }
+  }
+  // Streams are generated four samples at a time and the last group is kept
+  // per thread: no visit order may leak into a stream. Descending, strided
+  // across group boundaries (4k-1, 4k, 4k+3), alternating two seeds, and
+  // the last group of the sample range.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> visits;
+  for (std::uint64_t k = 40; k-- > 0;) visits.emplace_back(2020, k);
+  for (std::uint64_t k = 1; k < 30; ++k) {
+    for (const std::uint64_t sample : {4 * k - 1, 4 * k, 4 * k + 3}) visits.emplace_back(7, sample);
+  }
+  for (std::uint64_t k = 0; k < 24; ++k) visits.emplace_back(k % 2 == 0 ? 1 : 2020, 100 + k / 2);
+  for (const std::uint64_t sample : {~std::uint64_t{0} - 1, ~std::uint64_t{0} - 3,
+                                     ~std::uint64_t{0}, ~std::uint64_t{0} - 2}) {
+    visits.emplace_back(0xdeadbeefcafebabe, sample);
+  }
+  for (const auto& [seed, sample] : visits) {
+    SampleRng rng = sample_stream(seed, sample);
+    std::vector<std::uint64_t> draws(kDraws);
+    for (std::uint64_t& draw : draws) draw = rng();
+    ASSERT_EQ(draws, reference(seed, sample)) << "seed " << seed << " sample " << sample;
+  }
+}
+
+TEST(SampleStream, ThreadsDrawTheSerialStreams) {
+  // Each thread keeps its own group of four; interleaving the samples across
+  // four threads makes every thread miss it on every call.
+  constexpr std::uint64_t kSamples = 400;
+  constexpr int kDraws = 8;
+  const auto draws_of = [](std::uint64_t sample) {
+    SampleRng rng = sample_stream(2020, sample);
+    std::vector<std::uint64_t> draws(kDraws);
+    for (std::uint64_t& draw : draws) draw = rng();
+    return draws;
+  };
+  std::vector<std::vector<std::uint64_t>> serial(kSamples), threaded(kSamples);
+  for (std::uint64_t sample = 0; sample < kSamples; ++sample) serial[sample] = draws_of(sample);
+  std::vector<std::thread> workers;
+  for (std::uint64_t lane = 0; lane < 4; ++lane) {
+    workers.emplace_back([&, lane] {
+      for (std::uint64_t sample = lane; sample < kSamples; sample += 4) {
+        threaded[sample] = draws_of(sample);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(threaded, serial);
+}
+
+TEST(SampleRng, EqualsMt19937_64FromAnIntegerSeed) {
+  // 1250 draws: four twist rounds of the 312-word state.
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{5489}, std::uint64_t{2020},
+                                   std::uint64_t{0xdeadbeefcafebabe}, ~std::uint64_t{0}}) {
+    SampleRng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int k = 0; k < 1250; ++k) {
+      ASSERT_EQ(rng(), reference()) << "seed " << seed << " draw " << k;
+    }
+  }
+}
+
+TEST(SampleRng, DrivesTheDistributionsLikeMt19937_64) {
+  // The samplers' distributions, interleaved, with ranges that take the
+  // single-draw, rejection and full-width paths.
+  const auto draws_of = [](auto& rng) {
+    std::uniform_real_distribution<double> real(-1.5, 4.0);
+    std::uniform_int_distribution<long long> grid(77, 256);
+    std::uniform_int_distribution<long long> wide(std::numeric_limits<long long>::min(),
+                                                  std::numeric_limits<long long>::max());
+    std::uniform_int_distribution<int> coin(0, 1);
+    std::uniform_int_distribution<int> small(-5, 1000);
+    std::uniform_int_distribution<std::uint32_t> word(0, ~std::uint32_t{0});
+    std::uniform_int_distribution<std::uint32_t> odd(3, 1'000'003);
+    std::vector<std::uint64_t> draws;  // bit patterns: no value is compared through a cast
+    for (int k = 0; k < 200; ++k) {
+      draws.push_back(std::bit_cast<std::uint64_t>(real(rng)));
+      draws.push_back(static_cast<std::uint64_t>(grid(rng)));
+      draws.push_back(static_cast<std::uint64_t>(wide(rng)));
+      draws.push_back(static_cast<std::uint64_t>(coin(rng)));
+      draws.push_back(static_cast<std::uint64_t>(small(rng)));
+      draws.push_back(word(rng));
+      draws.push_back(odd(rng));
+    }
+    return draws;
+  };
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2026}}) {
+    SampleRng rng(seed);
+    std::mt19937_64 reference(seed);
+    EXPECT_EQ(draws_of(rng), draws_of(reference)) << "seed " << seed;
   }
 }
 

@@ -4,7 +4,6 @@
 // end-to-end sweep of Theorem 3.2.
 #include <gtest/gtest.h>
 
-#include <random>
 #include <vector>
 
 #include "agents/sampler.hpp"
@@ -112,7 +111,7 @@ TEST(AurvConformance, Phase1MatchesHandTranscription) {
 TEST(AurvConformance, RandomizedTheorem32Sweep) {
   // 20 sampler-drawn instances per covered type, all simulated in parallel:
   // Theorem 3.2 demands every one of them meets.
-  std::mt19937_64 rng(424242);
+  agents::SampleRng rng(424242);
   std::vector<agents::Instance> instances;
   for (int k = 0; k < 20; ++k) instances.push_back(agents::sample_type1(rng));
   for (int k = 0; k < 20; ++k) instances.push_back(agents::sample_type2(rng));
@@ -136,7 +135,7 @@ TEST(AurvConformance, RandomizedTheorem32Sweep) {
 TEST(AurvConformance, RandomizedBoundarySweep) {
   // Sampler-drawn S1/S2 instances: the dedicated algorithms meet at
   // distance exactly r on every draw.
-  std::mt19937_64 rng(515151);
+  agents::SampleRng rng(515151);
   std::vector<sim::BatchJob> jobs;
   for (int k = 0; k < 15; ++k) {
     const agents::Instance s1 = agents::sample_boundary_s1(rng);

@@ -139,7 +139,7 @@ TEST(Registry, EverySamplerNameResolvesAndDraws) {
   const std::vector<std::string> expected = {"type1",       "type2",       "type3",     "type4",
                                              "boundary-s1", "boundary-s2", "infeasible"};
   EXPECT_EQ(sampler_names(), expected);
-  std::mt19937_64 rng(123);
+  agents::SampleRng rng(123);
   for (const std::string& name : sampler_names()) {
     const SamplerFn sampler = resolve_sampler(name);
     ASSERT_TRUE(sampler) << name;
@@ -230,6 +230,15 @@ TEST(Campaign, SmokeSummaryBytesArePinned) {
   CampaignOptions options;
   options.threads = 2;
   EXPECT_EQ(fnv1a_fingerprint(run_campaign(spec, options).summary(spec)), 0x6fd3ca50ec89d88full);
+}
+
+TEST(Campaign, Type3SummaryBytesArePinned) {
+  // The smoke pin runs only unit clocks (tau = 1); type-3 instances have
+  // tau != 1, so B's instruction times still take the clock-unit product.
+  const ScenarioSpec spec = ScenarioSpec::load(scenario_path("type3_census.json"));
+  CampaignOptions options;
+  options.threads = 2;
+  EXPECT_EQ(fnv1a_fingerprint(run_campaign(spec, options).summary(spec)), 0xbaa85eb44cc23850ull);
 }
 
 TEST(Scenario, CommittedScenarioLoadsFromAnyWorkingDirectory) {

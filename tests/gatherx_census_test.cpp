@@ -8,7 +8,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <random>
 
 #include "test_paths.hpp"
 #include "exp/registry.hpp"
@@ -155,7 +154,7 @@ TEST(GatherScenario, CommittedScenarioFilesLoad) {
 TEST(GatherRegistry, EverySamplerNameResolvesAndDraws) {
   const std::vector<std::string> expected = {"disk", "cluster", "ring", "spread"};
   EXPECT_EQ(exp::gather_sampler_names(), expected);
-  std::mt19937_64 rng(123);
+  agents::SampleRng rng(123);
   agents::GatherSamplerRanges ranges;
   ranges.n_min = 2;
   ranges.n_max = 6;

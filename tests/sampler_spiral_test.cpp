@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <set>
 #include <vector>
 
@@ -25,9 +24,9 @@ using core::InstanceKind;
 using geom::Vec2;
 
 TEST(Sampler, EverySampleLandsInItsRegion) {
-  std::mt19937_64 rng(2026);
+  agents::SampleRng rng(2026);
   const struct {
-    Instance (*sample)(std::mt19937_64&, const agents::SamplerRanges&);
+    Instance (*sample)(agents::SampleRng&, const agents::SamplerRanges&);
     InstanceKind expected;
   } samplers[] = {
       {agents::sample_type1, InstanceKind::Type1},
@@ -48,8 +47,8 @@ TEST(Sampler, EverySampleLandsInItsRegion) {
 }
 
 TEST(Sampler, SamplesAreDeterministicGivenSeed) {
-  std::mt19937_64 a(7);
-  std::mt19937_64 b(7);
+  agents::SampleRng a(7);
+  agents::SampleRng b(7);
   for (int k = 0; k < 20; ++k) {
     EXPECT_EQ(agents::sample_type3(a, {}).to_string(),
               agents::sample_type3(b, {}).to_string());
