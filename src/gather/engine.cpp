@@ -27,6 +27,17 @@ double diameter(const std::vector<geom::Vec2>& positions) {
   return widest;
 }
 
+/// Whether some pair is certainly farther apart than `bound`, so that the
+/// diameter is too. Decided on squared norms, without a hypot.
+bool some_pair_farther(const std::vector<geom::Vec2>& positions, double bound) {
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    for (std::size_t j = i + 1; j < positions.size(); ++j) {
+      if (geom::compare_distance(positions[i] - positions[j], bound) > 0) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string to_string(StopPolicy policy) {
@@ -134,8 +145,10 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
   while (true) {
     if (result.events >= config_.max_events) return finish(GatherStop::FuelExhausted, now);
     locate(now);
-    const double spread = diameter(positions);
-    result.min_diameter_seen = std::min(result.min_diameter_seen, spread);
+    // The diameter can only lower the running minimum when no pair is
+    // certainly farther apart than it; only then are the hypots taken.
+    if (!some_pair_farther(positions, result.min_diameter_seen))
+      result.min_diameter_seen = std::min(result.min_diameter_seen, diameter(positions));
 
     // FirstSight: freeze every unfrozen agent that currently sees someone.
     // The extra 1e-9 absorbs the round-off of landing exactly on a contact
@@ -146,7 +159,7 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
       for (std::size_t i = 0; i < n; ++i) {
         if (tracks[i].frozen()) continue;
         for (std::size_t j = 0; j < n; ++j) {
-          if (j != i && geom::dist(positions[i], positions[j]) <= r_freeze) {
+          if (j != i && geom::within_distance(positions[i] - positions[j], r_freeze)) {
             tracks[i].freeze_at(now);
             froze_any = true;
             ++result.events;
@@ -160,7 +173,9 @@ GatherResult GatherEngine::run(const sim::AlgorithmFactory& factory) const {
     // Termination: everyone stopped (frozen or program over).
     if (std::all_of(tracks.begin(), tracks.end(),
                     [](const sim::Track& track) { return track.stopped(); })) {
-      return finish(spread <= target ? GatherStop::Gathered : GatherStop::AllIdleApart, now);
+      return finish(diameter(positions) <= target ? GatherStop::Gathered
+                                                  : GatherStop::AllIdleApart,
+                    now);
     }
 
     // Window end: earliest segment boundary, possibly clipped by horizon.

@@ -35,8 +35,6 @@ bool exact_only_from_env() {
   return raw != nullptr && *raw != '\0' && std::string_view(raw) != "0";
 }
 
-std::atomic<bool> exact_only_flag{exact_only_from_env()};
-
 // Per-thread on purpose: bumping it costs a register increment, not an
 // atomic; flush_contact_stats() moves it into the telemetry registry.
 thread_local std::uint64_t exact_fallback_count = 0;
@@ -150,10 +148,10 @@ class ContactQuadratic {
 
 }  // namespace
 
-bool exact_contacts_only() noexcept { return exact_only_flag.load(std::memory_order_relaxed); }
+std::atomic<bool> detail::exact_only_flag{exact_only_from_env()};
 
 void set_exact_contacts_only(bool exact_only) noexcept {
-  exact_only_flag.store(exact_only, std::memory_order_relaxed);
+  detail::exact_only_flag.store(exact_only, std::memory_order_relaxed);
 }
 
 std::uint64_t exact_fallbacks() noexcept { return exact_fallback_count; }
@@ -165,16 +163,18 @@ void flush_contact_stats() {
   exact_fallback_count = 0;
 }
 
-ApproachResult closest_approach(Vec2 offset, Vec2 relative_velocity, double duration) noexcept {
+ClosestPoint closest_point(Vec2 offset, Vec2 relative_velocity, double duration) noexcept {
   const double v2 = relative_velocity.norm2();
-  if (v2 <= 0.0 || duration <= 0.0) {
-    return {offset.norm(), 0.0};
-  }
+  if (v2 <= 0.0 || duration <= 0.0) return {offset, 0.0};
   // d(s)^2 = |offset|^2 + 2 s offset.v + s^2 |v|^2, minimized at
   // s* = -offset.v / |v|^2, clamped to the window.
   const double s_star = std::clamp(-offset.dot(relative_velocity) / v2, 0.0, duration);
-  const Vec2 at_min = offset + s_star * relative_velocity;
-  return {at_min.norm(), s_star};
+  return {offset + s_star * relative_velocity, s_star};
+}
+
+ApproachResult closest_approach(Vec2 offset, Vec2 relative_velocity, double duration) noexcept {
+  const ClosestPoint closest = closest_point(offset, relative_velocity, duration);
+  return {closest.offset.norm(), closest.at};
 }
 
 std::optional<double> first_contact(Vec2 offset, Vec2 relative_velocity, double radius,

@@ -6,6 +6,8 @@
 // what makes the paper's 2^(15 i^2)-long waits simulable.
 #pragma once
 
+#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <optional>
 
@@ -13,14 +15,25 @@
 
 namespace aurv::geom {
 
+struct ClosestPoint {
+  Vec2 offset;      ///< offset + at * relative_velocity
+  double at = 0.0;  ///< window-relative time of the minimum, in [0, duration]
+};
+
+/// Where over s in [0, duration] |offset + s * relative_velocity| is
+/// smallest. `offset` is (position of P - position of Q) at window start and
+/// `relative_velocity` is (velocity of P - velocity of Q). No libm call: the
+/// caller takes the norm only when it needs the distance.
+[[nodiscard]] ClosestPoint closest_point(Vec2 offset, Vec2 relative_velocity,
+                                         double duration) noexcept;
+
 struct ApproachResult {
   double min_distance = 0.0;  ///< minimum distance over the window
   double at = 0.0;            ///< window-relative time of the minimum, in [0, duration]
 };
 
-/// Minimum over s in [0, duration] of |offset + s * relative_velocity|.
-/// `offset` is (position of P - position of Q) at window start and
-/// `relative_velocity` is (velocity of P - velocity of Q).
+/// closest_point with the distance taken: min_distance is the norm of its
+/// offset.
 [[nodiscard]] ApproachResult closest_approach(Vec2 offset, Vec2 relative_velocity,
                                               double duration) noexcept;
 
@@ -46,12 +59,45 @@ struct ContactInterval {
                                                               double radius,
                                                               double duration) noexcept;
 
+namespace detail {
+extern std::atomic<bool> exact_only_flag;
+}  // namespace detail
+
 /// When true, every contact decision skips the double filter and takes the
-/// exact Rational path: the proof mode behind the AURV_EXACT_ONLY=1
-/// environment toggle (read once at startup). Artifacts must be
-/// byte-identical either way.
-[[nodiscard]] bool exact_contacts_only() noexcept;
+/// exact Rational path, and compare_distance decides nothing: the proof
+/// mode behind the AURV_EXACT_ONLY=1 environment toggle (read once at
+/// startup). Artifacts must be byte-identical either way.
+[[nodiscard]] inline bool exact_contacts_only() noexcept {
+  return detail::exact_only_flag.load(std::memory_order_relaxed);
+}
 void set_exact_contacts_only(bool exact_only) noexcept;
+
+/// std::hypot(d.x, d.y) <=> r where squared norms settle it: `less` and
+/// `greater` are certain for hypot's double, `unordered` means undecided
+/// (the caller takes the hypot). It decides when s = |d|^2 and r^2 both lie
+/// in [2^-960, 2^1000], r > 0, and s is outside r^2 (1 +- 2^-40) — a margin
+/// about 2^10 times the rounding of s, r^2 and a 1-ulp hypot
+/// (docs/NUMERICS.md, "Distance comparisons"). Never `equivalent`.
+[[nodiscard]] inline std::partial_ordering compare_distance(Vec2 d, double r) noexcept {
+  constexpr double kTiny = 0x1p-960;
+  constexpr double kHuge = 0x1p1000;
+  constexpr double kMargin = 0x1p-40;
+  const double s = d.norm2();
+  const double r2 = r * r;
+  if (!(s >= kTiny && s <= kHuge && r > 0.0 && r2 >= kTiny && r2 <= kHuge) ||
+      exact_contacts_only())
+    return std::partial_ordering::unordered;
+  if (s > r2 * (1.0 + kMargin)) return std::partial_ordering::greater;
+  if (s < r2 * (1.0 - kMargin)) return std::partial_ordering::less;
+  return std::partial_ordering::unordered;
+}
+
+/// std::hypot(d.x, d.y) <= r, bit for bit, with the hypot taken only when
+/// compare_distance cannot decide.
+[[nodiscard]] inline bool within_distance(Vec2 d, double r) noexcept {
+  const std::partial_ordering order = compare_distance(d, r);
+  return order == std::partial_ordering::unordered ? d.norm() <= r : order < 0;
+}
 
 /// Contact decisions this thread has sent to the exact fallback since its
 /// last flush_contact_stats().

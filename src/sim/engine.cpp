@@ -129,17 +129,19 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
 
     if (!window_end) {
       // Both agents idle forever: the distance never changes again.
-      result.min_distance_seen = std::min(result.min_distance_seen, offset.norm());
-      return finish(offset.norm() <= r_success ? StopReason::Rendezvous : StopReason::BothIdle,
-                    now);
+      const double distance = offset.norm();
+      result.min_distance_seen = std::min(result.min_distance_seen, distance);
+      return finish(distance <= r_success ? StopReason::Rendezvous : StopReason::BothIdle, now);
     }
 
     Rational window_span = *window_end;
     window_span -= now;
     const double window = window_span.to_double();
-    result.min_distance_seen = std::min(
-        result.min_distance_seen,
-        geom::closest_approach(offset, relative_velocity, window).min_distance);
+    // The window's closest distance can only lower the running minimum when
+    // it is not certainly above it; only then is its hypot taken.
+    const geom::Vec2 closest = geom::closest_point(offset, relative_velocity, window).offset;
+    if (!(geom::compare_distance(closest, result.min_distance_seen) > 0))
+      result.min_distance_seen = std::min(result.min_distance_seen, closest.norm());
 
     if (distinct_radii && !far_sighted->frozen()) {
       // The larger radius is crossed first; the far-sighted agent freezes

@@ -8,6 +8,8 @@
 // agent that sees another stops forever (Alg. 1 line 1): freeze_at.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -22,6 +24,37 @@
 #include "support/check.hpp"
 
 namespace aurv::sim {
+
+namespace detail {
+
+inline constexpr int kUnitVectorMemoBits = 10;  // 1024 slots
+
+/// The memo slot of a heading's bit pattern: its Fibonacci hash.
+[[nodiscard]] constexpr std::size_t unit_vector_memo_slot(std::uint64_t bits) noexcept {
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> (64 - kUnitVectorMemoBits));
+}
+
+}  // namespace detail
+
+/// geom::unit_vector(heading), memoized per thread in a direct-mapped table
+/// keyed by the heading's bit pattern. A hit returns the doubles unit_vector
+/// returned for those very bits, so no result can differ. Latecomers
+/// headings repeat across every run and agent, Algorithm 1's turned
+/// headings within a run. The table is constant-initialized (all zero), so
+/// a fresh worker thread runs no constructor: key 0 marks an empty slot,
+/// and the heading +0.0, whose bits are 0, is computed directly.
+[[nodiscard]] inline geom::Vec2 memoized_unit_vector(double heading) noexcept {
+  struct Slot {
+    std::uint64_t bits;
+    geom::Vec2 direction;
+  };
+  constinit thread_local std::array<Slot, std::size_t{1} << detail::kUnitVectorMemoBits> memo{};
+  const auto bits = std::bit_cast<std::uint64_t>(heading);
+  if (bits == 0) return geom::unit_vector(heading);
+  Slot& slot = memo[detail::unit_vector_memo_slot(bits)];
+  if (slot.bits != bits) slot = {bits, geom::unit_vector(heading)};
+  return slot.direction;
+}
 
 class Track {
  public:
@@ -113,7 +146,7 @@ class Track {
       seg_end_pos_ = seg_start_pos_;
       return;
     }
-    const geom::Vec2 direction = geom::unit_vector(
+    const geom::Vec2 direction = memoized_unit_vector(
         rotated_ ? frame_.absolute_heading(move->heading) : move->heading);
     velocity_ = frame_.speed() * direction;
     seg_end_pos_ =

@@ -253,6 +253,18 @@ TEST(Census, SmokeSummaryBytesArePinned) {
             0x31bf8e4402be2e9full);
 }
 
+TEST(Census, FunnelSummaryBytesArePinned) {
+  // FNV-1a digest of a 200-configuration cut of the funnel census: chains
+  // of 2-5 agents, so it pins every FirstSight freeze decision and the
+  // min-diameter floor of both policies.
+  GatherScenarioSpec spec = GatherScenarioSpec::load(scenario_path("gather_census_funnel.json"));
+  spec.count = 200;
+  CensusOptions options;
+  options.threads = 2;
+  EXPECT_EQ(exp::fnv1a_fingerprint(run_census(spec, options).summary(spec)),
+            0x4c301e507cf65f73ull);
+}
+
 TEST(Census, CheckpointResumeMatchesOneShot) {
   const GatherScenarioSpec spec = small_spec();
   const std::string checkpoint = temp_path("gather_ck.json");

@@ -1,11 +1,13 @@
 // Tests for the geometry kernel: vectors, angles, lines, similarity
 // transforms, the canonical line of Definition 2.1, and the closest-approach
 // solver the simulator is built on, including a differential fuzz of its
-// semi-static contact predicates against exact Rational arithmetic.
+// semi-static contact predicates against exact Rational arithmetic and of
+// the squared-norm distance filter against std::hypot.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -648,6 +650,123 @@ TEST(ContactPredicates, InfiniteWindowIsTheWholeRay) {
     EXPECT_EQ(still->exit, inf);
     EXPECT_FALSE(contact_interval(Vec2{3.0, 0.0}, Vec2{1.0, 0.0}, 1.0, inf).has_value());
     EXPECT_FALSE(contact_interval(Vec2{3.0, 2.0}, Vec2{-1.0, 0.0}, 1.0, inf).has_value());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Squared-norm distance filter: every order compare_distance decides must be
+// the order std::hypot gives, for both <= and <, and within_distance must
+// equal hypot(d) <= r on every input.
+
+/// Checks one input; returns whether the filter decided it.
+bool expect_hypot_order(Vec2 d, double r) {
+  const double h = std::hypot(d.x, d.y);
+  const std::partial_ordering order = compare_distance(d, r);
+  std::ostringstream what;
+  what.precision(17);
+  what << "d=(" << d.x << ", " << d.y << ") r=" << r << " hypot=" << h;
+  EXPECT_NE(order, std::partial_ordering::equivalent) << what.str();
+  if (order < 0) {
+    EXPECT_TRUE(h <= r) << what.str();
+    EXPECT_TRUE(h < r) << what.str();
+  } else if (order > 0) {
+    EXPECT_FALSE(h <= r) << what.str();
+    EXPECT_FALSE(h < r) << what.str();
+  }
+  EXPECT_EQ(within_distance(d, r), h <= r) << what.str();
+  return order != std::partial_ordering::unordered;
+}
+
+TEST(DistanceFilter, RandomScalesMatchHypot) {
+  // Offsets and radii from about 1e-300 to 1e300 (2^-997 .. 2^997), on a
+  // shared scale with jitter and on independent scales.
+  const ExactOnlyGuard guard(false);
+  std::mt19937_64 rng(20201021);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> scale(-997, 997);
+  std::uniform_int_distribution<int> jitter(-3, 3);
+  int decided = 0;
+  int in_range = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const int shared = scale(rng);
+    const auto draw = [&] {
+      return std::ldexp(unit(rng), round % 2 == 0 ? shared + jitter(rng) : scale(rng));
+    };
+    const Vec2 d{draw(), draw()};
+    const double r = std::fabs(draw());
+    if (expect_hypot_order(d, r)) ++decided;
+    const double s = d.norm2();
+    if (s >= 0x1p-960 && s <= 0x1p1000 && r * r >= 0x1p-960 && r * r <= 0x1p1000) ++in_range;
+  }
+  // Generic in-range inputs are almost never within 2^-40 of a tie.
+  EXPECT_GE(decided, in_range - in_range / 100);
+  EXPECT_GE(in_range, 5000);
+}
+
+TEST(DistanceFilter, NearTiesMatchHypot) {
+  // |d| = r (1 + k 2^-52) along random directions: inside the margin the
+  // filter must defer, outside it must decide, and never against hypot.
+  const ExactOnlyGuard guard(false);
+  std::mt19937_64 rng(52);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> scale(-470, 490);
+  const long ks[] = {0, 1, 2, 3, 5, 8, 64, 512, 1024, 2048, 4096, 8192, 1L << 16, 1L << 20};
+  for (int round = 0; round < 1500; ++round) {
+    const double r = std::ldexp(0.5 + unit(rng), scale(rng));
+    const Vec2 direction = unit_vector(kTwoPi * unit(rng));
+    for (const long k : ks) {
+      for (const double sign : {1.0, -1.0}) {
+        const double length = r * (1.0 + sign * std::ldexp(static_cast<double>(k), -52));
+        const bool decided = expect_hypot_order(length * direction, r);
+        if (k >= 8192) {
+          EXPECT_TRUE(decided) << "k=" << sign * k << " r=" << r;
+        } else if (k <= 512) {
+          EXPECT_FALSE(decided) << "k=" << sign * k << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceFilter, EdgeInputsMatchHypot) {
+  const ExactOnlyGuard guard(false);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  const std::vector<double> coords = {0.0, -0.0, tiny, -tiny, 0x1p-1030, 0x1p-511, 0x1p-480,
+                                      1e-300, 1.0, 3.0, -4.0, 1e300, 0x1p500, huge, inf, nan};
+  const std::vector<double> radii = {0.0, -0.0, tiny, 0x1p-1030, 0x1p-481, 0x1p-480, 1e-300,
+                                     1.0, 5.0, 1e300, 0x1p500, 0x1p501, huge, inf, nan, -1.0};
+  for (const double x : coords) {
+    for (const double y : coords) {
+      for (const double r : radii) (void)expect_hypot_order(Vec2{x, y}, r);
+    }
+  }
+  // Outside the guarded ranges the filter defers, whatever the order.
+  for (const Vec2 d : {Vec2{}, Vec2{tiny, 0.0}, Vec2{0x1p-481, 0.0}, Vec2{1e300, 0.0},
+                       Vec2{inf, 1.0}, Vec2{nan, 1.0}}) {
+    EXPECT_EQ(compare_distance(d, 1.0), std::partial_ordering::unordered);
+  }
+  for (const double r : {0.0, tiny, 0x1p-481, 0x1p501, inf, nan, -1.0}) {
+    EXPECT_EQ(compare_distance(Vec2{3.0, 4.0}, r), std::partial_ordering::unordered) << r;
+  }
+  // The guards' edges themselves decide: |d|^2 = 2^-960 and 2^1000.
+  EXPECT_EQ(compare_distance(Vec2{0x1p-480, 0.0}, 1.0), std::partial_ordering::less);
+  EXPECT_EQ(compare_distance(Vec2{0x1p500, 0.0}, 1.0), std::partial_ordering::greater);
+  EXPECT_EQ(compare_distance(Vec2{3.0, 4.0}, 0x1p-480), std::partial_ordering::greater);
+  EXPECT_EQ(compare_distance(Vec2{3.0, 4.0}, 0x1p500), std::partial_ordering::less);
+}
+
+TEST(DistanceFilter, ExactOnlyNeverDecides) {
+  const ExactOnlyGuard guard(true);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int round = 0; round < 2000; ++round) {
+    const Vec2 d{8 * unit(rng), 8 * unit(rng)};
+    const double r = 4 * std::fabs(unit(rng));
+    EXPECT_EQ(compare_distance(d, r), std::partial_ordering::unordered);
+    EXPECT_EQ(within_distance(d, r), std::hypot(d.x, d.y) <= r);
   }
 }
 

@@ -1,15 +1,23 @@
 // Tests for the event-driven rendezvous simulator: timing semantics of the
 // agent frames, first-contact detection, freeze-on-sight, huge exact waits,
-// horizon/fuel stops, and the Section 5 distinct-radii model.
+// horizon/fuel stops, the Section 5 distinct-radii model, and the
+// per-thread unit-vector memo of the agent track.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "agents/instance.hpp"
 #include "geom/angle.hpp"
 #include "program/combinators.hpp"
 #include "program/instruction.hpp"
 #include "sim/engine.hpp"
+#include "sim/track.hpp"
 
 namespace aurv::sim {
 namespace {
@@ -290,6 +298,78 @@ TEST(Engine, ConfigValidation) {
   EngineConfig zero_horizon;
   zero_horizon.horizon = Rational(0);
   EXPECT_NO_THROW(Engine(basic_instance(Vec2{5, 0}), zero_horizon));
+}
+
+// ---------------------------------------------------------------------------
+// The unit-vector memo must hand back geom::unit_vector's very bits.
+
+bool same_unit_vector(double heading) {
+  const Vec2 expected = geom::unit_vector(heading);
+  const Vec2 memoized = memoized_unit_vector(heading);
+  return std::bit_cast<std::uint64_t>(memoized.x) == std::bit_cast<std::uint64_t>(expected.x) &&
+         std::bit_cast<std::uint64_t>(memoized.y) == std::bit_cast<std::uint64_t>(expected.y);
+}
+
+TEST(UnitVectorMemo, RandomHeadingsMatchUnitVector) {
+  std::mt19937_64 rng(31337);
+  std::uniform_real_distribution<double> angle(-20.0, 20.0);
+  std::vector<double> headings(4096);
+  for (double& heading : headings) heading = angle(rng);
+  for (int pass = 0; pass < 3; ++pass) {  // cold, then hits and evictions
+    for (const double heading : headings) EXPECT_TRUE(same_unit_vector(heading)) << heading;
+  }
+}
+
+TEST(UnitVectorMemo, SpecialHeadingsMatchUnitVector) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const double heading :
+         {0.0, -0.0, nan, -nan, std::bit_cast<double>(0x7ff8000000000123ull), inf, -inf,
+          std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::max(),
+          -std::numeric_limits<double>::max(), 1e22, 1e300, -1e300, 0x1p1000 + 0x1p948,
+          geom::kPi, geom::kTwoPi, -geom::kPi / 2}) {
+      EXPECT_TRUE(same_unit_vector(heading)) << heading;
+    }
+  }
+}
+
+TEST(UnitVectorMemo, HeadingsSharingASlotAlternate) {
+  const double first = 0.5;
+  const std::size_t slot = detail::unit_vector_memo_slot(std::bit_cast<std::uint64_t>(first));
+  double second = first;
+  do {
+    second = std::nextafter(second, 10.0);
+  } while (detail::unit_vector_memo_slot(std::bit_cast<std::uint64_t>(second)) != slot);
+  ASSERT_NE(geom::unit_vector(first), geom::unit_vector(second));
+  for (int k = 0; k < 100; ++k) {
+    EXPECT_TRUE(same_unit_vector(first));
+    EXPECT_TRUE(same_unit_vector(second));
+  }
+}
+
+TEST(UnitVectorMemo, ThreadsDrawInterleavedHeadings) {
+  // Each thread owns its memo; four threads walk one heading list in
+  // different strides, so every slot is filled and evicted on every thread.
+  std::mt19937_64 rng(2718);
+  std::uniform_real_distribution<double> angle(0.0, geom::kTwoPi);
+  std::vector<double> headings(3000);
+  for (double& heading : headings) heading = angle(rng);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      constexpr std::size_t kStrides[] = {1, 7, 11, 13};  // coprime to 3000: every heading
+      const std::size_t stride = kStrides[t];
+      for (int pass = 0; pass < 4; ++pass) {
+        for (std::size_t k = 0; k < headings.size(); ++k) {
+          if (!same_unit_vector(headings[(k * stride + t) % headings.size()])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 }  // namespace
