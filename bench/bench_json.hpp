@@ -1,16 +1,15 @@
 // Minimal JSON emission for the committed benchmark baseline files.
 //
 // `micro_kernels --json[=path]` writes a flat { benchmark name -> ns/op }
-// object (default path BENCH_micro.json), and `campaign_throughput` does
-// the same into BENCH_campaign.json. The committed BENCH_*.json files at
-// the repo root are the perf trajectory: each optimization PR re-runs the
-// kernels and updates them, so regressions are visible in review as a diff.
+// object (default path BENCH_micro.json). The committed BENCH_micro.json at
+// the repo root is the per-kernel perf trajectory: each optimization PR
+// re-runs the kernels and updates it, so regressions are visible in review
+// as a diff.
 //
 // The JSON-writing half of this header is dependency-free; the
 // JsonCaptureReporter needs google-benchmark, so it is only compiled when
 // the including TU has already pulled in <benchmark/benchmark.h> (as
-// micro_kernels does, under AURV_BENCH). Plain chrono-based benches like
-// campaign_throughput just call write_json and never link the library.
+// micro_kernels does, under AURV_BENCH).
 #pragma once
 
 #include <cstdio>

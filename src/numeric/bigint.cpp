@@ -98,7 +98,7 @@ BigInt BigInt::abs() const {
   return result;
 }
 
-int BigInt::compare_magnitudes(const LimbVec& a, const LimbVec& b) noexcept {
+int BigInt::compare_magnitudes(const Limbs& a, const Limbs& b) noexcept {
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   for (std::size_t i = a.size(); i-- > 0;) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -106,7 +106,7 @@ int BigInt::compare_magnitudes(const LimbVec& a, const LimbVec& b) noexcept {
   return 0;
 }
 
-void BigInt::add_magnitudes(LimbVec& acc, const LimbVec& rhs) {
+void BigInt::add_magnitudes(Limbs& acc, const Limbs& rhs) {
   if (acc.size() < rhs.size()) acc.resize(rhs.size());
   u64 carry = 0;
   for (std::size_t i = 0; i < acc.size(); ++i) {
@@ -119,7 +119,7 @@ void BigInt::add_magnitudes(LimbVec& acc, const LimbVec& rhs) {
   if (carry) acc.push_back(1);
 }
 
-void BigInt::sub_magnitudes(LimbVec& acc, const LimbVec& rhs) {
+void BigInt::sub_magnitudes(Limbs& acc, const Limbs& rhs) {
   u64 borrow = 0;
   for (std::size_t i = 0; i < acc.size(); ++i) {
     const u64 subtrahend = i < rhs.size() ? rhs[i] : 0;
@@ -130,7 +130,7 @@ void BigInt::sub_magnitudes(LimbVec& acc, const LimbVec& rhs) {
   }
 }
 
-void BigInt::rsub_magnitudes(LimbVec& acc, const LimbVec& rhs) {
+void BigInt::rsub_magnitudes(Limbs& acc, const Limbs& rhs) {
   if (acc.size() < rhs.size()) acc.resize(rhs.size());
   u64 borrow = 0;
   for (std::size_t i = 0; i < acc.size(); ++i) {
@@ -149,7 +149,7 @@ void BigInt::trim() noexcept {
 BigInt& BigInt::accumulate(const BigInt& rhs, int rhs_sign) {
   if (rhs_sign == 0) return *this;
   if (sign_ == 0) {
-    limbs_ = rhs.limbs_;  // copy-assign reuses existing capacity
+    limbs_ = rhs.limbs_;
     sign_ = rhs_sign;
     return *this;
   }
@@ -176,56 +176,6 @@ BigInt& BigInt::operator+=(const BigInt& rhs) { return accumulate(rhs, rhs.sign_
 
 BigInt& BigInt::operator-=(const BigInt& rhs) { return accumulate(rhs, -rhs.sign_); }
 
-void BigInt::add_shifted(const BigInt& rhs, u64 shift_bits, int sign_mult) {
-  const int rhs_sign = rhs.sign_ * sign_mult;
-  if (rhs_sign == 0) return;
-  if (shift_bits == 0) {
-    accumulate(rhs, rhs_sign);
-    return;
-  }
-  if (sign_ != 0 && sign_ != rhs_sign) {
-    // Mixed signs need a magnitude comparison against the shifted operand;
-    // materialize it (rare in the dyadic hot path, which adds same-sign
-    // aligned numerators far more often than it cancels them).
-    accumulate(rhs << shift_bits, rhs_sign);
-    return;
-  }
-  const std::size_t limb_shift = shift_bits / 64;
-  const unsigned bit_shift = static_cast<unsigned>(shift_bits % 64);
-  const std::size_t shifted_limbs = rhs.limbs_.size() + limb_shift + (bit_shift != 0 ? 1 : 0);
-  if (limbs_.size() < shifted_limbs) limbs_.resize(shifted_limbs);
-  u64 carry = 0;
-  u64 shift_in = 0;
-  std::size_t pos = limb_shift;
-  for (std::size_t i = 0; i < rhs.limbs_.size() + 1; ++i, ++pos) {
-    const u64 cur = i < rhs.limbs_.size() ? rhs.limbs_[i] : 0;
-    u64 shifted;
-    if (bit_shift == 0) {
-      if (i == rhs.limbs_.size()) break;  // no spill limb without a sub-limb shift
-      shifted = cur;
-    } else {
-      shifted = (cur << bit_shift) | (shift_in >> (64 - bit_shift));
-      shift_in = cur;
-    }
-    const u64 before = limbs_[pos];
-    const u64 sum = before + shifted + carry;
-    carry = (sum < before) || (carry != 0 && sum == before) ? 1 : 0;
-    limbs_[pos] = sum;
-  }
-  while (carry != 0) {
-    if (pos == limbs_.size()) {
-      limbs_.push_back(1);
-      carry = 0;
-    } else {
-      ++limbs_[pos];
-      carry = limbs_[pos] == 0 ? 1 : 0;
-      ++pos;
-    }
-  }
-  sign_ = rhs_sign;  // sign_ was 0 or already equal
-  trim();
-}
-
 BigInt& BigInt::operator*=(const BigInt& rhs) {
   if (sign_ == 0) return *this;
   if (rhs.sign_ == 0) {
@@ -233,21 +183,10 @@ BigInt& BigInt::operator*=(const BigInt& rhs) {
     sign_ = 0;
     return *this;
   }
-  if (limbs_.size() == 1 && rhs.limbs_.size() == 1) {
-    // 64x64 -> 128: the dominant case once Rational's int64 tier has been
-    // exceeded only just. Stays in the inline buffer, no allocation.
-    const u128 product = static_cast<u128>(limbs_[0]) * rhs.limbs_[0];
-    limbs_[0] = static_cast<u64>(product);
-    const u64 high = static_cast<u64>(product >> 64);
-    if (high != 0) limbs_.push_back(high);
-    sign_ *= rhs.sign_;
-    return *this;
-  }
   // Schoolbook multiplication; operand sizes in this library are a handful
   // of limbs (times up to ~2^1000), so asymptotically faster algorithms
   // would be pure overhead.
-  LimbVec result;
-  result.resize(limbs_.size() + rhs.limbs_.size());
+  Limbs result(limbs_.size() + rhs.limbs_.size(), 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
     u64 carry = 0;
     const u128 a = limbs_[i];
@@ -329,7 +268,7 @@ BigInt::DivModResult BigInt::divmod(const BigInt& dividend, const BigInt& diviso
   // Base-2^32 schoolbook long division (Knuth D without the fine tuning;
   // operand sizes here are tiny). Work on 32-bit digits to keep the
   // quotient-digit estimation in 64-bit arithmetic.
-  auto to_digits32 = [](const LimbVec& limbs) {
+  auto to_digits32 = [](const Limbs& limbs) {
     std::vector<std::uint32_t> d;
     d.reserve(limbs.size() * 2);
     for (const u64 limb : limbs) {

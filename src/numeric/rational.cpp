@@ -44,11 +44,6 @@ BigInt bigint_from_i128(i128 value) {
 /// means |v| < 2^62).
 bool fits_inline(const BigInt& value) { return value.bit_length() <= 62; }
 
-/// The dyadic tag for a canonical (positive) denominator.
-std::int64_t exponent_of(const BigInt& den) {
-  return den.is_pow2() ? static_cast<std::int64_t>(den.trailing_zero_bits()) : -1;
-}
-
 }  // namespace
 
 Rational::Rational(long long value) {
@@ -56,7 +51,7 @@ Rational::Rational(long long value) {
     num_ = value;
     den_ = 1;
   } else {
-    big_ = std::make_unique<Big>(Big{BigInt(value), BigInt(1), 0});
+    big_ = std::make_unique<Big>(Big{BigInt(value), BigInt(1)});
   }
 }
 
@@ -67,7 +62,7 @@ Rational::Rational(BigInt numerator, BigInt denominator)
 
 void Rational::assign_big(const Big& big) {
   if (big_) {
-    *big_ = big;  // LimbVec copy-assignment keeps the existing buffers
+    *big_ = big;  // copy-assignment keeps the existing limb buffers
   } else {
     big_ = std::make_unique<Big>(big);
   }
@@ -103,11 +98,8 @@ Rational Rational::from_i128(i128 numerator, i128 denominator) {
     result.den_ = static_cast<std::int64_t>(denominator);
     return result;
   }
-  const auto d = static_cast<u128>(denominator);
-  const std::int64_t den_exp =
-      (d & (d - 1)) == 0 ? static_cast<std::int64_t>(tz_u128(d)) : std::int64_t{-1};
-  return Rational(std::make_unique<Big>(
-      Big{bigint_from_i128(numerator), bigint_from_i128(denominator), den_exp}));
+  return Rational(
+      std::make_unique<Big>(Big{bigint_from_i128(numerator), bigint_from_i128(denominator)}));
 }
 
 Rational Rational::from_bigints(BigInt numerator, BigInt denominator) {
@@ -118,13 +110,13 @@ Rational Rational::from_bigints(BigInt numerator, BigInt denominator) {
   }
   if (numerator.is_zero()) return Rational();
   if (denominator.is_pow2()) {
-    // Dyadic: normalize by trailing zeros, skipping BigInt::gcd entirely.
-    Rational result;
-    result.assign_dyadic(std::move(numerator), denominator.trailing_zero_bits());
-    return result;
-  }
-  const BigInt g = BigInt::gcd(numerator, denominator);
-  if (g != BigInt(1)) {
+    // Dyadic (integers included): normalize by trailing zeros. Stein's gcd
+    // against a denominator of 1 would step one bit at a time.
+    const std::uint64_t t =
+        std::min(numerator.trailing_zero_bits(), denominator.trailing_zero_bits());
+    numerator >>= t;
+    denominator >>= t;
+  } else if (const BigInt g = BigInt::gcd(numerator, denominator); g != BigInt(1)) {
     numerator = numerator / g;
     denominator = denominator / g;
   }
@@ -134,44 +126,7 @@ Rational Rational::from_bigints(BigInt numerator, BigInt denominator) {
     result.den_ = denominator.to_int64();
     return result;
   }
-  const std::int64_t den_exp = exponent_of(denominator);
-  return Rational(
-      std::make_unique<Big>(Big{std::move(numerator), std::move(denominator), den_exp}));
-}
-
-void Rational::assign_dyadic(BigInt numerator, std::uint64_t den_exp) {
-  if (numerator.is_zero()) {
-    num_ = 0;
-    den_ = 1;
-    big_.reset();
-    return;
-  }
-  if (den_exp > 0) {
-    const std::uint64_t t = std::min(numerator.trailing_zero_bits(), den_exp);
-    if (t > 0) {
-      numerator >>= t;
-      den_exp -= t;
-    }
-  }
-  if (numerator.bit_length() <= 62 && den_exp <= 61) {
-    num_ = numerator.to_int64();
-    den_ = std::int64_t{1} << den_exp;
-    big_.reset();
-    return;
-  }
-  const auto exponent = static_cast<std::int64_t>(den_exp);
-  if (big_) {
-    // Reuse the allocation; the denominator too when the exponent is
-    // unchanged (the common case for event-time accumulation).
-    big_->num = std::move(numerator);
-    if (big_->den_exp != exponent) {
-      big_->den = BigInt::pow2(den_exp);
-      big_->den_exp = exponent;
-    }
-  } else {
-    big_ = std::make_unique<Big>(
-        Big{std::move(numerator), BigInt::pow2(den_exp), exponent});
-  }
+  return Rational(std::make_unique<Big>(Big{std::move(numerator), std::move(denominator)}));
 }
 
 void Rational::try_demote() {
@@ -195,19 +150,11 @@ const BigInt& Rational::den_ref(BigInt& store) const {
   return store;
 }
 
-std::int64_t Rational::dyadic_exponent() const noexcept {
-  if (big_) return big_->den_exp;
-  const auto den = static_cast<std::uint64_t>(den_);
-  return (den & (den - 1)) == 0 ? std::countr_zero(den) : -1;
-}
-
 Rational Rational::dyadic(long long numerator, std::uint64_t pow2_exponent) {
   if (pow2_exponent < 62) {
     return from_i128(numerator, i128{1} << pow2_exponent);
   }
-  Rational result;
-  result.assign_dyadic(BigInt(numerator), pow2_exponent);
-  return result;
+  return from_bigints(BigInt(numerator), BigInt::pow2(pow2_exponent));
 }
 
 Rational Rational::pow2(std::uint64_t exponent) {
@@ -216,7 +163,7 @@ Rational Rational::pow2(std::uint64_t exponent) {
     result.num_ = std::int64_t{1} << exponent;
     return result;
   }
-  return Rational(std::make_unique<Big>(Big{BigInt::pow2(exponent), BigInt(1), 0}));
+  return Rational(std::make_unique<Big>(Big{BigInt::pow2(exponent), BigInt(1)}));
 }
 
 Rational Rational::from_string(std::string_view text) {
@@ -251,7 +198,7 @@ Rational Rational::operator-() const {
     result.den_ = den_;
     return result;
   }
-  return Rational(std::make_unique<Big>(Big{-big_->num, big_->den, big_->den_exp}));
+  return Rational(std::make_unique<Big>(Big{-big_->num, big_->den}));
 }
 
 Rational Rational::abs() const { return is_negative() ? -*this : *this; }
@@ -269,12 +216,11 @@ Rational Rational::reciprocal() const {
     }
     return result;
   }
-  Big flipped{big_->den, big_->num, -1};
+  Big flipped{big_->den, big_->num};
   if (flipped.den.is_negative()) {
     flipped.num.negate();
     flipped.den.negate();
   }
-  flipped.den_exp = exponent_of(flipped.den);
   Rational result(std::make_unique<Big>(std::move(flipped)));
   result.try_demote();  // e.g. reciprocal of 1/2^100 is an integer tier... still big; harmless
   return result;
@@ -318,27 +264,7 @@ void Rational::add_impl(const Rational& rhs, int sign_mult) {
     *this = from_i128(numerator, denominator);
     return;
   }
-  if (&rhs == this) {
-    // Self-aliasing would read a moved-from numerator below.
-    const Rational copy(rhs);
-    add_impl(copy, sign_mult);
-    return;
-  }
-  const std::int64_t ea = dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
-  BigInt rhs_store;
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path: shift-align the numerators and integer-add; the
-    // result denominator is 2^max(ea, eb) before trailing-zero reduction.
-    // No gcd, no cross multiplication.
-    const BigInt& rhs_num = rhs.num_ref(rhs_store);
-    BigInt num = big_ ? std::move(big_->num) : BigInt(num_);
-    if (eb > ea) num <<= static_cast<std::uint64_t>(eb - ea);
-    num.add_shifted(rhs_num, static_cast<std::uint64_t>(ea > eb ? ea - eb : 0), sign_mult);
-    assign_dyadic(std::move(num), static_cast<std::uint64_t>(std::max(ea, eb)));
-    return;
-  }
-  BigInt num_store, den_store, rhs_den_store;
+  BigInt num_store, den_store, rhs_store, rhs_den_store;
   const BigInt& a_num = num_ref(num_store);
   const BigInt& a_den = den_ref(den_store);
   const BigInt& b_num = rhs.num_ref(rhs_store);
@@ -365,16 +291,7 @@ Rational& Rational::operator*=(const Rational& rhs) {
     return *this = from_i128(static_cast<i128>(num_) * rhs.num_,
                              static_cast<i128>(den_) * rhs.den_);
   }
-  const std::int64_t ea = dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
-  BigInt a_store, b_store;
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path: one integer multiply, trailing-zero normalize.
-    BigInt num = num_ref(a_store) * rhs.num_ref(b_store);
-    assign_dyadic(std::move(num), static_cast<std::uint64_t>(ea + eb));
-    return *this;
-  }
-  BigInt a_den_store, b_den_store;
+  BigInt a_store, b_store, a_den_store, b_den_store;
   const BigInt& a_num = num_ref(a_store);
   const BigInt& a_den = den_ref(a_den_store);
   const BigInt& b_num = rhs.num_ref(b_store);
@@ -393,8 +310,6 @@ Rational& Rational::operator/=(const Rational& rhs) {
   const BigInt& a_den = den_ref(a_den_store);
   const BigInt& b_num = rhs.num_ref(b_num_store);
   const BigInt& b_den = rhs.den_ref(b_den_store);
-  // from_bigints re-detects a dyadic denominator (e.g. dividing by an
-  // integer power of two), so the gcd skip still applies when possible.
   return *this = from_bigints(a_num * b_den, a_den * b_num);
 }
 
@@ -407,27 +322,9 @@ std::strong_ordering Rational::big_compare(const Rational& lhs, const Rational& 
   const int sign_b = rhs.sign();
   if (sign_a != sign_b) return sign_a <=> sign_b;
   // sign_a == sign_b != 0: a big-tier value is never zero.
-  const std::int64_t ea = lhs.dyadic_exponent();
-  const std::int64_t eb = rhs.dyadic_exponent();
-  BigInt a_store, b_store;
+  BigInt a_store, b_store, a_den_store, b_den_store;
   const BigInt& a_num = lhs.num_ref(a_store);
   const BigInt& b_num = rhs.num_ref(b_store);
-  if (ea >= 0 && eb >= 0) {
-    // Dyadic fast path. First compare the positions of the leading bits
-    // (floor(log2 |v|) = bit_length(num) - 1 - e): distinct positions
-    // decide the order without touching the limbs.
-    const std::int64_t adj_a = static_cast<std::int64_t>(a_num.bit_length()) - ea;
-    const std::int64_t adj_b = static_cast<std::int64_t>(b_num.bit_length()) - eb;
-    if (adj_a != adj_b) {
-      const bool magnitude_less = adj_a < adj_b;
-      const bool value_less = sign_a > 0 ? magnitude_less : !magnitude_less;
-      return value_less ? std::strong_ordering::less : std::strong_ordering::greater;
-    }
-    // Leading bits tie: align the numerators with one shift and compare.
-    if (ea >= eb) return a_num <=> (b_num << static_cast<std::uint64_t>(ea - eb));
-    return (a_num << static_cast<std::uint64_t>(eb - ea)) <=> b_num;
-  }
-  BigInt a_den_store, b_den_store;
   const BigInt& a_den = lhs.den_ref(a_den_store);
   const BigInt& b_den = rhs.den_ref(b_den_store);
   return a_num * b_den <=> b_num * a_den;
@@ -439,14 +336,6 @@ BigInt Rational::floor() const {
     if (num_ % den_ != 0 && num_ < 0) --quotient;
     return BigInt(quotient);
   }
-  if (big_->den_exp == 0) return big_->num;  // integer stored big
-  if (big_->den_exp > 0) {
-    // Canonical dyadic with e > 0 has an odd numerator, so the value is
-    // never integral: shift truncates toward zero, adjust negatives.
-    BigInt quotient = big_->num >> static_cast<std::uint64_t>(big_->den_exp);
-    if (big_->num.is_negative()) quotient -= BigInt(1);
-    return quotient;
-  }
   const BigInt::DivModResult dm = BigInt::divmod(big_->num, big_->den);
   if (big_->num.is_negative() && !dm.remainder.is_zero()) return dm.quotient - BigInt(1);
   return dm.quotient;
@@ -457,12 +346,6 @@ BigInt Rational::ceil() const {
     std::int64_t quotient = num_ / den_;
     if (num_ % den_ != 0 && num_ > 0) ++quotient;
     return BigInt(quotient);
-  }
-  if (big_->den_exp == 0) return big_->num;  // integer stored big
-  if (big_->den_exp > 0) {
-    BigInt quotient = big_->num >> static_cast<std::uint64_t>(big_->den_exp);
-    if (!big_->num.is_negative()) quotient += BigInt(1);
-    return quotient;
   }
   const BigInt::DivModResult dm = BigInt::divmod(big_->num, big_->den);
   if (!big_->num.is_negative() && !dm.remainder.is_zero()) return dm.quotient + BigInt(1);
@@ -500,7 +383,7 @@ std::string Rational::to_string() const {
     if (den_ == 1) return std::to_string(num_);
     return std::to_string(num_) + "/" + std::to_string(den_);
   }
-  if (big_->den_exp == 0) return big_->num.to_string();
+  if (is_integer()) return big_->num.to_string();
   return big_->num.to_string() + "/" + big_->den.to_string();
 }
 

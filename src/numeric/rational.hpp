@@ -9,21 +9,14 @@
 //
 // Representation: a two-tier value. Values whose numerator and denominator
 // fit comfortably in int64 (the overwhelming majority of simulation event
-// arithmetic) are stored inline and combined with __int128 intermediates
-// (two inline dyadics add by shift-align, without products);
-// anything larger promotes transparently to heap-allocated BigInt. The big
-// tier additionally carries a *dyadic tag*: when the denominator is a power
-// of two (virtually always in simulator arithmetic — the paper's quantities
-// are k/2^i) its exponent is cached, and +=, -=, *, <=> reduce to
-// shift-align + integer add/compare, skipping BigInt::gcd and the cross
-// multiplications entirely. The general-rational path remains as fallback
-// with bit-exact identical results. The fast path matters: the simulator
-// performs a handful of rational ops per event and is rational-arithmetic
-// bound (see bench/micro_kernels).
+// arithmetic: sim::Engine keeps its clock run-relative, see
+// docs/NUMERICS.md) are stored inline and combined with __int128
+// intermediates (two inline dyadics add by shift-align, without products);
+// anything larger promotes transparently to heap-allocated BigInt and takes
+// the general cross-multiply path.
 //
 // Invariants: denominator > 0, gcd(|num|, den) == 1, zero is 0/1; the
-// inline tier is used whenever |num| and den < 2^62; in the big tier,
-// den_exp == e iff den == 2^e, else -1.
+// inline tier is used whenever |num| and den < 2^62.
 #pragma once
 
 #include <compare>
@@ -90,22 +83,21 @@ class Rational {
     return big_ ? big_->num.is_negative() : num_ < 0;
   }
   [[nodiscard]] bool is_integer() const noexcept {
-    return big_ ? big_->den_exp == 0 : den_ == 1;
+    return big_ ? big_->den.bit_length() == 1 : den_ == 1;
   }
   [[nodiscard]] int sign() const noexcept {
     if (big_) return big_->num.sign();
     return num_ == 0 ? 0 : (num_ < 0 ? -1 : 1);
   }
 
-  /// True when stored in the inline int64 tier (observability for tests
-  /// and benchmarks; semantics never depend on the tier).
+  /// True when stored in the inline int64 tier. Values never depend on the
+  /// tier; sim::Engine reads it to decide when to rebase its clock.
   [[nodiscard]] bool is_inline() const noexcept { return big_ == nullptr; }
 
-  /// True when the denominator is a power of two (k / 2^e), i.e. the value
-  /// is eligible for the shift-align fast paths. Observability, like
-  /// is_inline(): semantics never depend on it.
+  /// True when the denominator is a power of two (k / 2^e). Observability,
+  /// like is_inline(): semantics never depend on it.
   [[nodiscard]] bool is_dyadic() const noexcept {
-    return big_ ? big_->den_exp >= 0 : (den_ & (den_ - 1)) == 0;
+    return big_ ? big_->den.is_pow2() : (den_ & (den_ - 1)) == 0;
   }
 
   [[nodiscard]] Rational operator-() const;
@@ -156,8 +148,7 @@ class Rational {
  private:
   struct Big {
     BigInt num;
-    BigInt den;            // > 0, coprime with num
-    std::int64_t den_exp;  // e iff den == 2^e (the dyadic tag), else -1
+    BigInt den;  // > 0, coprime with num
   };
 
   /// Fast-path eligibility bound: products of two such values fit in
@@ -175,16 +166,10 @@ class Rational {
   [[nodiscard]] double big_to_double() const noexcept;
   /// Shared core of += / -=: *this += sign_mult * rhs.
   void add_impl(const Rational& rhs, int sign_mult);
-  /// *this = numerator / 2^den_exp, normalized; reuses the existing Big
-  /// allocation (including the denominator when the exponent is unchanged).
-  void assign_dyadic(BigInt numerator, std::uint64_t den_exp);
   /// Big-tier operand access without materializing copies: returns a
-  /// reference to the stored BigInt, or fills `store` for inline values
-  /// (cheap: the SBO keeps one-limb BigInts off the heap).
+  /// reference to the stored BigInt, or fills `store` for inline values.
   [[nodiscard]] const BigInt& num_ref(BigInt& store) const;
   [[nodiscard]] const BigInt& den_ref(BigInt& store) const;
-  /// den_exp of either tier: e iff den == 2^e, else -1.
-  [[nodiscard]] std::int64_t dyadic_exponent() const noexcept;
   /// Demote a big value back to the inline tier when it fits.
   void try_demote();
 

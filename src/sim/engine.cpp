@@ -68,7 +68,15 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   result.min_distance_seen = std::numeric_limits<double>::infinity();
   result.trace = Trace(config_.trace_capacity);
 
-  const std::optional<Rational>& horizon = config_.horizon;
+  // Run-relative clock: every stored time (`now`, the tracks' segment
+  // bounds, the horizon) is an offset from `base`. Once `now` leaves the
+  // inline tier, the loop folds it into `base`, so event arithmetic after a
+  // huge wait stays on small values. Differences of two times are the same
+  // exact rationals as on an absolute clock; the three absolute outputs
+  // (meet_window_start, meet_time and trace times) add `base` back before
+  // converting, so every reported double is unchanged.
+  Rational base;
+  std::optional<Rational> horizon = config_.horizon;
 
   Rational now;
 
@@ -76,7 +84,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     if (!result.trace.enabled()) return;
     const geom::Vec2 pa = a.position_at(time);
     const geom::Vec2 pb = b.position_at(time);
-    result.trace.record({time.to_double(), pa, pb, geom::dist(pa, pb)});
+    result.trace.record({(base + time).to_double(), pa, pb, geom::dist(pa, pb)});
   };
   const auto finish = [&](StopReason reason, const Rational& time) {
     result.reason = reason;
@@ -106,6 +114,13 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   record(now);
   while (true) {
     if (result.events >= config_.max_events) return finish(StopReason::FuelExhausted, now);
+    if (!now.is_inline()) {
+      a.rebase(now);
+      b.rebase(now);
+      if (horizon) *horizon -= now;
+      base += now;
+      now = 0;
+    }
 
     // Window end: earliest segment boundary, possibly clipped by the
     // horizon. Tracked by pointer: event times can hold multi-limb
@@ -163,9 +178,9 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
       Rational meet_time = now;
       meet_time += Rational::from_double(*hit);
       if (meet_time > *window_end) meet_time = *window_end;  // round-off guard
-      result.meet_window_start = now;
+      result.meet_window_start = base + now;
       result.meet_window_offset = *hit;
-      result.meet_time = meet_time.to_double();
+      result.meet_time = (base + meet_time).to_double();
       a.freeze_at(meet_time);
       b.freeze_at(meet_time);
       return finish(StopReason::Rendezvous, meet_time);

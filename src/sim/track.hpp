@@ -89,6 +89,13 @@ class Track {
     next_instruction();
   }
 
+  /// Moves the time origin to `origin`: the segment bounds become offsets
+  /// from it (sim::Engine's run-relative clock).
+  void rebase(const numeric::Rational& origin) {
+    seg_start_ -= origin;
+    if (seg_end_) *seg_end_ -= origin;
+  }
+
   /// The agent saw another one: it stops forever at `time`.
   void freeze_at(const numeric::Rational& time) {
     seg_start_pos_ = position_at(time);
@@ -99,7 +106,7 @@ class Track {
     frozen_ = true;
   }
 
-  /// Absolute time the current segment ends; empty = idle forever.
+  /// Time the current segment ends; empty = idle forever.
   [[nodiscard]] const std::optional<numeric::Rational>& segment_end() const noexcept {
     return seg_end_;
   }
@@ -157,7 +164,7 @@ class Track {
   program::Program stream_;
   bool rotated_;
   bool unit_clock_ = frame_.time_unit() == 1;  // every synchronous and every gather agent
-  numeric::Rational seg_start_;               // absolute time of the segment anchor
+  numeric::Rational seg_start_;               // time of the segment anchor
   std::optional<numeric::Rational> seg_end_;  // empty = idle forever
   geom::Vec2 seg_start_pos_;
   geom::Vec2 seg_end_pos_;

@@ -1,7 +1,7 @@
 // Tests for the event-driven rendezvous simulator: timing semantics of the
 // agent frames, first-contact detection, freeze-on-sight, huge exact waits,
-// horizon/fuel stops, the Section 5 distinct-radii model, and the
-// per-thread unit-vector memo of the agent track.
+// horizon/fuel stops, the Section 5 distinct-radii model, the run-relative
+// clock past 2^62, and the per-thread unit-vector memo of the agent track.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "agents/instance.hpp"
+#include "core/almost_universal.hpp"
 #include "geom/angle.hpp"
 #include "program/combinators.hpp"
 #include "program/instruction.hpp"
@@ -298,6 +299,130 @@ TEST(Engine, ConfigValidation) {
   EngineConfig zero_horizon;
   zero_horizon.horizon = Rational(0);
   EXPECT_NO_THROW(Engine(basic_instance(Vec2{5, 0}), zero_horizon));
+}
+
+// ---------------------------------------------------------------------------
+// Runs that cross 2^62 run on the engine's rebased (run-relative) clock. The
+// pinned values were recorded on the absolute clock the engine had before
+// it rebased: every double must keep its bits.
+
+/// FNV-1a over the bit patterns of a run's reported doubles and counts.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int k = 0; k < 8; ++k) {
+      hash_ ^= (word >> (8 * k)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(Vec2 point) {
+    add(point.x);
+    add(point.y);
+  }
+  void add(const SimResult& result) {
+    add(static_cast<std::uint64_t>(result.reason));
+    add(result.meet_time);
+    add(result.meet_window_offset);
+    add(result.a_position);
+    add(result.b_position);
+    add(result.final_distance);
+    add(result.min_distance_seen);
+    add(result.events);
+    add(result.instructions_a);
+    add(result.instructions_b);
+    for (const TracePoint& point : result.trace.points()) {
+      add(point.time);
+      add(point.a);
+      add(point.b);
+      add(point.distance);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest_of(const SimResult& result) {
+  Digest digest;
+  digest.add(result);
+  return digest.value();
+}
+
+TEST(RebasedClock, TracedPhaseFourMeetKeepsEveryTimeAndPosition) {
+  // Golden.HardType4MeetsAfterHugeWait with a trace of every event: the
+  // meet follows the phase-3 block-3 wait of 2^135 local units.
+  const Instance inst(1.0, Vec2{5.0, 0.0}, 0.0, 1, Rational::from_string("5/4"), 0, 1);
+  EngineConfig config;
+  config.max_events = 120'000'000;
+  config.trace_capacity = std::size_t{1} << 17;
+  const SimResult result = Engine(inst, config).run([] { return core::almost_universal_rv(); });
+  ASSERT_TRUE(result.met);
+  EXPECT_EQ(result.events, 49940u);
+  EXPECT_EQ(result.trace.dropped(), 0u);
+  EXPECT_EQ(result.trace.points().size(), 24972u);
+  EXPECT_EQ(result.meet_window_start,
+            Rational::from_string("174224571863520493293252410691083752328737/4"));
+  EXPECT_GE(result.trace.points().back().time, 0x1p135);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.meet_time), 0x4860000000000000ull);
+  EXPECT_EQ(digest_of(result), 0xc717b9faf04033baull);
+}
+
+program::Program shuttle_after_huge_wait() {
+  const program::Instruction first = wait(Rational::pow2(63));
+  const program::Instruction east = go_east(Rational(numeric::BigInt(1), numeric::BigInt(3)));
+  const program::Instruction north = go_north(Rational(numeric::BigInt(2), numeric::BigInt(7)));
+  const program::Instruction last = wait(Rational::pow2(70));
+  co_yield first;
+  for (int k = 0; k < 20; ++k) {
+    co_yield east;
+    co_yield north;
+  }
+  co_yield last;
+}
+
+TEST(RebasedClock, HorizonAboveTwoToTheSixtyTwoStopsExactly) {
+  // A non-dyadic horizon, 2^70 + 1/3, lands mid-move after the clock has
+  // been rebased several times.
+  const Instance inst = basic_instance(Vec2{40.0, 0.0});
+  EngineConfig config;
+  config.horizon = Rational::pow2(70) + Rational(numeric::BigInt(1), numeric::BigInt(3));
+  config.trace_capacity = 64;
+  const SimResult result = Engine(inst, config).run(
+      shuttle_after_huge_wait(),
+      replay({wait(Rational::pow2(69) + Rational(numeric::BigInt(1), numeric::BigInt(7))),
+              go_west(Rational::pow2(71))}));
+  EXPECT_FALSE(result.met);
+  EXPECT_EQ(result.reason, StopReason::HorizonReached);
+  EXPECT_EQ(result.events, 42u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.a_position.x), 0x401aaaaaaaaaaaa8ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.a_position.y), 0x4016db6db6db6db5ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.b_position.x), 0xc440000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.min_distance_seen), 0x4016db6db6db6db0ull);
+  EXPECT_EQ(digest_of(result), 0xefd15733a748e8d9ull);
+}
+
+TEST(RebasedClock, DistinctRadiiFreezeAfterHugeWait) {
+  // Section 5 radii: A (radius 5) wakes from a wait of 2^100 + 1/3, walks
+  // in and freezes at distance 5; B (radius 1) wakes 2^40 units later and
+  // closes to distance 1.
+  const Instance inst = basic_instance(Vec2{10.0, 0.0});
+  EngineConfig config;
+  config.r_a = 5.0;
+  config.r_b = 1.0;
+  config.trace_capacity = 64;
+  const Rational wake = Rational::pow2(100) + Rational(numeric::BigInt(1), numeric::BigInt(3));
+  const SimResult result = Engine(inst, config).run(
+      replay({wait(wake), go_east(20), wait(100)}),
+      replay({wait(wake + Rational::pow2(40)), go_west(20)}));
+  ASSERT_TRUE(result.met);
+  EXPECT_EQ(result.events, 3u);
+  EXPECT_EQ(result.meet_window_start.to_string(), "3802951800684688207788644499457/3");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.meet_time), 0x4630000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.a_position.x), 0x4013ffffffeed1f3ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.b_position.x), 0x4017ffffffffffffull);
+  EXPECT_EQ(digest_of(result), 0x86778921c8ce1765ull);
 }
 
 // ---------------------------------------------------------------------------
