@@ -1,24 +1,25 @@
 // Minimal JSON emission for the committed benchmark baseline files.
 //
-// `micro_kernels --json[=path]` writes a flat { benchmark name -> ns/op }
-// object (default path BENCH_micro.json). The committed BENCH_micro.json at
-// the repo root is the per-kernel perf trajectory: each optimization PR
-// re-runs the kernels and updates it, so regressions are visible in review
-// as a diff.
+// `micro_kernels --json[=path]` writes its { benchmark name -> ns/op } rows
+// into the `benchmarks` object of a baseline file (default path
+// BENCH_micro.json). The committed BENCH_micro.json at the repo root is the
+// per-kernel perf trajectory: each optimization PR re-runs the kernels and
+// updates it, so regressions are visible in review as a diff.
 //
-// The JSON-writing half of this header is dependency-free; the
+// The JSON-writing half of this header needs only support::Json; the
 // JsonCaptureReporter needs google-benchmark, so it is only compiled when
 // the including TU has already pulled in <benchmark/benchmark.h> (as
 // micro_kernels does, under AURV_BENCH).
 #pragma once
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
 #include <map>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "support/json.hpp"
 
 namespace aurv::bench {
 
@@ -67,59 +68,37 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 #endif  // BENCHMARK_BENCHMARK_H_
 
-/// Escapes the handful of characters benchmark names can contain that JSON
-/// strings cannot hold verbatim.
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Extracts the raw `"pre_change_baseline": { ... }` block from an existing
-/// baseline file, so refreshing the benchmarks section never discards the
-/// historical record (the whole point of committing it). Returns "" when
-/// the file or section does not exist.
-inline std::string read_preserved_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::size_t key = text.find("\"pre_change_baseline\"");
-  if (key == std::string::npos) return "";
-  const std::size_t open = text.find('{', key);
-  if (open == std::string::npos) return "";
-  int depth = 0;
-  for (std::size_t pos = open; pos < text.size(); ++pos) {
-    if (text[pos] == '{') ++depth;
-    if (text[pos] == '}' && --depth == 0)
-      return text.substr(key, pos + 1 - key);
-  }
-  return "";
-}
-
-/// Writes { "schema": 1, "unit": "ns/op", "benchmarks": { name: ns, ... } },
-/// carrying over an existing pre_change_baseline section verbatim.
+/// Writes the re-measured `results` (ns/op, rounded to 2 decimals) into
+/// the `benchmarks` object of `path`. An existing file keeps every other
+/// row and every other top-level section (the `pre_*_baseline` ledger) as
+/// it was, in order; a new row goes in name order. A missing file starts
+/// as { "schema": 1, "unit": "ns/op", "benchmarks": {} }.
 inline void write_json(const std::string& path, const std::map<std::string, double>& results) {
-  const std::string preserved = read_preserved_baseline(path);
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) throw std::runtime_error("bench_json: cannot open " + path);
-  std::fprintf(file, "{\n  \"schema\": 1,\n  \"unit\": \"ns/op\",\n  \"benchmarks\": {\n");
-  std::size_t index = 0;
-  for (const auto& [name, ns] : results) {
-    std::fprintf(file, "    \"%s\": %.2f%s\n", json_escape(name).c_str(), ns,
-                 ++index < results.size() ? "," : "");
-  }
-  if (preserved.empty()) {
-    std::fprintf(file, "  }\n}\n");
+  using support::Json;
+  Json document = Json::object();
+  if (std::filesystem::exists(path)) {
+    document = Json::load_file(path);
   } else {
-    std::fprintf(file, "  },\n  %s\n}\n", preserved.c_str());
+    document.set("schema", Json(1));
+    document.set("unit", Json("ns/op"));
   }
-  std::fclose(file);
+  if (document.find("benchmarks") == nullptr) document.set("benchmarks", Json::object());
+  Json::Object& top = document.as_object();
+  Json::Object& rows =
+      std::find_if(top.begin(), top.end(), [](const auto& entry) {
+        return entry.first == "benchmarks";
+      })->second.as_object();
+  for (const auto& [name, ns] : results) {
+    const Json value(std::round(ns * 100) / 100);
+    const auto row_named = [&name](const auto& row) { return row.first == name; };
+    const auto row_after = [&name](const auto& row) { return row.first > name; };
+    if (const auto same = std::find_if(rows.begin(), rows.end(), row_named); same != rows.end()) {
+      same->second = value;
+    } else {
+      rows.emplace(std::find_if(rows.begin(), rows.end(), row_after), name, value);
+    }
+  }
+  document.save_file(path);
 }
 
 }  // namespace aurv::bench

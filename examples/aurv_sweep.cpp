@@ -16,8 +16,8 @@
 //       --max-shards K       stop after K shards (incremental execution)
 //       --quiet              no progress on stderr
 //       --progress [SECS]    heartbeat: one JSON line on stderr every SECS
-//                            seconds (bare flag = 10; 0 = off); each line
-//                            names the active phase/span
+//                            seconds, 0.001 to 1e6 (bare flag = 10; 0 =
+//                            off); each line names the active phase/span
 //       --metrics-out PATH   end-of-run metrics snapshot (counters, timers,
 //                            run manifest) as JSON
 //       --trace-out PATH     structured span trace in Chrome Trace Event
@@ -61,8 +61,8 @@
 //                            with a structured error
 //       --quiet              no progress on stderr
 //       --progress [SECS]    heartbeat: one JSON line on stderr every SECS
-//                            seconds (bare flag = 10; 0 = off); each line
-//                            names the active phase/span
+//                            seconds, 0.001 to 1e6 (bare flag = 10; 0 =
+//                            off); each line names the active phase/span
 //       --metrics-out PATH   end-of-run metrics snapshot (counters, timers,
 //                            run manifest) as JSON
 //       --trace-out PATH     structured span trace in Chrome Trace Event

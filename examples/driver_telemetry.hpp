@@ -35,10 +35,10 @@ namespace telemetry = support::telemetry;
 
 /// The telemetry flags shared by `run`, `search` and `aurv_cli sweep`:
 /// `--progress[=secs]` turns on the heartbeat (one JSON line on stderr
-/// every N seconds; bare flag = 10 s, 0 = off; each line carries the
-/// active phase/span name), `--metrics-out PATH` writes the end-of-run
-/// metrics snapshot, `--trace-out PATH` streams structured spans as a
-/// Chrome Trace Event Format file (load it in Perfetto or
+/// every N seconds, 0.001 to 1e6; bare flag = 10 s, 0 = off; each line
+/// carries the active phase/span name), `--metrics-out PATH` writes the
+/// end-of-run metrics snapshot, `--trace-out PATH` streams structured
+/// spans as a Chrome Trace Event Format file (load it in Perfetto or
 /// chrome://tracing).
 struct TelemetryCli {
   double heartbeat_s = 0.0;
@@ -64,6 +64,10 @@ struct TelemetryCli {
       heartbeat_s = 10.0;
       if (k + 1 < argc && argv[k + 1][0] != '-')
         heartbeat_s = support::parse_double(argv[++k], "--progress");
+      // Below a millisecond the heartbeat would flood stderr; past 1e6 s
+      // the interval overflows the steady clock.
+      if (heartbeat_s > 0 && (heartbeat_s < 1e-3 || heartbeat_s > 1e6))
+        throw std::invalid_argument("--progress: interval out of range (0.001 to 1e6 s; 0 = off)");
       return true;
     }
     if (flag == "--status-port") {
@@ -105,7 +109,7 @@ struct TelemetryCli {
 
   void write_metrics(const telemetry::RunInfo& run, double wall_ms, bool quiet) const {
     if (metrics_out.empty()) return;
-    telemetry::write_metrics(metrics_out, run, wall_ms);
+    telemetry::metrics_snapshot(run, wall_ms).save_file(metrics_out);
     if (!quiet) std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
   }
 

@@ -133,13 +133,13 @@ template <typename Aggregate, typename RunJob>
   result.jobs = total_jobs;
   result.resumed_shards = state.completed_shards;
 
-  // Telemetry: jobs are tallied into a shard-local accumulator in `body`
-  // and folded into the registry by `complete`, which run_sharded calls
-  // strictly in shard order — so even the intermediate counter sequence
-  // is thread-count-invariant. The jobs gauges are the run's live
-  // progress (heartbeat and /status).
+  // Telemetry: `complete`, which run_sharded calls strictly in shard
+  // order, adds each shard's jobs to `runner.jobs` — so even the
+  // intermediate counter sequence is thread-count-invariant. The jobs
+  // gauges are the run's live progress (heartbeat and /status).
   namespace telemetry = support::telemetry;
   using support::trace::Span;
+  telemetry::Counter& jobs_counter = telemetry::registry().counter("runner.jobs");
   telemetry::Counter& shards_counter = telemetry::registry().counter("runner.shards");
   telemetry::Counter& checkpoints_counter = telemetry::registry().counter("runner.checkpoints");
   telemetry::Gauge& jobs_done_gauge = telemetry::registry().gauge("runner.jobs_done");
@@ -160,7 +160,6 @@ template <typename Aggregate, typename RunJob>
   struct ShardOutput {
     Aggregate aggregate;
     std::string jsonl;
-    telemetry::ShardAccumulator metrics;
     support::trace::TraceBuffer trace;  ///< shard-local spans, merged in order
   };
   std::mutex stash_mutex;
@@ -194,7 +193,6 @@ template <typename Aggregate, typename RunJob>
         run_job(job, output.aggregate, want_jsonl ? &output.jsonl : nullptr);
       }
     }
-    output.metrics.add("runner.jobs", hi - lo);
     const std::scoped_lock lock(stash_mutex);
     stash.emplace(shard, std::move(output));
   };
@@ -209,18 +207,15 @@ template <typename Aggregate, typename RunJob>
       output = std::move(found->second);
       stash.erase(found);
     }
+    const auto [lo, hi] = job_range(shard);
     state.aggregate.merge(output.aggregate);
-    telemetry::registry().merge(output.metrics);
+    jobs_counter.add(hi - lo);
     support::trace::sink().merge(output.trace);
     shards_counter.add();
     jsonl.append(output.jsonl);
     state.completed_shards = shard + 1;
     state.jsonl_bytes = jsonl.bytes();
-    {
-      const auto [lo, hi] = job_range(shard);
-      (void)lo;
-      jobs_done_gauge.set(static_cast<std::int64_t>(hi));
-    }
+    jobs_done_gauge.set(static_cast<std::int64_t>(hi));
     if (!options.checkpoint_path.empty() &&
         ((shard + 1) % options.checkpoint_every == 0 || shard + 1 == total_shards)) {
       jsonl.flush();
@@ -228,11 +223,7 @@ template <typename Aggregate, typename RunJob>
       support::save_json_atomically(options.checkpoint_path, checkpoint_to_json(state));
       checkpoints_counter.add();
     }
-    if (options.progress) {
-      const auto [lo, hi] = job_range(shard);
-      (void)lo;
-      options.progress(hi, total_jobs);
-    }
+    if (options.progress) options.progress(hi, total_jobs);
   };
 
   if (end_shard > start_shard) {

@@ -7,19 +7,24 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
+#include "support/parse.hpp"
 #include "support/trace.hpp"
 
 namespace aurv::support::statusd {
 
 namespace {
+
+constexpr std::size_t kMaxRequestBytes = 8192;  ///< request head cap (400 beyond)
 
 // ----------------------------------------------------------------------
 // Prometheus text exposition
@@ -100,21 +105,15 @@ Response error_response(int status, std::string_view message) {
 /// `fallback` when absent, nullopt on a malformed value.
 std::optional<std::uint64_t> query_uint(std::string_view query, std::string_view key,
                                         std::uint64_t fallback) {
-  std::size_t pos = 0;
-  while (pos < query.size()) {
-    std::size_t end = query.find('&', pos);
-    if (end == std::string_view::npos) end = query.size();
+  for (std::size_t pos = 0; pos < query.size();) {
+    const std::size_t end = std::min(query.find('&', pos), query.size());
     const std::string_view pair = query.substr(pos, end - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      const std::string_view value = pair.substr(eq + 1);
-      if (value.empty() || value.size() > 10) return std::nullopt;
-      std::uint64_t parsed = 0;
-      for (const char c : value) {
-        if (c < '0' || c > '9') return std::nullopt;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
+    if (pair.starts_with(key) && pair.substr(key.size()).starts_with('=')) {
+      try {
+        return parse_uint(std::string(pair.substr(key.size() + 1)));
+      } catch (const std::invalid_argument&) {
+        return std::nullopt;
       }
-      return parsed;
     }
     pos = end + 1;
   }
@@ -212,25 +211,23 @@ Response handle_request(std::string_view method, std::string_view target,
       return error_response(404, "tracing not active (run with --trace-out)");
     const std::optional<std::uint64_t> last = query_uint(query, "last", 32);
     if (!last) return error_response(400, "malformed last=N");
-    Json spans = Json::array();
+    // Ring lines are serialized events already: splice them in as is.
+    Response response;
+    response.content_type = "application/json";
+    response.body = "{\"spans\":[";
+    const char* separator = "\n";
     for (const std::string& line : trace::sink().recent(*last)) {
-      try {
-        spans.push_back(Json::parse(line));
-      } catch (const JsonError&) {
-        // A ring line is always a complete serialized event; skip defensively.
-      }
+      response.body += separator + line;
+      separator = ",\n";
     }
-    Json body = Json::object();
-    body.set("spans", std::move(spans));
-    return json_response(200, std::move(body));
+    response.body += "\n]}\n";
+    return response;
   }
   Json body = Json::object();
   body.set("error", Json("not found"));
   Json endpoints = Json::array();
-  endpoints.push_back(Json("/metrics"));
-  endpoints.push_back(Json("/status"));
-  endpoints.push_back(Json("/healthz"));
-  endpoints.push_back(Json("/trace?last=N"));
+  for (const char* endpoint : {"/metrics", "/status", "/healthz", "/trace?last=N"})
+    endpoints.push_back(Json(endpoint));
   body.set("endpoints", std::move(endpoints));
   return json_response(404, std::move(body));
 }
@@ -271,12 +268,12 @@ struct StatusServer::Impl {
   /// Handles one connection start to finish (the connection bound: no
   /// concurrent request handling on a diagnostics endpoint).
   void serve(int fd) {
-    set_timeout(fd, SO_RCVTIMEO, config.read_timeout_ms);
-    set_timeout(fd, SO_SNDTIMEO, config.write_timeout_ms);
+    set_timeout(fd, SO_RCVTIMEO, config.timeout_ms);
+    set_timeout(fd, SO_SNDTIMEO, config.timeout_ms);
 
     std::string request;
     while (request.find("\r\n\r\n") == std::string::npos) {
-      if (request.size() >= config.max_request_bytes) {
+      if (request.size() >= kMaxRequestBytes) {
         send_response(fd, error_response(400, "request too large"));
         return;
       }
@@ -354,22 +351,22 @@ std::unique_ptr<StatusServer> StatusServer::start(Config config) {
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return fail_soft("cannot create socket");
+  const auto close_and_fail = [&](const char* what) {
+    const int saved = errno;  // ::close may clobber the cause
+    ::close(fd);
+    errno = saved;
+    return fail_soft(what);
+  };
   const int enable = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) != 0 ||
       ::listen(fd, 8) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return fail_soft("cannot bind");
+    return close_and_fail("cannot bind");
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    return fail_soft("cannot read bound port");
+    return close_and_fail("cannot read bound port");
   }
 
   auto server = std::unique_ptr<StatusServer>(new StatusServer());

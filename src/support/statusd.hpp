@@ -15,10 +15,9 @@
 //
 // The same hard invariant as the rest of the observability layer: the
 // server NEVER touches a deterministic artifact and NEVER fails a run.
-// Every handler only *reads* — registry atomics via the lock-free
-// snapshot path, the activity stack and the trace ring — and writes to a
-// socket. A port
-// that cannot be bound degrades soft: one stderr warning, a tick of
+// Every handler only *reads* — a registry snapshot, the activity stack
+// and the trace ring — and writes to a socket. A port that cannot be
+// bound degrades soft: one stderr warning, a tick of
 // `statusd.dropped`, and the run proceeds unobserved. Certificates,
 // JSONL streams and checkpoints are byte-identical with the server on or
 // off, under concurrent scraping, at any worker count —
@@ -28,7 +27,7 @@
 // a short tick so stop() is prompt), connections served one at a time
 // (the natural connection bound for a diagnostics endpoint), per-socket
 // read/write timeouts so a stalled scraper cannot wedge the server,
-// GET-only, `Connection: close`, requests capped at a few KiB.
+// GET-only, `Connection: close`, requests capped at 8 KiB.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,7 @@ struct Config {
   int port = 0;
   /// Loopback by default: this is a diagnostics endpoint, not a service.
   std::string bind_address = "127.0.0.1";
-  int read_timeout_ms = 2000;   ///< per-connection receive deadline
-  int write_timeout_ms = 2000;  ///< per-send deadline
-  std::size_t max_request_bytes = 8192;
+  int timeout_ms = 2000;  ///< per-connection receive and per-send deadline
   telemetry::RunInfo run;
 };
 

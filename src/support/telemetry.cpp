@@ -14,16 +14,6 @@ std::string bucket_lower_bound(int index) {
   return std::to_string(std::uint64_t{1} << (index - 1));
 }
 
-/// (name, object) pairs of one registry family, in name order.
-template <typename Metric>
-std::vector<std::pair<std::string, const Metric*>> index_of(
-    const std::map<std::string, std::unique_ptr<Metric>>& family) {
-  std::vector<std::pair<std::string, const Metric*>> out;
-  out.reserve(family.size());
-  for (const auto& [name, metric] : family) out.emplace_back(name, metric.get());
-  return out;
-}
-
 /// {"<name>": value, ...} of one scalar family, in snapshot (name) order.
 template <typename Value>
 Json family_json(const std::vector<std::pair<std::string, Value>>& family) {
@@ -43,10 +33,7 @@ Registry& Registry::instance() {
 template <typename Metric>
 Metric& Registry::find_or_add(Family<Metric>& family, std::string_view name) {
   auto& slot = family[std::string(name)];
-  if (!slot) {
-    slot = std::make_unique<Metric>();
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (!slot) slot = std::make_unique<Metric>();
   return *slot;
 }
 
@@ -70,43 +57,12 @@ Timer& Registry::timer(std::string_view name) {
   return find_or_add(timers_, name);
 }
 
-void Registry::merge(const ShardAccumulator& shard) {
-  for (const auto& [name, delta] : shard.entries()) counter(name).add(delta);
-  counter("telemetry.merges").add();
-}
-
-std::shared_ptr<const Registry::Index> Registry::current_index() const {
-  // Fast path: the cached index matches the registration generation.
-  // Loading the generation first (acquire, paired with the registration
-  // release) means a stale-generation index can never pass the check.
-  const std::uint64_t generation = generation_.load(std::memory_order_acquire);
-  if (auto cached = index_.load(std::memory_order_acquire);
-      cached && cached->generation == generation) {
-    return cached;
-  }
-  // Slow path (first snapshot after a registration): rebuild under the
-  // mutex from the name-ordered maps, so index order — and therefore
-  // every rendering — stays name-sorted.
-  std::lock_guard lock(mutex_);
-  auto index = std::make_shared<Index>();
-  index->generation = generation_.load(std::memory_order_relaxed);
-  index->counters = index_of(counters_);
-  index->gauges = index_of(gauges_);
-  index->histograms = index_of(histograms_);
-  index->timers = index_of(timers_);
-  index_.store(index, std::memory_order_release);
-  return index;
-}
-
 Registry::Snapshot Registry::read_snapshot() const {
-  const std::shared_ptr<const Index> index = current_index();
+  std::lock_guard lock(mutex_);
   Snapshot out;
-  out.counters.reserve(index->counters.size());
-  for (const auto& [name, c] : index->counters) out.counters.emplace_back(name, c->value());
-  out.gauges.reserve(index->gauges.size());
-  for (const auto& [name, g] : index->gauges) out.gauges.emplace_back(name, g->value());
-  out.histograms.reserve(index->histograms.size());
-  for (const auto& [name, h] : index->histograms) {
+  for (const auto& [name, c] : counters_) out.counters.emplace_back(name, c->value());
+  for (const auto& [name, g] : gauges_) out.gauges.emplace_back(name, g->value());
+  for (const auto& [name, h] : histograms_) {
     Snapshot::HistogramValue value;
     value.count = h->count();
     value.sum = h->sum();
@@ -116,8 +72,7 @@ Registry::Snapshot Registry::read_snapshot() const {
     }
     out.histograms.emplace_back(name, std::move(value));
   }
-  out.timers.reserve(index->timers.size());
-  for (const auto& [name, t] : index->timers) {
+  for (const auto& [name, t] : timers_) {
     out.timers.emplace_back(name, Snapshot::TimerValue{t->total_ns(), t->count()});
   }
   return out;
@@ -341,10 +296,6 @@ Json metrics_snapshot(const RunInfo& run, double wall_ms) {
   const Json metrics = registry().snapshot();
   for (const auto& [key, value] : metrics.as_object()) out.set(key, value);
   return out;
-}
-
-void write_metrics(const std::string& path, const RunInfo& run, double wall_ms) {
-  metrics_snapshot(run, wall_ms).save_file(path);
 }
 
 }  // namespace aurv::support::telemetry

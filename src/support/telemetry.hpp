@@ -16,11 +16,9 @@
 //   * counters/gauges/histograms hold integers updated with relaxed
 //     atomics — integer sums commute, so end-of-run totals are identical
 //     at any thread count;
-//   * per-shard work is accumulated in a thread-local ShardAccumulator
-//     (plain integers, no atomics on the hot path) and merged into the
-//     registry by the runner's *in-order* completion hook — the same
-//     shard-ordered merge discipline the aggregates use, so even the
-//     intermediate counter sequence is deterministic;
+//   * per-shard tallies are added by the runner's *in-order* completion
+//     hook — the same shard-ordered discipline the aggregates use, so
+//     even the intermediate counter sequence is deterministic;
 //   * timers are wall-clock and therefore the one deliberately
 //     nondeterministic family; they are confined to the metrics sink.
 //
@@ -136,31 +134,6 @@ class Timer {
   std::atomic<std::uint64_t> count_{0};
 };
 
-/// Thread-local (well, shard-local) counter deltas: plain integers on the
-/// hot path, folded into the registry by the runner's in-order completion
-/// hook — so the merge sequence, like every aggregate merge, happens in
-/// deterministic shard order.
-class ShardAccumulator {
- public:
-  void add(std::string_view name, std::uint64_t n = 1) {
-    for (auto& [key, value] : entries_) {
-      if (key == name) {
-        value += n;
-        return;
-      }
-    }
-    entries_.emplace_back(std::string(name), n);
-  }
-  [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>& entries()
-      const noexcept {
-    return entries_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> entries_;  ///< first-touch order
-};
-
 /// The process-wide metric registry. Lookup registers on first use;
 /// objects live for the process lifetime, so cached references never
 /// dangle. Snapshots render every family with name-sorted keys.
@@ -168,19 +141,16 @@ class ShardAccumulator {
 /// Snapshot thread-safety: `read_snapshot()` is the one snapshot
 /// implementation (the JSON `snapshot()`, the live view and /metrics are
 /// renderings of it) and is safe to call concurrently from any number of
-/// threads — the heartbeat thread and every statusd scrape share it.
-/// After the first call following a registration, readers take no lock
-/// at all: they load a cached immutable name→object index (rebuilt under
-/// the mutex only when the registration generation changed, published
-/// via an atomic shared_ptr) and read each metric with relaxed atomic
-/// loads. A snapshot is therefore NOT a cross-metric atomic cut — values
-/// racing with concurrent updates may mix "before" and "after" per
-/// metric — but every value is itself a coherent atomic read, and a
-/// quiescent registry snapshots exactly.
+/// threads. It holds the registry mutex while it walks the name-ordered
+/// maps (snapshots are rare: a heartbeat, a scrape, the end of a run) and
+/// reads each metric with relaxed atomic loads. A snapshot is therefore
+/// NOT a cross-metric atomic cut — values racing with concurrent updates
+/// may mix "before" and "after" per metric — but every value is itself a
+/// coherent atomic read, and a quiescent registry snapshots exactly.
 class Registry {
  public:
   /// A point-in-time value capture of every registered metric, every
-  /// family name-sorted (the index is built from the name-ordered maps).
+  /// family name-sorted (read from the name-ordered maps).
   /// Plain values, no locks, no references into the registry: safe to
   /// ship across threads or render at leisure.
   struct Snapshot {
@@ -209,15 +179,8 @@ class Registry {
   [[nodiscard]] Log2Histogram& histogram(std::string_view name);
   [[nodiscard]] Timer& timer(std::string_view name);
 
-  /// Folds a shard's local deltas into the registry counters, in the
-  /// accumulator's insertion order. Callers invoke this from an in-order
-  /// completion hook, which is what makes the merge sequence
-  /// deterministic; the call itself also counts into "telemetry.merges".
-  void merge(const ShardAccumulator& shard);
-
-  /// Captures every metric's current value. Lock-free for readers once
-  /// the cached index is warm (see the class comment); this is the one
-  /// snapshot implementation everything else renders from.
+  /// Captures every metric's current value under the registry mutex;
+  /// the one snapshot implementation everything else renders from.
   [[nodiscard]] Snapshot read_snapshot() const;
 
   /// {"counters":{...},"gauges":{...},"histograms":{...},"timers":{...}}
@@ -230,18 +193,6 @@ class Registry {
   void reset();
 
  private:
-  /// Immutable name→object view of the registry, shared by concurrent
-  /// readers. Pointers stay valid forever (metric objects are never
-  /// deallocated); the index itself is replaced, never mutated, when a
-  /// registration bumps `generation_`.
-  struct Index {
-    std::uint64_t generation = 0;
-    std::vector<std::pair<std::string, const Counter*>> counters;
-    std::vector<std::pair<std::string, const Gauge*>> gauges;
-    std::vector<std::pair<std::string, const Log2Histogram*>> histograms;
-    std::vector<std::pair<std::string, const Timer*>> timers;
-  };
-
   template <typename Metric>
   using Family = std::map<std::string, std::unique_ptr<Metric>>;
 
@@ -251,17 +202,11 @@ class Registry {
   template <typename Metric>
   Metric& find_or_add(Family<Metric>& family, std::string_view name);
 
-  [[nodiscard]] std::shared_ptr<const Index> current_index() const;
-
   mutable std::mutex mutex_;
   Family<Counter> counters_;
   Family<Gauge> gauges_;
   Family<Log2Histogram> histograms_;
   Family<Timer> timers_;
-  /// Bumped (under mutex_) by every first-use registration; readers
-  /// compare it against the cached index's generation without locking.
-  std::atomic<std::uint64_t> generation_{1};
-  mutable std::atomic<std::shared_ptr<const Index>> index_;
 };
 
 /// Shorthand for Registry::instance().
@@ -400,14 +345,10 @@ class Heartbeat {
 /// "metrics-snapshot"): run identity (with `config` when nonempty) +
 /// build info + wall_ms + the full registry snapshot. THE one place
 /// wall-clock values are allowed besides stderr. Pass the driver's own
-/// wall span as `wall_ms`.
+/// wall span as `wall_ms`. Drivers save it with `Json::save_file`, not
+/// through the support::vfs() seam: the metrics sink is diagnostics, not
+/// a durable artifact, so it must not enlarge the fault-injection site
+/// enumeration the torture matrix replays against.
 [[nodiscard]] Json metrics_snapshot(const RunInfo& run, double wall_ms);
-
-/// Writes `metrics_snapshot(...)` to `path` (pretty-printed, trailing
-/// newline). Deliberately NOT routed through the support::vfs() seam: the
-/// metrics sink is diagnostics, not a durable artifact, so it must not
-/// enlarge the fault-injection site enumeration the torture matrix
-/// replays against.
-void write_metrics(const std::string& path, const RunInfo& run, double wall_ms);
 
 }  // namespace aurv::support::telemetry

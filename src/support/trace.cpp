@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <mutex>
 
@@ -45,17 +46,19 @@ void count_unrecorded(const TraceSink& sink) {
   if (sink.degraded()) sink_metrics().dropped.add();
 }
 
-/// One serialized complete event ("ph":"X"): `ts`/`dur` in microseconds,
-/// `pid` 1, `tid` = lane. `args` optional.
-std::string complete_event(std::string_view name, std::string_view cat,
-                           std::uint64_t ts_us, std::uint64_t dur_us, std::uint32_t lane,
-                           const Json* args) {
+/// One serialized event: a complete event ("ph":"X") when `dur_us` is
+/// given, else a process-scoped instant ("ph":"i","s":"p"). `ts`/`dur`
+/// in microseconds, `pid` 1, `tid` = lane. `args` optional.
+std::string event_line(std::string_view name, std::string_view cat, std::uint64_t ts_us,
+                       std::optional<std::uint64_t> dur_us, std::uint32_t lane,
+                       const Json* args) {
   Json event = Json::object();
   event.set("name", Json(std::string(name)));
   event.set("cat", Json(std::string(cat)));
-  event.set("ph", Json("X"));
+  event.set("ph", Json(dur_us ? "X" : "i"));
+  if (!dur_us) event.set("s", Json("p"));
   event.set("ts", Json(ts_us));
-  event.set("dur", Json(dur_us));
+  if (dur_us) event.set("dur", Json(*dur_us));
   event.set("pid", Json(1));
   event.set("tid", Json(lane));
   if (args != nullptr) event.set("args", *args);
@@ -78,10 +81,9 @@ struct TraceSink::Impl {
   std::uint64_t durable_bytes = 0;  ///< bytes known to be on disk (torn-write rewind point)
   bool first_event = true;
   RetryPolicy retry;
-  /// Bounded ring of the most recent event lines (statusd's /trace
-  /// source). `ring` grows to kRingCapacity then wraps at `ring_next`.
-  std::vector<std::string> ring;
-  std::size_t ring_next = 0;
+  /// The most recent event lines, at most kRingCapacity (statusd's
+  /// /trace source).
+  std::deque<std::string> ring;
 
   /// Appends `data` to the file with bounded deterministic retry,
   /// rewinding any torn prefix before each attempt. Returns false on a
@@ -146,14 +148,26 @@ struct TraceSink::Impl {
     first_event = false;
     pending += line;
     ++pending_events;
-    if (ring.size() < kRingCapacity) {
-      ring.push_back(std::move(line));
-    } else {
-      ring[ring_next] = std::move(line);
-      ring_next = (ring_next + 1) % kRingCapacity;
-    }
+    ring.push_back(std::move(line));
+    if (ring.size() > kRingCapacity) ring.pop_front();
     sink_metrics().events.add();
     if (pending.size() >= kFlushBytes) flush_pending();
+  }
+
+  /// Stops collecting, writes the JSON footer, flushes and closes the
+  /// file (mutex held). A no-op when no file is open.
+  void finish() {
+    if (!file) return;
+    enabled.store(false, std::memory_order_relaxed);
+    pending += "\n]}\n";
+    if (!flush_pending()) return;  // degrade() already dropped the file
+    try {
+      file->close();
+    } catch (const VfsError& error) {
+      std::fprintf(stderr, "aurv: trace: close failed for %s (%s)\n", path.c_str(),
+                   error.reason().c_str());
+    }
+    file.reset();
   }
 };
 
@@ -167,18 +181,7 @@ TraceSink& TraceSink::instance() {
 
 bool TraceSink::open(const std::string& path) {
   std::lock_guard lock(impl_->mutex);
-  if (impl_->file) {
-    // A previous trace is still open (multi-spec driver): finish it first.
-    impl_->pending += "\n]}\n";
-    impl_->flush_pending();
-    if (impl_->file) {
-      try {
-        impl_->file->close();
-      } catch (const VfsError&) {
-      }
-      impl_->file.reset();
-    }
-  }
+  impl_->finish();  // a previous trace may still be open (multi-spec driver)
   impl_->enabled.store(false, std::memory_order_relaxed);
   impl_->degraded.store(false, std::memory_order_relaxed);
   sink_metrics().degraded.set(0);
@@ -198,7 +201,6 @@ bool TraceSink::open(const std::string& path) {
   impl_->durable_bytes = 0;
   impl_->first_event = true;
   impl_->ring.clear();
-  impl_->ring_next = 0;
   impl_->open_ns.store(steady_ns(), std::memory_order_relaxed);
   impl_->enabled.store(true, std::memory_order_relaxed);
 
@@ -208,17 +210,7 @@ bool TraceSink::open(const std::string& path) {
 
 void TraceSink::close() {
   std::lock_guard lock(impl_->mutex);
-  if (!impl_->file) return;
-  impl_->enabled.store(false, std::memory_order_relaxed);
-  impl_->pending += "\n]}\n";
-  if (!impl_->flush_pending()) return;  // degrade() already dropped the file
-  try {
-    impl_->file->close();
-  } catch (const VfsError& error) {
-    std::fprintf(stderr, "aurv: trace: close failed for %s (%s)\n", impl_->path.c_str(),
-                 error.reason().c_str());
-  }
-  impl_->file.reset();
+  impl_->finish();
 }
 
 bool TraceSink::enabled() const noexcept {
@@ -241,24 +233,16 @@ void TraceSink::emit(std::string line) {
 }
 
 void TraceSink::merge(TraceBuffer& buffer) {
-  const std::vector<std::string> lines = buffer.take();
+  std::vector<std::string> lines = buffer.take();
   if (lines.empty()) return;
   std::lock_guard lock(impl_->mutex);
-  for (const std::string& line : lines) impl_->append(line);
+  for (std::string& line : lines) impl_->append(std::move(line));
 }
 
 std::vector<std::string> TraceSink::recent(std::size_t last_n) const {
   std::lock_guard lock(impl_->mutex);
-  const std::size_t stored = impl_->ring.size();
-  const std::size_t n = std::min(last_n, stored);
-  std::vector<std::string> out;
-  out.reserve(n);
-  // Once the ring has wrapped (stored == capacity) the oldest line sits at
-  // ring_next; before that it is index 0.
-  const std::size_t oldest = stored == kRingCapacity ? impl_->ring_next : 0;
-  for (std::size_t k = 0; k < n; ++k)
-    out.push_back(impl_->ring[(oldest + (stored - n) + k) % stored]);
-  return out;
+  const std::size_t n = std::min(last_n, impl_->ring.size());
+  return {impl_->ring.end() - static_cast<std::ptrdiff_t>(n), impl_->ring.end()};
 }
 
 // ------------------------------------------------------------------------
@@ -271,15 +255,7 @@ void instant(std::string_view name, std::string_view cat) {
     count_unrecorded(the_sink);
     return;
   }
-  Json event = Json::object();
-  event.set("name", Json(std::string(name)));
-  event.set("cat", Json(std::string(cat)));
-  event.set("ph", Json("i"));
-  event.set("s", Json("p"));
-  event.set("ts", Json(the_sink.now_us()));
-  event.set("pid", Json(1));
-  event.set("tid", Json(0));
-  the_sink.emit(event.dump());
+  the_sink.emit(event_line(name, cat, the_sink.now_us(), std::nullopt, 0, nullptr));
 }
 
 Span::Span(telemetry::Timer& timer, std::string_view name, std::string_view cat,
@@ -306,8 +282,8 @@ Span::~Span() {
       const std::uint64_t end_us = sink().now_us();
       const std::uint32_t lane = options_.buffer != nullptr ? options_.buffer->lane() : 0;
       std::string line =
-          complete_event(name_, cat_, start_us_, end_us > start_us_ ? end_us - start_us_ : 0,
-                         lane, args_ ? &*args_ : nullptr);
+          event_line(name_, cat_, start_us_, end_us > start_us_ ? end_us - start_us_ : 0, lane,
+                     args_ ? &*args_ : nullptr);
       if (options_.buffer != nullptr) {
         options_.buffer->add(std::move(line));
       } else {

@@ -79,10 +79,9 @@ class TraceSink {
   /// hook so event order is shard-deterministic.
   void merge(TraceBuffer& buffer);
 
-  /// The most recent `last_n` recorded event lines (oldest first), from a
-  /// bounded in-memory ring the sink keeps alongside the file — the
-  /// statusd `/trace?last=N` source. Empty when no trace is collecting;
-  /// the ring is cleared by open(). Thread-safe.
+  /// The most recent `last_n` recorded event lines (oldest first), from
+  /// the last 1,024 the sink keeps in memory alongside the file — the
+  /// statusd `/trace?last=N` source. open() clears them. Thread-safe.
   [[nodiscard]] std::vector<std::string> recent(std::size_t last_n) const;
 
  private:

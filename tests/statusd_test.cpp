@@ -177,8 +177,37 @@ TEST(StatusdRouter, TraceEndpointNeedsAnOpenSink) {
   EXPECT_EQ(spans.as_array()[0].at("name").as_string(), "a");
   EXPECT_EQ(spans.as_array()[1].at("name").as_string(), "b");
 
-  const statusd::Response bad = statusd::handle_request("GET", "/trace?last=bogus", {}, 0.0);
-  EXPECT_EQ(bad.status, 400);
+  for (const char* malformed : {"/trace?last=bogus", "/trace?last=", "/trace?last=-1",
+                                "/trace?last=+2", "/trace?last=2x",
+                                "/trace?last=99999999999999999999"}) {
+    EXPECT_EQ(statusd::handle_request("GET", malformed, {}, 0.0).status, 400) << malformed;
+  }
+  const statusd::Response all = statusd::handle_request("GET", "/trace?last=4294967296", {}, 0.0);
+  EXPECT_EQ(all.status, 200);
+  // The header event plus the two spans: the whole ring, oldest first.
+  const Json whole = Json::parse(all.body);
+  const Json::Array& tail = whole.at("spans").as_array();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].at("name").as_string(), "process_name");
+  EXPECT_EQ(tail[2].at("name").as_string(), "b");
+  support::trace::sink().close();
+}
+
+TEST(StatusdRouter, TraceTailKeepsTheLast1024Events) {
+  ASSERT_TRUE(support::trace::sink().open(temp_path("statusd_router_ring.json")));
+  for (int k = 0; k < 1100; ++k) {
+    support::trace::sink().emit(R"({"name":"e)" + std::to_string(k) +
+                                R"(","cat":"t","ph":"i","s":"p","ts":0,"pid":1,"tid":0})");
+  }
+  const std::vector<std::string> ring = support::trace::sink().recent(5000);
+  ASSERT_EQ(ring.size(), 1024u);
+  EXPECT_EQ(Json::parse(ring.front()).at("name").as_string(), "e76");  // 1101 lines - 1024 + header
+  EXPECT_EQ(Json::parse(ring.back()).at("name").as_string(), "e1099");
+  const Json last3 = Json::parse(statusd::handle_request("GET", "/trace?last=3", {}, 0.0).body);
+  const Json::Array& tail = last3.at("spans").as_array();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].at("name").as_string(), "e1097");
+  EXPECT_EQ(tail[2].at("name").as_string(), "e1099");
   support::trace::sink().close();
 }
 
@@ -294,8 +323,7 @@ TEST(StatusdServer, PortInUseDegradesSoft) {
 
 TEST(StatusdServer, SlowClientTimesOutWithoutWedgingService) {
   statusd::Config config;
-  config.read_timeout_ms = 100;
-  config.write_timeout_ms = 100;
+  config.timeout_ms = 100;
   const auto server = statusd::StatusServer::start(std::move(config));
   ASSERT_NE(server, nullptr);
 
@@ -319,9 +347,7 @@ TEST(StatusdServer, SlowClientTimesOutWithoutWedgingService) {
 }
 
 TEST(StatusdServer, OversizedRequestIsRejected) {
-  statusd::Config config;
-  config.max_request_bytes = 64;
-  const auto server = statusd::StatusServer::start(std::move(config));
+  const auto server = statusd::StatusServer::start({});
   ASSERT_NE(server, nullptr);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -331,7 +357,9 @@ TEST(StatusdServer, OversizedRequestIsRejected) {
   address.sin_port = htons(static_cast<std::uint16_t>(server->port()));
   ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
   ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)), 0);
-  const std::string flood = "GET /" + std::string(200, 'A');  // no header terminator
+  // Exactly the 8 KiB cap and no header terminator: the server answers
+  // 400 with nothing left unread, so its close cannot reset the reply.
+  const std::string flood = "GET /" + std::string(8192 - 5, 'A');
   (void)::send(fd, flood.data(), flood.size(), 0);
   std::string response;
   char chunk[1024];

@@ -1,13 +1,13 @@
 // Telemetry core unit tests: counter/gauge/histogram/timer semantics, the
-// registry's first-use registration and reset-in-place contract, the
-// shard-local accumulator's deterministic merge (including through the
-// run_sharded in-order completion hook at several worker counts), the
-// heartbeat reporter's line format, and the metrics snapshot shape.
+// registry's first-use registration and reset-in-place contract, snapshots
+// racing concurrent first-use registration, the heartbeat reporter's line
+// format, and the metrics snapshot shape.
 //
 // The registry is process-global, so every test that asserts on totals
 // either resets it first or uses names no other test touches.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "test_paths.hpp"
-#include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 
 namespace aurv::support::telemetry {
@@ -129,62 +128,55 @@ TEST(Telemetry, SnapshotIsNameSorted) {
   EXPECT_TRUE(snapshot.at("timers").is_object());
 }
 
-// ------------------------------------------------------ shard accumulator --
-
-TEST(Telemetry, ShardAccumulatorKeepsFirstTouchOrderAndMerges) {
+TEST(Telemetry, SnapshotsRaceFirstUseRegistrationSortedAndExact) {
+  // Writers register fresh names while readers snapshot: every snapshot
+  // must come out name-sorted, and the quiescent totals exact.
   registry().reset();
-  ShardAccumulator shard;
-  EXPECT_TRUE(shard.empty());
-  shard.add("test.acc.b", 3);
-  shard.add("test.acc.a", 1);
-  shard.add("test.acc.b", 4);
-  ASSERT_EQ(shard.entries().size(), 2u);
-  EXPECT_EQ(shard.entries()[0].first, "test.acc.b");  // first touch wins the slot
-  EXPECT_EQ(shard.entries()[0].second, 7u);
-  EXPECT_EQ(shard.entries()[1].first, "test.acc.a");
+  constexpr int kWriters = 4;
+  constexpr int kNames = 64;
+  constexpr std::uint64_t kAdds = 50;
+  std::atomic<bool> writing{true};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&writing] {
+      do {
+        const Registry::Snapshot snap = registry().read_snapshot();
+        for (std::size_t k = 1; k < snap.counters.size(); ++k)
+          EXPECT_LT(snap.counters[k - 1].first, snap.counters[k].first);
+        for (std::size_t k = 1; k < snap.histograms.size(); ++k)
+          EXPECT_LT(snap.histograms[k - 1].first, snap.histograms[k].first);
+      } while (writing.load());
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([w] {
+      for (int n = 0; n < kNames; ++n) {
+        // Each writer walks the names from its own offset, so first-use
+        // registrations of one name race across writers.
+        const std::string name = "test.race." + std::to_string((n + w * 17) % kNames);
+        for (std::uint64_t a = 0; a < kAdds; ++a) registry().counter(name).add();
+        registry().histogram(name).record(static_cast<std::uint64_t>(w));
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  writing.store(false);
+  for (std::thread& reader : readers) reader.join();
 
-  registry().merge(shard);
-  EXPECT_EQ(registry().counter("test.acc.b").value(), 7u);
-  EXPECT_EQ(registry().counter("test.acc.a").value(), 1u);
-  EXPECT_EQ(registry().counter("telemetry.merges").value(), 1u);
-}
-
-TEST(Telemetry, ShardMergeTotalsAreThreadCountInvariant) {
-  // The production pattern end to end: each shard accumulates locally,
-  // the in-order completion hook merges. Totals — and the sequence of
-  // registry values observed at each merge — must not depend on the
-  // worker count.
-  constexpr std::size_t kShards = 16;
-  const auto run_at = [&](std::size_t threads) {
-    registry().reset();
-    std::vector<ShardAccumulator> locals(kShards);
-    std::vector<std::uint64_t> merge_sequence;
-    ShardedRunOptions options;
-    options.threads = threads;
-    run_sharded(
-        kShards,
-        [&](std::size_t shard) {
-          locals[shard].add("test.sharded.work", shard + 1);
-          if (shard % 2 == 0) locals[shard].add("test.sharded.even");
-        },
-        [&](std::size_t shard) {
-          registry().merge(locals[shard]);
-          merge_sequence.push_back(registry().counter("test.sharded.work").value());
-        },
-        options);
-    return merge_sequence;
-  };
-
-  const std::vector<std::uint64_t> serial = run_at(1);
-  const std::uint64_t work = registry().counter("test.sharded.work").value();
-  const std::uint64_t even = registry().counter("test.sharded.even").value();
-  EXPECT_EQ(work, kShards * (kShards + 1) / 2);
-  EXPECT_EQ(even, kShards / 2);
-
-  const std::vector<std::uint64_t> parallel = run_at(4);
-  EXPECT_EQ(registry().counter("test.sharded.work").value(), work);
-  EXPECT_EQ(registry().counter("test.sharded.even").value(), even);
-  EXPECT_EQ(serial, parallel) << "in-order merges must yield the same value sequence";
+  const Registry::Snapshot snap = registry().read_snapshot();
+  int seen = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (!name.starts_with("test.race.")) continue;
+    ++seen;
+    EXPECT_EQ(value, kWriters * kAdds) << name;
+  }
+  EXPECT_EQ(seen, kNames);
+  for (const auto& [name, value] : snap.histograms) {
+    if (!name.starts_with("test.race.")) continue;
+    EXPECT_EQ(value.count, static_cast<std::uint64_t>(kWriters)) << name;
+    EXPECT_EQ(value.sum, 0u + 1u + 2u + 3u) << name;
+  }
 }
 
 // -------------------------------------------------------------- heartbeat --
@@ -284,9 +276,9 @@ TEST(Telemetry, MetricsSnapshotShape) {
   EXPECT_EQ(snapshot.at("histograms").at("test.snap.histogram").at("count").as_uint(), 1u);
   EXPECT_EQ(snapshot.at("timers").at("test.snap.timer").at("ns").as_uint(), 1234u);
 
-  // write_metrics round-trips through a file byte-for-byte re-parseable.
+  // The saved snapshot re-parses.
   const std::string path = temp_path("unit_metrics.json");
-  write_metrics(path, manifest, 12.5);
+  metrics_snapshot(manifest, 12.5).save_file(path);
   const Json reloaded = Json::load_file(path);
   EXPECT_EQ(reloaded.at("schema").as_uint(), 1u);
   EXPECT_EQ(reloaded.at("counters").at("test.snap.counter").as_uint(), 3u);

@@ -4,10 +4,15 @@
 // on, off, or at any heartbeat interval, and at any worker count — only
 // the metrics sink and stderr may carry wall-clock values. Also checks
 // that real runs actually populate the counters the snapshot schema
-// promises (nonzero engine.* / search.* / runner.*).
+// promises (nonzero engine.* / search.* / runner.*), and that the drivers
+// refuse a heartbeat interval that would flood stderr.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 
@@ -26,6 +31,7 @@ using exp::SearchSpec;
 using numeric::Rational;
 using support::Json;
 using testpaths::fresh_dir;
+using testpaths::scenario_path;
 using testpaths::slurp;
 using testpaths::temp_path;
 
@@ -202,7 +208,64 @@ TEST(TelemetryDeterminism, CampaignArtifactsIdenticalUnderObservation) {
   EXPECT_EQ(counters.at("runner.shards"), 4u);  // 60 jobs / shard_size 16
   EXPECT_GT(counters.at("runner.checkpoints"), 0u);
   EXPECT_GT(counters.at("engine.runs"), 0u);
-  EXPECT_GT(counters.at("telemetry.merges"), 0u);
+}
+
+TEST(TelemetryDeterminism, CampaignCountersAreThreadCountInvariant) {
+  // The runner adds shard tallies in its in-order completion hook, so
+  // every counter, gauge and histogram of a campaign's metrics snapshot
+  // ends the same at any worker count. Each run is its own process: the
+  // shared Algorithm 1 phases (`program.shared_bytes`) are built once per
+  // process.
+  const std::string sweep = testpaths::sweep_binary();
+  if (!std::filesystem::exists(sweep)) GTEST_SKIP() << "aurv_sweep not built: " << sweep;
+  const std::string dir = fresh_dir("telemetry_campaign_threads");
+  const auto snapshot_at = [&](const char* threads) {
+    const std::string metrics = dir + "/metrics_" + threads + ".json";
+    const std::string command = sweep + " run " + scenario_path("smoke_type2.json") +
+                                " --threads " + threads + " --shard-size 8 --quiet --out " +
+                                dir + "/summary.json --metrics-out " + metrics;
+    EXPECT_EQ(std::system(command.c_str()), 0) << command;
+    return Json::load_file(metrics);
+  };
+  const Json serial = snapshot_at("1");
+  const Json parallel = snapshot_at("4");
+  for (const char* family : {"counters", "gauges", "histograms"}) {
+    EXPECT_EQ(serial.at(family), parallel.at(family))
+        << family << "\n" << serial.at(family).dump() << "\n" << parallel.at(family).dump();
+  }
+  EXPECT_GT(serial.at("counters").at("runner.jobs").as_uint(), 0u);
+  EXPECT_GT(serial.at("gauges").at("program.shared_bytes").as_int(), 0);
+}
+
+// ------------------------------------------------------- heartbeat flag --
+
+TEST(TelemetryCli, ProgressOutsideItsRangeExitsThreeWithoutABeat) {
+  // Below a millisecond the heartbeat floods stderr, and past 1e6 s its
+  // interval overflows the steady clock: the driver refuses both up front.
+  const std::string sweep = testpaths::sweep_binary();
+  if (!std::filesystem::exists(sweep)) GTEST_SKIP() << "aurv_sweep not built: " << sweep;
+  const std::string dir = fresh_dir("telemetry_cli_progress");
+  const std::string stderr_path = dir + "/stderr.txt";
+  for (const char* interval : {"1e300", "1e-12", "0.0009", "1000001"}) {
+    const std::string command = sweep + " run " + scenario_path("smoke_type2.json") +
+                                " --progress " + interval + " --quiet --out " + dir +
+                                "/out.json 2> " + stderr_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << interval;
+    EXPECT_EQ(WEXITSTATUS(status), 3) << interval;
+    const std::string text = slurp(stderr_path);
+    EXPECT_EQ(text.find("error: "), 0u) << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << "one stderr line: " << text;
+    EXPECT_EQ(text.find("heartbeat"), std::string::npos) << text;
+  }
+  // 0 still means off: the run succeeds and beats nothing.
+  const std::string command = sweep + " run " + scenario_path("smoke_type2.json") +
+                              " --progress 0 --quiet --out " + dir + "/out.json 2> " +
+                              stderr_path;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(slurp(stderr_path).find("heartbeat"), std::string::npos);
 }
 
 }  // namespace
