@@ -1,6 +1,7 @@
 #include "core/almost_universal.hpp"
 
 #include <array>
+#include <atomic>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -100,6 +101,16 @@ struct SharedSlot {
 // Constant-initialized: nothing is built before a program asks for it.
 std::array<SharedSlot, algo::kMaxCowWalkIndex> shared_phases;
 
+// Bytes held by the built phases. The process total lives here, not only
+// in the gauge: Registry::reset() zeroes the gauge while the phases stay
+// built, so every program start restores it.
+std::atomic<std::int64_t> shared_bytes_total{0};
+
+telemetry::Gauge& shared_bytes_gauge() {
+  static telemetry::Gauge& bytes = telemetry::registry().gauge("program.shared_bytes");
+  return bytes;
+}
+
 const SharedSlot& shared_phase(std::uint32_t phase) {
   SharedSlot& slot = shared_phases[phase - 1];
   std::call_once(slot.built, [&] {
@@ -108,15 +119,16 @@ const SharedSlot& shared_phase(std::uint32_t phase) {
     slot.block4 = block4(phase);
     // A gauge, not a counter: a phase is built once per process, so a
     // counter would differ between two runs in one process.
-    static telemetry::Gauge& bytes = telemetry::registry().gauge("program.shared_bytes");
-    bytes.add(static_cast<std::int64_t>(
-        (slot.walk.size() + slot.block2.size() + slot.block4.size()) * sizeof(Instruction)));
+    const auto built = static_cast<std::int64_t>(
+        (slot.walk.size() + slot.block2.size() + slot.block4.size()) * sizeof(Instruction));
+    shared_bytes_gauge().set_max(shared_bytes_total.fetch_add(built) + built);
   });
   return slot;
 }
 
 Program almost_universal_rv_impl(unsigned block_mask) {
   const auto runs = [block_mask](int block) { return (block_mask & (1u << (block - 1))) != 0; };
+  shared_bytes_gauge().set_max(shared_bytes_total.load());
   for (std::uint32_t i = 1;; ++i) {
     AURV_CHECK_MSG(i <= algo::kMaxCowWalkIndex, "almost_universal_rv: phase index overflow");
     const SharedSlot& phase = shared_phase(i);

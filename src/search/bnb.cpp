@@ -243,6 +243,29 @@ void replay_record(SearchState& state, const Json& record,
   state.log_bytes = record.at("log_bytes").as_uint();
 }
 
+/// One wave's journal line: the bytes of the compact Json record
+/// {"wave", "popped", "children", "incumbent", "stats", "log_bytes"},
+/// built as text so the children — already encoded by the workers, joined
+/// by commas — are spliced in rather than re-encoded. `incumbent` is null
+/// when the wave did not improve it.
+std::string journal_record(std::uint64_t wave, std::uint64_t popped, const std::string& children,
+                           const Incumbent* incumbent, const std::vector<std::string>& names,
+                           const BnbStats& stats, std::uint64_t log_bytes) {
+  const auto number = [](std::uint64_t value) {
+    return support::json_number_to_string(static_cast<double>(value));
+  };
+  std::string line = "{\"wave\":" + number(wave);
+  line += ",\"popped\":" + number(popped);
+  line += ",\"children\":[";
+  line += children;
+  line += "],\"incumbent\":";
+  line += incumbent != nullptr ? incumbent_to_json(*incumbent, names).dump() : "null";
+  line += ",\"stats\":" + stats_to_json(stats).dump();
+  line += ",\"log_bytes\":" + number(log_bytes);
+  line += "}\n";
+  return line;
+}
+
 /// Replays the wave journal on top of a freshly loaded base checkpoint.
 /// Returns the byte length of the journal's durable prefix (a partial or
 /// torn trailing record, lost to the kill, is excluded; the sink
@@ -631,13 +654,15 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
     if (pending_popped > 0) journal_dirty = true;
     if (wave.empty()) continue;  // frontier drained by pruning; loop re-checks
 
-    // Parallel part: evaluate midpoints and pre-compute child boxes/bounds.
-    // Each shard writes only its own slot; all cross-shard state mutation
-    // happens in the in-order completion hook below.
+    // Parallel part: evaluate midpoints and pre-compute child boxes/bounds
+    // (and, for the journal, their encoded records). Each shard writes only
+    // its own slot; all cross-shard state mutation happens in the in-order
+    // completion hook below.
     struct ShardOutput {
       std::vector<Rational> point;
       Evaluation evaluation;
       std::vector<OpenBox> children;
+      std::vector<std::string> encoded;  ///< children[k].encode(), when checkpointing
       support::trace::TraceBuffer trace;  ///< shard-local spans, merged in order
     };
     std::vector<ShardOutput> outputs(wave.size());
@@ -661,11 +686,12 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
           const double child_bound = std::min(wave[shard].bound, objective.bound(*child));
           AURV_CHECK_MSG(!std::isnan(child_bound), "objective bound must not be NaN");
           out.children.push_back(OpenBox{std::move(*child), child_bound});
+          if (checkpointing) out.encoded.push_back(out.children.back().encode());
         }
       }
     };
 
-    Json::Array wave_children;  // journal payload: children as inserted
+    std::string wave_children;  // journal payload: encoded children as inserted, comma-joined
     const std::uint64_t improvements_before = state.stats.improvements;
 
     const auto complete = [&](std::size_t shard) {
@@ -713,7 +739,8 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
                                             wave[shard].bound, state.stats.improvements,
                                             &child_entries));
         }
-        for (OpenBox& child : out.children) {
+        for (std::size_t k = 0; k < out.children.size(); ++k) {
+          OpenBox& child = out.children[k];
           if (prunable(child.bound)) {
             ++state.stats.pruned;
             (child.bound == -kInf ? pruned_infeasible_counter : pruned_spawn_counter).add();
@@ -723,7 +750,10 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
                   child.bound == -kInf ? "pruned-infeasible" : "pruned-bound", child.bound,
                   state.stats.improvements, nullptr));
           } else {
-            if (checkpointing) wave_children.push_back(child.to_json());
+            if (checkpointing) {
+              if (!wave_children.empty()) wave_children += ',';
+              wave_children += out.encoded[k];
+            }
             state.frontier.insert(std::move(child));
           }
         }
@@ -762,17 +792,11 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
       log.flush();
       provenance.flush();
       state.log_bytes = log.bytes();
-      Json record = Json::object();
-      record.set("wave", Json(state.stats.waves));
-      record.set("popped", Json(pending_popped));
-      record.set("children", Json(std::move(wave_children)));
-      record.set("incumbent", state.stats.improvements > improvements_before
-                                  ? incumbent_to_json(state.incumbent, options.dim_names)
-                                  : Json());
-      record.set("stats", stats_to_json(state.stats));
-      record.set("log_bytes", Json(state.log_bytes));
       support::JsonlSink& sink = journal_sink();
-      sink.append(record.dump() + "\n");
+      sink.append(journal_record(
+          state.stats.waves, pending_popped, wave_children,
+          state.stats.improvements > improvements_before ? &state.incumbent : nullptr,
+          options.dim_names, state.stats, state.log_bytes));
       sink.flush();
       journal_dirty = true;
       pending_popped = 0;

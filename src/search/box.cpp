@@ -98,6 +98,30 @@ Json OpenBox::to_json() const {
   return json;
 }
 
+std::string OpenBox::encode() const {
+  // Ids are '0'/'1' paths and rational strings hold only digits, '-' and
+  // '/', so nothing here needs JSON escaping.
+  std::string out = "{\"id\":\"";
+  out += box.id();
+  out += "\",\"dims\":[";
+  const char* separator = "[\"";
+  for (const Interval& dim : box.dims()) {
+    out += separator;
+    out += dim.lo.to_string();
+    out += "\",\"";
+    out += dim.hi.to_string();
+    out += "\"]";
+    separator = ",[\"";
+  }
+  out += "],\"bound\":";
+  if (std::isinf(bound))
+    out += bound > 0 ? "\"inf\"" : "\"-inf\"";
+  else
+    out += support::json_number_to_string(bound);
+  out += '}';
+  return out;
+}
+
 OpenBox OpenBox::from_json(const Json& json) {
   return OpenBox{ParamBox::from_json(json), bound_from_json(json.at("bound"))};
 }

@@ -35,7 +35,7 @@ struct Interval {
 
   [[nodiscard]] numeric::Rational width() const { return hi - lo; }
   [[nodiscard]] numeric::Rational midpoint() const {
-    return (lo + hi) * numeric::Rational(numeric::BigInt(1), numeric::BigInt(2));
+    return (lo + hi) * numeric::Rational::dyadic(1, 1);
   }
   [[nodiscard]] bool is_point() const { return lo == hi; }
 
@@ -103,6 +103,9 @@ struct OpenBox {
 
   [[nodiscard]] support::Json to_json() const;
   [[nodiscard]] static OpenBox from_json(const support::Json& json);
+  /// to_json().dump(), written straight into one string: the record the
+  /// wave journal and spill segments store.
+  [[nodiscard]] std::string encode() const;
 
   friend bool operator==(const OpenBox& a, const OpenBox& b) = default;
 };
@@ -120,6 +123,7 @@ struct FrontierOrder {
 /// definition shared by the branch-and-bound frontier and its tests.
 struct OpenBoxCodec {
   static support::Json to_json(const OpenBox& open) { return open.to_json(); }
+  static std::string encode(const OpenBox& open) { return open.encode(); }
   static OpenBox from_json(const support::Json& json) { return OpenBox::from_json(json); }
 };
 

@@ -1,5 +1,5 @@
-// Chunked, deterministic work-queue primitive shared by the batch runner
-// and the campaign runner.
+// Chunked, deterministic work-queue primitive shared by the batch runner,
+// the campaign runners and the search's waves.
 //
 // Work is split into `shard_count` shards claimed in index order from an
 // atomic counter (chunking amortizes the claim and gives downstream
@@ -9,11 +9,23 @@
 //   * completion callback order: `complete(shard)` is invoked exactly once
 //     per shard in strictly increasing shard order, serialized (never two
 //     concurrently), from whichever worker closes the gap. Aggregation,
-//     streaming output and checkpointing all hang off this hook.
+//     streaming output and checkpointing all hang off this hook. It is
+//     serialized, not locked: it runs outside the primitive's mutex, so
+//     while one worker drains, the others keep recording finished shards
+//     and claiming new ones (with two or more workers and a later shard
+//     inside the backpressure window, a `complete` may even wait for that
+//     shard's body). Everything a body wrote is visible to its `complete`.
 //   * error order: if shard bodies throw, the exception from the *lowest*
 //     shard index is rethrown after all shards ran — not the first one a
 //     thread happened to hit (the Bobpp-style "identical results at any
 //     core count" discipline).
+//
+// Workers persist: the calling thread is one of the workers, and the
+// others are process-wide helper threads parked between calls. A call
+// borrows idle helpers and starts new ones only when none is idle, so
+// concurrent calls, and calls nested inside a body or a `complete`, never
+// wait for each other. Helpers are never joined; they keep their
+// thread_local state from one call to the next.
 #pragma once
 
 #include <cstddef>

@@ -23,7 +23,8 @@
 // between the two never orphans state a resume still needs.
 //
 // `Codec` maps T to/from support::Json (lossless — segment records and
-// checkpointed hot entries both go through it).
+// checkpointed hot entries both go through it); `Codec::encode(value)`
+// must equal `Codec::to_json(value).dump()` and is what segments store.
 //
 // Fault policy: every mutating file operation goes through the
 // support::vfs() seam. Transient failures are absorbed by bounded
@@ -392,7 +393,7 @@ class SpillDeque {
     try {
       SpillSegmentWriter writer(path);
       for (auto it = first_cold; it != hot_.end(); ++it)
-        writer.append(Codec::to_json(*it).dump());
+        writer.append(Codec::encode(*it));
       writer.close();
       count = writer.records();
     } catch (const VfsError& error) {

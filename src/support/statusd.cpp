@@ -91,7 +91,7 @@ Response json_response(int status, Json body) {
   Response response;
   response.status = status;
   response.content_type = "application/json";
-  response.body = body.dump(2) + "\n";
+  response.body = body.dump(2);  // pretty dumps end in one newline
   return response;
 }
 

@@ -90,6 +90,26 @@ TEST(ParamBox, JsonRoundTripIsLossless) {
   EXPECT_EQ(reloaded.id(), "0110");
 }
 
+TEST(OpenBox, EncodeIsTheCompactJsonDump) {
+  // Negative and big-tier endpoints (past the inline 64-bit tier), finite,
+  // infinite and negative-zero bounds: encode() writes the record straight
+  // into a string, byte for byte what the Json tree would dump.
+  const Rational big = Rational::from_string("-123456789012345678901234567890/7");
+  const Rational tiny = Rational::dyadic(1, 100);
+  const ParamBox box({Interval{big, Rational::from_string("-1/3")},
+                      Interval{Rational(0), tiny}, Interval{Rational(-5), Rational(5)}},
+                     "0110");
+  for (const double bound : {2.5, -17.0, 0.1, 1e300, 0.0, -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    const OpenBox open{box, bound};
+    EXPECT_EQ(open.encode(), open.to_json().dump()) << bound;
+  }
+  const OpenBox root{ParamBox({Interval{Rational(1), Rational(2)}}), 3.0};
+  EXPECT_EQ(root.encode(), root.to_json().dump());
+  EXPECT_EQ(root.encode(), R"({"id":"","dims":[["1","2"]],"bound":3})");
+}
+
 TEST(ParamBox, RejectsMalformedInput) {
   EXPECT_THROW(ParamBox({Interval{Rational(2), Rational(1)}}), std::logic_error);
   EXPECT_THROW(ParamBox({Interval{Rational(0), Rational(1)}}, "0x1"), std::logic_error);

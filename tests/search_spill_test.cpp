@@ -271,6 +271,43 @@ TEST(DeltaCheckpoint, PartialOrTornTrailingJournalRecordIsDiscarded) {
   }
 }
 
+TEST(DeltaCheckpoint, JournalAndSegmentLinesAreCanonicalAndReplay) {
+  // Journal records are assembled as text from worker-encoded children,
+  // and segment records from OpenBox::encode(); both must be exactly what
+  // the Json tree dumps, so every line re-parses and re-dumps to itself.
+  // A resume from a mid-journal kill replays them to the oneshot bytes.
+  const SearchSpec spec = small_spec();
+  SearchOptions oneshot;
+  oneshot.incumbent_log_path = temp_path("spill_canonical_oneshot.jsonl");
+  const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
+
+  KillHarness harness("canonical_lines");
+  SearchOptions opts = harness.options(/*spill=*/true);
+  std::size_t journal_lines = 0;
+  std::size_t segment_lines = 0;
+  const auto check_lines = [](const std::string& path, std::size_t& count) {
+    std::ifstream in(path, std::ios::binary);
+    for (std::string line; std::getline(in, line); ++count)
+      EXPECT_EQ(Json::parse(line).dump(), line) << path;
+  };
+  opts.progress = [&](std::uint64_t, std::uint64_t) {
+    for (const std::string& journal : harness.journal_files()) check_lines(journal, journal_lines);
+    for (const auto& entry : fs::directory_iterator(opts.spill_dir))
+      check_lines(entry.path().string(), segment_lines);
+  };
+  EXPECT_EQ(exp::run_search(spec, opts).certificate(spec).dump(2), expected);
+  EXPECT_GT(journal_lines, 0u);
+  EXPECT_GT(segment_lines, 0u);
+
+  (void)harness.run_snapshotting(spec, /*spill=*/true);
+  harness.restore(2);  // wave 3 of checkpoint_every=2: journal has a record
+  ASSERT_EQ(harness.journal_files().size(), 1u);
+  SearchOptions resume = harness.options(/*spill=*/true);
+  resume.resume = true;
+  resume.max_shards = 4;
+  EXPECT_EQ(exp::run_search(spec, resume).certificate(spec).dump(2), expected);
+}
+
 TEST(DeltaCheckpoint, FreshStartSweepsForeignJournals) {
   // Journal records carry no fingerprint — only the base does. A fresh
   // start over a checkpoint path some earlier lineage used must sweep

@@ -20,6 +20,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "test_paths.hpp"
@@ -130,6 +131,21 @@ TEST(StatusdRouter, RejectsNonGetAndUnknownPaths) {
   EXPECT_EQ(missing.status, 404);
   EXPECT_TRUE(contains(missing.body, "/metrics"));  // 404 lists the endpoints
   EXPECT_GE(telemetry::registry().counter("statusd.requests").value(), 2u);
+}
+
+TEST(StatusdRouter, JsonBodiesEndInExactlyOneNewline) {
+  telemetry::registry().reset();
+  ASSERT_TRUE(support::trace::sink().open(temp_path("statusd_router_newline.json")));
+  for (const auto& [method, target, status] :
+       {std::tuple{"GET", "/status", 200}, std::tuple{"GET", "/nope", 404},
+        std::tuple{"POST", "/status", 405}, std::tuple{"GET", "/trace?last=bogus", 400}}) {
+    const statusd::Response response = statusd::handle_request(method, target, {}, 0.0);
+    EXPECT_EQ(response.status, status) << target;
+    ASSERT_GE(response.body.size(), 2u) << target;
+    EXPECT_EQ(response.body.back(), '\n') << target;
+    EXPECT_NE(response.body[response.body.size() - 2], '\n') << target;
+  }
+  support::trace::sink().close();
 }
 
 TEST(StatusdRouter, HealthzReflectsDegradedGauges) {

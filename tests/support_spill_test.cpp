@@ -44,6 +44,7 @@ struct ItemCodec {
     json.set("tag", Json(item.tag));
     return json;
   }
+  static std::string encode(const Item& item) { return to_json(item).dump(); }
   static Item from_json(const Json& json) {
     return Item{json.at("priority").as_number(), json.at("tag").as_string()};
   }

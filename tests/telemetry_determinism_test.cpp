@@ -210,6 +210,23 @@ TEST(TelemetryDeterminism, CampaignArtifactsIdenticalUnderObservation) {
   EXPECT_GT(counters.at("engine.runs"), 0u);
 }
 
+TEST(TelemetryDeterminism, SharedBytesGaugeSurvivesARegistryReset) {
+  // The Algorithm 1 phases stay built across a reset; the next program
+  // start restores their byte count, so a second campaign in the same
+  // process reads the gauge the first one did.
+  const exp::ScenarioSpec spec = campaign_spec();
+  exp::CampaignOptions options;
+  options.threads = 2;
+  options.shard_size = 16;
+  (void)exp::run_campaign(spec, options);
+  const std::int64_t first = telemetry::registry().gauge("program.shared_bytes").value();
+  EXPECT_GT(first, 0);
+  telemetry::registry().reset();
+  ASSERT_EQ(telemetry::registry().gauge("program.shared_bytes").value(), 0);
+  (void)exp::run_campaign(spec, options);
+  EXPECT_EQ(telemetry::registry().gauge("program.shared_bytes").value(), first);
+}
+
 TEST(TelemetryDeterminism, CampaignCountersAreThreadCountInvariant) {
   // The runner adds shard tallies in its in-order completion hook, so
   // every counter, gauge and histogram of a campaign's metrics snapshot
