@@ -84,12 +84,9 @@
 // --threads / --max-shards value, and identical whether the run completed
 // in one go or across checkpoint/resume cycles.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
-#include <thread>
 
 #include "driver_telemetry.hpp"
 #include "exp/registry.hpp"
@@ -101,16 +98,11 @@
 #include "search/objective.hpp"
 #include "support/jsonl.hpp"
 #include "support/parse.hpp"
-#include "support/telemetry.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
 using namespace aurv;
-namespace telemetry = support::telemetry;
-using driver::TelemetryCli;
-using driver::wall_ms_since;
-using support::trace::Span;
+using support::Json;
 
 int usage() {
   std::fprintf(stderr,
@@ -148,8 +140,8 @@ int cmd_list() {
 int cmd_describe(const std::string& path) {
   // One load + parse; campaign scenario specs have no top-level "kind" field.
   try {
-    const support::Json json = support::Json::load_file(path);
-    if (json.string_or("kind", "") == "search") {
+    const Json json = Json::load_file(path);
+    if (json.string_or("kind", "") == exp::SearchSpec::kKind) {
       const exp::SearchSpec spec = exp::SearchSpec::from_json(json);
       std::printf("%s", spec.to_json().dump(2).c_str());
       const search::ParamBox root = spec.root_box();
@@ -165,7 +157,7 @@ int cmd_describe(const std::string& path) {
       }
       return 0;
     }
-    if (json.string_or("kind", "") == "gather-census") {
+    if (json.string_or("kind", "") == gatherx::GatherScenarioSpec::kKind) {
       const gatherx::GatherScenarioSpec spec = gatherx::GatherScenarioSpec::from_json(json);
       std::printf("%s", spec.to_json().dump(2).c_str());
       std::printf("total jobs: %llu (x%zu policies)\n",
@@ -194,27 +186,50 @@ int cmd_describe(const std::string& path) {
   }
 }
 
-int cmd_search(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const auto started = std::chrono::steady_clock::now();
-  const std::string spec_path = argv[0];
-  exp::SearchOptions options;
-  TelemetryCli telemetry_cli;
-  std::string out_path;
-  bool quiet = false;
+/// Runs `read` (a spec load or parse) so that its errors name the spec
+/// file.
+template <typename Read>
+auto naming_spec(const std::string& path, Read&& read) {
+  try {
+    return read();
+  } catch (const std::exception& error) {
+    throw std::invalid_argument(path + ": " + error.what());
+  }
+}
 
+/// Parses a command's flags into `cli` (--out, --quiet and the telemetry
+/// flags); `own(flag, value)` takes the command's own flags, where
+/// `value()` consumes the next token. False after one stderr line on an
+/// unknown flag.
+template <typename Own>
+bool parse_flags(int argc, char** argv, driver::Invocation& cli, Own&& own) {
+  cli.spec_path = argv[0];
   for (int k = 1; k < argc; ++k) {
     const std::string flag = argv[k];
     const auto value = [&]() -> std::string {
       if (k + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
       return argv[++k];
     };
+    if (flag == "--out") cli.out_path = value();
+    else if (flag == "--quiet") cli.quiet = true;
+    else if (!own(flag, value) && !cli.telemetry.parse(flag, k, argc, argv)) {
+      std::fprintf(stderr, "unknown option: %s\n", flag.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+int cmd_search(int argc, char** argv) {
+  if (argc < 1) return usage();
+  driver::Invocation cli;
+  search::BnbOptions options;
+  const bool parsed = parse_flags(argc, argv, cli, [&](const std::string& flag, auto&& value) {
     // --threads is accepted as an alias: both cap the workers per wave
     // (the campaign subcommand's spelling), and neither limits work —
     // that is --max-waves.
     if (flag == "--max-shards" || flag == "--threads")
       options.max_shards = support::parse_uint(value(), flag.c_str());
-    else if (flag == "--out") out_path = value();
     else if (flag == "--incumbent-log") options.incumbent_log_path = value();
     else if (flag == "--provenance") options.provenance_path = value();
     else if (flag == "--checkpoint") options.checkpoint_path = value();
@@ -231,37 +246,11 @@ int cmd_search(int argc, char** argv) {
       options.spill_max_segments = support::parse_uint(value(), "--spill-segments");
     else if (flag == "--degraded-cap")
       options.frontier_degraded_capacity = support::parse_uint(value(), "--degraded-cap");
-    else if (flag == "--quiet") quiet = true;
-    else if (telemetry_cli.parse(flag, k, argc, argv)) {}
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", flag.c_str());
-      return usage();
-    }
-  }
-
-  telemetry_cli.open_trace();
-
-  telemetry::Timer& load_timer = telemetry::registry().timer("phase.load");
-  telemetry::Timer& run_timer = telemetry::registry().timer("phase.run");
-  telemetry::Timer& emit_timer = telemetry::registry().timer("phase.emit");
-
-  std::optional<exp::SearchSpec> loaded;
-  {
-    const Span span(load_timer, "load", "phase", {.announce = true});
-    loaded.emplace(exp::SearchSpec::load(spec_path));
-  }
-  const exp::SearchSpec& spec = *loaded;
-  support::Json config = support::Json::object();
-  config.set("max_waves", support::Json(static_cast<std::uint64_t>(options.max_waves)));
-  config.set("spill_dir", support::Json(options.spill_dir));
-  config.set("frontier_mem", support::Json(static_cast<std::uint64_t>(options.frontier_mem)));
-  config.set("resume", support::Json(options.resume));
-  const telemetry::RunInfo identity = driver::run_info(
-      "search", spec_path, spec.fingerprint(), options.max_shards, std::move(config));
-  std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(identity);
-  // Held to end of scope: scraping stays live through emit + metrics.
-  const auto statusd = telemetry_cli.start_statusd(identity);
-  if (!quiet) {
+    else return false;
+    return true;
+  });
+  if (!parsed) return usage();
+  if (!cli.quiet) {
     options.progress = [](std::uint64_t evaluated, std::uint64_t open) {
       std::fprintf(stderr, "\r%llu boxes evaluated, %llu open   ",
                    static_cast<unsigned long long>(evaluated),
@@ -269,60 +258,42 @@ int cmd_search(int argc, char** argv) {
     };
   }
 
-  std::optional<exp::SearchRunResult> run;
-  {
-    const Span span(run_timer, "run", "phase", {.announce = true});
-    run.emplace(exp::run_search(spec, options));
-  }
-  const exp::SearchRunResult& result = *run;
-  if (heartbeat.has_value()) heartbeat->stop();
-  if (!quiet) {
-    std::fprintf(stderr, "\r%llu boxes evaluated (%s)          \n",
-                 static_cast<unsigned long long>(result.bnb.stats.evaluated),
-                 result.bnb.exhausted        ? "frontier exhausted"
-                 : result.bnb.budget_reached ? "box budget spent"
-                                             : "stopped by --max-waves");
-  }
-  // Invocation-side only — the certificate is byte-identical regardless.
-  if (result.bnb.frontier_degraded)
-    std::fprintf(stderr, "warning: spill degraded to in-memory mode (%s)\n",
-                 result.bnb.frontier_degradation.c_str());
-
-  {
-    const Span span(emit_timer, "emit", "phase", {.announce = true});
-    const support::Json certificate = result.certificate(spec);
-    if (out_path.empty()) {
-      std::printf("%s", certificate.dump(2).c_str());
-    } else {
-      certificate.save_file(out_path);
-      if (!quiet) std::fprintf(stderr, "certificate written to %s\n", out_path.c_str());
-    }
-  }
-  // Seal the trace before the snapshot so its trace.* counters are final.
-  telemetry_cli.close_trace(quiet);
-
-  telemetry_cli.write_metrics(identity, wall_ms_since(started), quiet);
-
-  return result.bnb.complete() ? 0 : 4;  // 4 = stopped early (max_waves)
+  const driver::ObservedRun observed(cli);
+  const exp::SearchSpec spec = observed.load([&] { return exp::SearchSpec::load(cli.spec_path); });
+  Json config = Json::object();
+  config.set("max_waves", Json(static_cast<std::uint64_t>(options.max_waves)));
+  config.set("spill_dir", Json(options.spill_dir));
+  config.set("frontier_mem", Json(static_cast<std::uint64_t>(options.frontier_mem)));
+  config.set("resume", Json(options.resume));
+  return observed.finish(
+      spec, options.max_shards, std::move(config),
+      [&](const exp::SearchSpec& loaded) { return exp::run_search(loaded, options); },
+      [&](const exp::SearchRunResult& result) {
+        if (!cli.quiet) {
+          std::fprintf(stderr, "\r%llu boxes evaluated (%s)          \n",
+                       static_cast<unsigned long long>(result.bnb.stats.evaluated),
+                       result.bnb.exhausted        ? "frontier exhausted"
+                       : result.bnb.budget_reached ? "box budget spent"
+                                                   : "stopped by --max-waves");
+        }
+        // Invocation-side only — the certificate is byte-identical regardless.
+        if (result.bnb.frontier_degraded)
+          std::fprintf(stderr, "warning: spill degraded to in-memory mode (%s)\n",
+                       result.bnb.frontier_degradation.c_str());
+        return result.bnb.complete();  // false = stopped early (max_waves)
+      },
+      "certificate",
+      [](const exp::SearchSpec& loaded, const exp::SearchRunResult& result) {
+        return result.certificate(loaded);
+      });
 }
 
 int cmd_run(int argc, char** argv) {
   if (argc < 1) return usage();
-  const auto started = std::chrono::steady_clock::now();
-  const std::string spec_path = argv[0];
+  driver::Invocation cli;
   exp::CampaignOptions options;
-  TelemetryCli telemetry_cli;
-  std::string out_path;
-  bool quiet = false;
-
-  for (int k = 1; k < argc; ++k) {
-    const std::string flag = argv[k];
-    const auto value = [&]() -> std::string {
-      if (k + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-      return argv[++k];
-    };
+  const bool parsed = parse_flags(argc, argv, cli, [&](const std::string& flag, auto&& value) {
     if (flag == "--threads") options.threads = support::parse_uint(value(), "--threads");
-    else if (flag == "--out") out_path = value();
     else if (flag == "--jsonl") options.jsonl_path = value();
     else if (flag == "--checkpoint") options.checkpoint_path = value();
     else if (flag == "--checkpoint-every")
@@ -332,31 +303,11 @@ int cmd_run(int argc, char** argv) {
       options.shard_size = support::parse_uint(value(), "--shard-size");
     else if (flag == "--max-shards")
       options.max_shards = support::parse_uint(value(), "--max-shards");
-    else if (flag == "--quiet") quiet = true;
-    else if (telemetry_cli.parse(flag, k, argc, argv)) {}
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", flag.c_str());
-      return usage();
-    }
-  }
-
-  telemetry_cli.open_trace();
-
-  telemetry::Timer& load_timer = telemetry::registry().timer("phase.load");
-  telemetry::Timer& run_timer = telemetry::registry().timer("phase.run");
-  telemetry::Timer& emit_timer = telemetry::registry().timer("phase.emit");
-
-  support::Json spec_json;
-  {
-    const Span span(load_timer, "load", "phase", {.announce = true});
-    try {
-      spec_json = support::Json::load_file(spec_path);
-    } catch (const std::exception& error) {
-      throw std::invalid_argument(spec_path + ": " + error.what());
-    }
-  }
-
-  if (!quiet) {
+    else return false;
+    return true;
+  });
+  if (!parsed) return usage();
+  if (!cli.quiet) {
     options.progress = [](std::uint64_t done, std::uint64_t total) {
       // One status line, overwritten in place; ~64 updates over the run.
       const std::uint64_t step = std::max<std::uint64_t>(1, total / 64);
@@ -366,84 +317,37 @@ int cmd_run(int argc, char** argv) {
     };
   }
 
+  const driver::ObservedRun observed(cli);
+  const Json json = observed.load(
+      [&] { return naming_spec(cli.spec_path, [&] { return Json::load_file(cli.spec_path); }); });
+  Json config = Json::object();
+  config.set("shard_size", Json(static_cast<std::uint64_t>(options.shard_size)));
+  config.set("checkpoint_every", Json(static_cast<std::uint64_t>(options.checkpoint_every)));
+  config.set("resume", Json(options.resume));
   // The two sweep kinds share the whole invocation surface; only the spec
   // type and runner differ.
-  const auto report = [&](std::uint64_t jobs, std::uint64_t jobs_run,
-                          std::uint64_t resumed_shards, bool complete) {
-    if (quiet) return;
-    std::fprintf(stderr, "\r%llu/%llu jobs done (%llu run now%s)\n",
-                 static_cast<unsigned long long>(
-                     complete ? jobs : resumed_shards * options.shard_size + jobs_run),
-                 static_cast<unsigned long long>(jobs),
-                 static_cast<unsigned long long>(jobs_run),
-                 resumed_shards > 0 ? ", resumed" : "");
+  const auto sweep = [&](auto from_json, auto runner) {
+    return observed.finish(
+        naming_spec(cli.spec_path, [&] { return from_json(json); }), options.threads,
+        std::move(config), [&](const auto& spec) { return runner(spec, options); },
+        [&](const auto& result) {
+          if (!cli.quiet) {
+            std::fprintf(stderr, "\r%llu/%llu jobs done (%llu run now%s)\n",
+                         static_cast<unsigned long long>(
+                             result.complete ? result.jobs
+                                             : result.resumed_shards * options.shard_size +
+                                                   result.jobs_run),
+                         static_cast<unsigned long long>(result.jobs),
+                         static_cast<unsigned long long>(result.jobs_run),
+                         result.resumed_shards > 0 ? ", resumed" : "");
+          }
+          return result.complete;  // false = stopped early (max_shards)
+        },
+        "summary", [](const auto& spec, const auto& result) { return result.summary(spec); });
   };
-  const auto emit = [&](const support::Json& summary) {
-    const Span span(emit_timer, "emit", "phase", {.announce = true});
-    if (out_path.empty()) {
-      std::printf("%s", summary.dump(2).c_str());
-    } else {
-      summary.save_file(out_path);
-      if (!quiet) std::fprintf(stderr, "summary written to %s\n", out_path.c_str());
-    }
-  };
-  const auto identity = [&](const char* kind, std::uint64_t fingerprint) {
-    support::Json config = support::Json::object();
-    config.set("shard_size", support::Json(static_cast<std::uint64_t>(options.shard_size)));
-    config.set("checkpoint_every",
-               support::Json(static_cast<std::uint64_t>(options.checkpoint_every)));
-    config.set("resume", support::Json(options.resume));
-    return driver::run_info(kind, spec_path, fingerprint, options.threads, std::move(config));
-  };
-  const auto write_metrics = [&](const telemetry::RunInfo& run) {
-    // Seal the trace before the snapshot so its trace.* counters are final.
-    telemetry_cli.close_trace(quiet);
-    telemetry_cli.write_metrics(run, wall_ms_since(started), quiet);
-  };
-
-  if (spec_json.string_or("kind", "") == "gather-census") {
-    gatherx::GatherScenarioSpec spec;
-    try {
-      spec = gatherx::GatherScenarioSpec::from_json(spec_json);
-    } catch (const std::exception& error) {
-      throw std::invalid_argument(spec_path + ": " + error.what());
-    }
-    const telemetry::RunInfo run_identity = identity("gather-census", spec.fingerprint());
-    std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(run_identity);
-    const auto statusd = telemetry_cli.start_statusd(run_identity);
-    std::optional<gatherx::CensusResult> run;
-    {
-      const Span span(run_timer, "run", "phase", {.announce = true});
-      run.emplace(gatherx::run_census(spec, options));
-    }
-    const gatherx::CensusResult& result = *run;
-    if (heartbeat.has_value()) heartbeat->stop();
-    report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
-    emit(result.summary(spec));
-    write_metrics(run_identity);
-    return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
-  }
-
-  exp::ScenarioSpec spec;
-  try {
-    spec = exp::ScenarioSpec::from_json(spec_json);
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(spec_path + ": " + error.what());
-  }
-  const telemetry::RunInfo run_identity = identity("campaign", spec.fingerprint());
-  std::optional<telemetry::Heartbeat> heartbeat = telemetry_cli.start_heartbeat(run_identity);
-  const auto statusd = telemetry_cli.start_statusd(run_identity);
-  std::optional<exp::CampaignResult> run;
-  {
-    const Span span(run_timer, "run", "phase", {.announce = true});
-    run.emplace(exp::run_campaign(spec, options));
-  }
-  const exp::CampaignResult& result = *run;
-  if (heartbeat.has_value()) heartbeat->stop();
-  report(result.jobs, result.jobs_run, result.resumed_shards, result.complete);
-  emit(result.summary(spec));
-  write_metrics(run_identity);
-  return result.complete ? 0 : 4;  // 4 = stopped early (max_shards)
+  if (json.string_or("kind", "") == gatherx::GatherScenarioSpec::kKind)
+    return sweep(gatherx::GatherScenarioSpec::from_json, gatherx::run_census);
+  return sweep(exp::ScenarioSpec::from_json, exp::run_campaign);
 }
 
 }  // namespace

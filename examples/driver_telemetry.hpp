@@ -1,9 +1,9 @@
-// The observability invocation surface shared by the example drivers
-// (aurv_sweep, aurv_cli sweep): flag parsing and lifecycle for the
-// heartbeat (`--progress [SECS]`), the end-of-run metrics snapshot
-// (`--metrics-out PATH`), the Chrome-trace span stream
+// The invocation surface shared by aurv_sweep's commands: the observability
+// flags — the heartbeat (`--progress [SECS]`), the end-of-run metrics
+// snapshot (`--metrics-out PATH`), the Chrome-trace span stream
 // (`--trace-out PATH`) and the embedded HTTP status server
-// (`--status-port PORT`, 0 = ephemeral).
+// (`--status-port PORT`, 0 = ephemeral) — and the one observed lifecycle
+// every command runs through (ObservedRun).
 //
 // None of these can change an artifact byte — heartbeats go to stderr,
 // the snapshot and the trace to their own files, the status server only
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,13 +32,12 @@ namespace aurv::driver {
 
 namespace telemetry = support::telemetry;
 
-/// The telemetry flags shared by `run`, `search` and `aurv_cli sweep`:
-/// `--progress[=secs]` turns on the heartbeat (one JSON line on stderr
-/// every N seconds, 0.001 to 1e6; bare flag = 10 s, 0 = off; each line
-/// carries the active phase/span name), `--metrics-out PATH` writes the
-/// end-of-run metrics snapshot, `--trace-out PATH` streams structured
-/// spans as a Chrome Trace Event Format file (load it in Perfetto or
-/// chrome://tracing).
+/// The telemetry flags shared by `run` and `search`: `--progress[=secs]`
+/// turns on the heartbeat (one JSON line on stderr every N seconds, 0.001
+/// to 1e6; bare flag = 10 s, 0 = off; each line carries the active
+/// phase/span name), `--metrics-out PATH` writes the end-of-run metrics
+/// snapshot, `--trace-out PATH` streams structured spans as a Chrome Trace
+/// Event Format file (load it in Perfetto or chrome://tracing).
 struct TelemetryCli {
   double heartbeat_s = 0.0;
   std::string metrics_out;
@@ -79,58 +77,18 @@ struct TelemetryCli {
     }
     return false;
   }
-
-  /// Opens the process-wide trace sink when `--trace-out` was given.
-  /// An unopenable path degrades the sink (one stderr warning) — the
-  /// run itself proceeds untouched.
-  void open_trace() const {
-    if (!trace_out.empty()) support::trace::sink().open(trace_out);
-  }
-
-  /// Seals the trace file (footer + flush). Call after the last span of
-  /// the run has closed and before the metrics snapshot, so the
-  /// snapshot's `trace.*` counters are final.
-  void close_trace(bool quiet) const {
-    if (trace_out.empty()) return;
-    const bool healthy = !support::trace::sink().degraded();
-    support::trace::sink().close();
-    if (!quiet && healthy)
-      std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
-  }
-
-  [[nodiscard]] std::optional<telemetry::Heartbeat> start_heartbeat(
-      const telemetry::RunInfo& run) const {
-    if (heartbeat_s <= 0) return std::nullopt;
-    telemetry::HeartbeatConfig config;
-    config.interval_s = heartbeat_s;
-    config.run = run;
-    return std::optional<telemetry::Heartbeat>(std::in_place, std::move(config));
-  }
-
-  void write_metrics(const telemetry::RunInfo& run, double wall_ms, bool quiet) const {
-    if (metrics_out.empty()) return;
-    telemetry::metrics_snapshot(run, wall_ms).save_file(metrics_out);
-    if (!quiet) std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
-  }
-
-  /// Starts the embedded HTTP status server when `--status-port` was
-  /// given. Returns nullptr both when the flag is absent and when the
-  /// bind fails soft (one stderr warning + `statusd.dropped`) — callers
-  /// just hold the handle; destruction stops the server.
-  [[nodiscard]] std::unique_ptr<support::statusd::StatusServer> start_statusd(
-      const telemetry::RunInfo& run) const {
-    if (status_port < 0) return nullptr;
-    support::statusd::Config config;
-    config.port = status_port;
-    config.run = run;
-    return support::statusd::StatusServer::start(std::move(config));
-  }
 };
 
-inline double wall_ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
+/// What every command is invoked with besides its own options: the spec,
+/// where the artifact goes, `--quiet` and the telemetry flags. `started`
+/// is the command's start, the origin of the snapshot's `wall_ms`.
+struct Invocation {
+  std::chrono::steady_clock::time_point started = std::chrono::steady_clock::now();
+  std::string spec_path;
+  std::string out_path;  ///< "" = the artifact goes to stdout
+  bool quiet = false;
+  TelemetryCli telemetry;
+};
 
 /// The run identity records the *effective* worker count: 0 means
 /// "hardware" everywhere in the option structs, which would read as
@@ -141,18 +99,88 @@ inline std::uint64_t resolved_threads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-/// The identity of one driver command's run, built once and shared by
-/// the heartbeat, the status server and the metrics snapshot.
-inline telemetry::RunInfo run_info(std::string kind, std::string spec,
-                                   std::uint64_t fingerprint, std::size_t threads,
-                                   support::Json config = support::Json::object()) {
-  telemetry::RunInfo run;
-  run.kind = std::move(kind);
-  run.spec = std::move(spec);
-  run.fingerprint = support::fingerprint_hex(fingerprint);
-  run.threads = resolved_threads(threads);
-  run.config = std::move(config);
-  return run;
-}
+/// One command's observed lifecycle. Construction opens the trace sink
+/// (an unopenable path degrades it with one stderr warning; the run
+/// proceeds untouched), `load` times the spec load as the `load` phase,
+/// and `finish` does the rest, in order: heartbeat and status server
+/// under the run's identity, the `run` phase, heartbeat stop, the stderr
+/// report, the `emit` phase, trace close and the metrics snapshot.
+class ObservedRun {
+ public:
+  explicit ObservedRun(const Invocation& cli) : cli_(cli) {
+    if (!cli_.telemetry.trace_out.empty()) support::trace::sink().open(cli_.telemetry.trace_out);
+  }
+
+  template <typename Load>
+  auto load(Load&& fn) const {
+    const Span span(load_timer_, "load", "phase", {.announce = true});
+    return fn();
+  }
+
+  /// Runs `spec` as `run(spec)`; `report(result)` writes the stderr lines
+  /// and says whether the run reached its end, and `artifact(spec,
+  /// result)` is written to `out_path` (stdout when empty). `threads` and
+  /// `config` complete the run identity that the heartbeat, the status
+  /// server and the snapshot share. Returns the exit code: 0, or 4 when
+  /// the run stopped early.
+  template <typename Spec, typename Run, typename Report, typename Artifact>
+  int finish(const Spec& spec, std::size_t threads, support::Json config, Run&& run,
+             Report&& report, const char* artifact_name, Artifact&& artifact) const {
+    const TelemetryCli& flags = cli_.telemetry;
+    telemetry::RunInfo identity;
+    identity.kind = Spec::kKind;
+    identity.spec = cli_.spec_path;
+    identity.fingerprint = support::fingerprint_hex(spec.fingerprint());
+    identity.threads = resolved_threads(threads);
+    identity.config = std::move(config);
+    // An interval of 0 starts no thread.
+    telemetry::Heartbeat heartbeat({.interval_s = flags.heartbeat_s, .run = identity});
+    // Held to the end: scraping stays live through emit and metrics. A
+    // failed bind degrades soft (one stderr warning, `statusd.dropped`).
+    std::unique_ptr<support::statusd::StatusServer> statusd;
+    if (flags.status_port >= 0)
+      statusd = support::statusd::StatusServer::start({.port = flags.status_port, .run = identity});
+
+    const auto result = [&] {
+      const Span span(run_timer_, "run", "phase", {.announce = true});
+      return run(spec);
+    }();
+    heartbeat.stop();
+    const bool complete = report(result);
+    {
+      const Span span(emit_timer_, "emit", "phase", {.announce = true});
+      const support::Json json = artifact(spec, result);
+      if (cli_.out_path.empty()) {
+        std::printf("%s", json.dump(2).c_str());
+      } else {
+        json.save_file(cli_.out_path);
+        if (!cli_.quiet)
+          std::fprintf(stderr, "%s written to %s\n", artifact_name, cli_.out_path.c_str());
+      }
+    }
+    // Seal the trace before the snapshot so its trace.* counters are final.
+    if (!flags.trace_out.empty()) {
+      const bool healthy = !support::trace::sink().degraded();
+      support::trace::sink().close();
+      if (!cli_.quiet && healthy)
+        std::fprintf(stderr, "trace written to %s\n", flags.trace_out.c_str());
+    }
+    if (!flags.metrics_out.empty()) {
+      const double wall_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - cli_.started)
+                                 .count();
+      telemetry::metrics_snapshot(identity, wall_ms).save_file(flags.metrics_out);
+      if (!cli_.quiet) std::fprintf(stderr, "metrics written to %s\n", flags.metrics_out.c_str());
+    }
+    return complete ? 0 : 4;
+  }
+
+ private:
+  using Span = support::trace::Span;
+  const Invocation& cli_;
+  telemetry::Timer& load_timer_ = telemetry::registry().timer("phase.load");
+  telemetry::Timer& run_timer_ = telemetry::registry().timer("phase.run");
+  telemetry::Timer& emit_timer_ = telemetry::registry().timer("phase.emit");
+};
 
 }  // namespace aurv::driver

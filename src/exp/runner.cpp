@@ -40,35 +40,15 @@ agents::Instance campaign_instance(const ScenarioSpec& spec, std::uint64_t job) 
   return cached_sampler(rng, spec.ranges);
 }
 
-Json CampaignResult::summary(const ScenarioSpec& spec) const {
-  Json json = Json::object();
-  json.set("schema", Json(std::uint64_t{1}));
-  json.set("kind", Json("campaign-summary"));
-  json.set("scenario", spec.to_json());
-  json.set("jobs", Json(jobs));
-  json.set("complete", Json(complete));
-  json.set("aggregate", aggregate.to_json());
-  return json;
-}
-
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options) {
   const AlgorithmResolver resolver = resolve_algorithm(spec.algorithm);
-  StreamRunResult<CampaignAggregate> stream = run_checkpointed_stream<CampaignAggregate>(
-      "campaign-checkpoint", spec.fingerprint(), spec.total_jobs(), options,
-      [&](std::uint64_t job, CampaignAggregate& aggregate, std::string* jsonl) {
+  return run_checkpointed_stream<CampaignAggregate>(
+      spec, options, [&](std::uint64_t job, CampaignAggregate& aggregate, std::string* jsonl) {
         const agents::Instance instance = campaign_instance(spec, job);
         const sim::SimResult run = sim::Engine(instance, spec.engine).run(resolver(instance));
         aggregate.add(run);
         if (jsonl != nullptr) *jsonl += jsonl_record(job, run);
       });
-
-  CampaignResult result;
-  result.aggregate = std::move(stream.aggregate);
-  result.jobs = stream.jobs;
-  result.jobs_run = stream.jobs_run;
-  result.resumed_shards = stream.resumed_shards;
-  result.complete = stream.complete;
-  return result;
 }
 
 }  // namespace aurv::exp

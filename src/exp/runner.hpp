@@ -61,18 +61,33 @@ struct CampaignOptions {
   std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 
-struct CampaignResult {
-  CampaignAggregate aggregate;
-  std::uint64_t jobs = 0;            ///< total jobs in the campaign
+/// What one campaign or census invocation returns (run_checkpointed_stream
+/// in exp/stream_runner.hpp builds it for both).
+template <typename Aggregate>
+struct StreamRunResult {
+  Aggregate aggregate;
+  std::uint64_t jobs = 0;            ///< total jobs in the stream
   std::uint64_t jobs_run = 0;        ///< jobs executed by this invocation
   std::uint64_t resumed_shards = 0;  ///< completed-shard prefix taken from a checkpoint
   bool complete = true;              ///< false when max_shards stopped the run early
 
-  /// The summary artifact. Depends only on (spec, aggregate, complete) —
-  /// not on thread count, timing, or how the run was split across
-  /// checkpoint/resume cycles.
-  [[nodiscard]] support::Json summary(const ScenarioSpec& spec) const;
+  /// The summary artifact, of kind "<Spec::kKind>-summary". Depends only
+  /// on (spec, aggregate, complete) — not on thread count, timing, or how
+  /// the run was split across checkpoint/resume cycles.
+  template <typename Spec>
+  [[nodiscard]] support::Json summary(const Spec& spec) const {
+    support::Json json = support::Json::object();
+    json.set("schema", support::Json(std::uint64_t{1}));
+    json.set("kind", support::Json(std::string(Spec::kKind) + "-summary"));
+    json.set("scenario", spec.to_json());
+    json.set("jobs", support::Json(jobs));
+    json.set("complete", support::Json(complete));
+    json.set("aggregate", aggregate.to_json());
+    return json;
+  }
 };
+
+using CampaignResult = StreamRunResult<CampaignAggregate>;
 
 /// Runs (or resumes) the campaign described by `spec`. Throws
 /// std::invalid_argument for spec/option/checkpoint mismatches and

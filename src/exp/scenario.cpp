@@ -160,7 +160,7 @@ SearchSpec SearchSpec::from_json(const Json& json) {
   const std::uint64_t schema = json.uint_or("schema", 1);
   if (schema != 1)
     throw std::invalid_argument("search spec: unsupported schema " + std::to_string(schema));
-  if (json.string_or("kind", "") != "search")
+  if (json.string_or("kind", "") != kKind)
     throw std::invalid_argument("search spec: \"kind\" must be \"search\"");
 
   SearchSpec spec;
@@ -246,7 +246,7 @@ search::AlgorithmResolverFn search_algorithm_resolver(const SearchSpec& spec) {
 Json SearchSpec::to_json() const {
   Json json = Json::object();
   json.set("schema", Json(std::uint64_t{1}));
-  json.set("kind", Json("search"));
+  json.set("kind", Json(kKind));
   json.set("name", Json(name));
   if (!description.empty()) json.set("description", Json(description));
   json.set("algorithm", Json(algorithm));

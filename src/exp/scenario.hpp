@@ -49,6 +49,10 @@
 namespace aurv::exp {
 
 struct ScenarioSpec {
+  /// The run kind: metrics snapshots name it, and the summary and
+  /// checkpoint kinds extend it ("campaign-summary", ...).
+  static constexpr const char* kKind = "campaign";
+
   std::string name;
   std::string description;
   std::string algorithm = "aurv";
@@ -121,6 +125,9 @@ struct ScenarioSpec {
 /// errors — including objective-space constraint violations (surfaced by
 /// constructing the objective once at load).
 struct SearchSpec {
+  /// The spec's "kind" field and the run kind metrics snapshots name.
+  static constexpr const char* kKind = "search";
+
   std::string name;
   std::string description;
   std::string algorithm = "aurv";

@@ -9,53 +9,11 @@
 // runner gives for summaries, extended to branch-and-bound.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <string>
-
 #include "exp/scenario.hpp"
 #include "search/bnb.hpp"
 #include "support/json.hpp"
 
 namespace aurv::exp {
-
-struct SearchOptions {
-  /// Worker cap per wave (0 = hardware). Never changes the result.
-  std::size_t max_shards = 0;
-
-  /// JSONL stream of incumbent improvements, in deterministic order.
-  std::string incumbent_log_path;
-
-  /// Opt-in prune-provenance JSONL stream (see BnbOptions::provenance_path):
-  /// one auditable decision record per popped box, byte-identical at any
-  /// worker count and across resume; scripts/provenance_report.py audits
-  /// it against the certificate. Empty = off.
-  std::string provenance_path;
-
-  /// Base-checkpoint file enabling resume (a per-wave delta journal rides
-  /// beside it). Empty = off.
-  std::string checkpoint_path;
-  /// Waves between journal compactions into a fresh base checkpoint.
-  std::size_t checkpoint_every = 16;
-  bool resume = false;
-
-  /// Spill-to-disk frontier (invocation-side: never changes the
-  /// certificate). Empty spill_dir = fully in-memory frontier.
-  std::string spill_dir;
-  /// Max open boxes held in memory (0 = unbounded; nonzero needs spill_dir).
-  std::size_t frontier_mem = 0;
-  /// Open segment-file cap before spilled runs are k-way-merged.
-  std::size_t spill_max_segments = 8;
-  /// Hot-frontier bound while the spill store is degraded (dir unwritable
-  /// or full); 0 = unbounded in-memory fallback. See BnbOptions.
-  std::size_t frontier_degraded_capacity = 0;
-
-  /// Stop after this many waves in *this* invocation (0 = run to the end).
-  std::size_t max_waves = 0;
-
-  /// Progress hook: (boxes_evaluated, open_boxes) after each wave.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
-};
 
 struct SearchRunResult {
   search::BnbResult bnb;
@@ -66,10 +24,12 @@ struct SearchRunResult {
   [[nodiscard]] support::Json certificate(const SearchSpec& spec) const;
 };
 
-/// Runs (or resumes) the search described by `spec`. Throws
-/// std::invalid_argument for spec/option/checkpoint mismatches and
-/// support::JsonError for unreadable artifacts.
+/// Runs (or resumes) the search described by `spec`, under the
+/// invocation knobs in `options`; its `fingerprint` and `dim_names` are
+/// taken from the spec. Throws std::invalid_argument for
+/// spec/option/checkpoint mismatches and support::JsonError for
+/// unreadable artifacts.
 [[nodiscard]] SearchRunResult run_search(const SearchSpec& spec,
-                                         const SearchOptions& options = {});
+                                         search::BnbOptions options = {});
 
 }  // namespace aurv::exp

@@ -9,12 +9,13 @@
 // count), the bounded stash (constant memory however large the stream),
 // the checkpoint schema and its resume validation (kind, fingerprint,
 // shard_size, jsonl path), the JSONL truncate-on-resume contract, and the
-// jobs_run accounting. Callers provide only their vocabulary: the
-// checkpoint `kind` string, the spec fingerprint, and a per-job body.
+// jobs_run accounting. Callers provide only their spec and a per-job body.
 //
-// `Aggregate` must provide merge(const Aggregate&), to_json() and a
-// static from_json(const Json&) (lossless round-trip: it is the
-// checkpoint payload).
+// `Spec` must provide kKind (the checkpoint is "<kKind>-checkpoint"),
+// fingerprint() (pins the checkpoint) and total_jobs(). `Aggregate` must
+// provide merge(const Aggregate&), to_json() and a static
+// from_json(const Json&) (lossless round-trip: it is the checkpoint
+// payload).
 #pragma once
 
 #include <algorithm>
@@ -35,25 +36,18 @@
 
 namespace aurv::exp {
 
-template <typename Aggregate>
-struct StreamRunResult {
-  Aggregate aggregate;
-  std::uint64_t jobs = 0;            ///< total jobs in the stream
-  std::uint64_t jobs_run = 0;        ///< jobs executed by this invocation
-  std::uint64_t resumed_shards = 0;  ///< completed-shard prefix from a checkpoint
-  bool complete = true;              ///< false when max_shards stopped the run early
-};
-
 /// Runs (or resumes) the stream. `run_job(job, aggregate, jsonl)` executes
 /// one job into the shard-local aggregate; `jsonl` is nullptr when the sink
 /// is off, otherwise the job's record line(s) are appended to it. Throws
 /// std::invalid_argument for option/checkpoint mismatches; job exceptions
 /// propagate with deterministic first-in-job-order semantics.
-template <typename Aggregate, typename RunJob>
-[[nodiscard]] StreamRunResult<Aggregate> run_checkpointed_stream(
-    const char* checkpoint_kind, std::uint64_t fingerprint, std::uint64_t total_jobs,
-    const CampaignOptions& options, RunJob&& run_job) {
+template <typename Aggregate, typename Spec, typename RunJob>
+[[nodiscard]] StreamRunResult<Aggregate> run_checkpointed_stream(const Spec& spec,
+                                                                 const CampaignOptions& options,
+                                                                 RunJob&& run_job) {
   using support::Json;
+  const std::string checkpoint_kind = std::string(Spec::kKind) + "-checkpoint";
+  const std::uint64_t total_jobs = spec.total_jobs();
 
   AURV_CHECK_MSG(options.shard_size >= 1, "shard_size must be >= 1");
   AURV_CHECK_MSG(options.checkpoint_every >= 1, "checkpoint_every must be >= 1");
@@ -65,7 +59,7 @@ template <typename Aggregate, typename RunJob>
     std::uint64_t jsonl_bytes = 0;
     Aggregate aggregate;
   };
-  const std::string fingerprint_hex = support::fingerprint_hex(fingerprint);
+  const std::string fingerprint_hex = support::fingerprint_hex(spec.fingerprint());
 
   const auto checkpoint_to_json = [&](const CheckpointState& state) {
     Json json = Json::object();
@@ -86,7 +80,7 @@ template <typename Aggregate, typename RunJob>
     if (json.string_or("kind", "") != checkpoint_kind)
       throw support::CheckpointError(
           options.checkpoint_path,
-          std::string("not a ") + checkpoint_kind + " file (foreign checkpoint)");
+          "not a " + checkpoint_kind + " file (foreign checkpoint)");
     if (json.at("fingerprint").as_string() != fingerprint_hex)
       throw support::CheckpointError(
           options.checkpoint_path,

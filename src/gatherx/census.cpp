@@ -52,48 +52,27 @@ agents::GatherInstance census_instance(const GatherScenarioSpec& spec, std::uint
   return cached_sampler(rng, spec.ranges);
 }
 
-Json CensusResult::summary(const GatherScenarioSpec& spec) const {
-  Json json = Json::object();
-  json.set("schema", Json(std::uint64_t{1}));
-  json.set("kind", Json("gather-census-summary"));
-  json.set("scenario", spec.to_json());
-  json.set("jobs", Json(jobs));
-  json.set("complete", Json(complete));
-  json.set("aggregate", aggregate.to_json());
-  return json;
-}
-
 CensusResult run_census(const GatherScenarioSpec& spec, const CensusOptions& options) {
   // One common program for every agent of every run (instance-blind by the
   // registry contract; shared across shards like the search objective).
   const sim::AlgorithmFactory factory = exp::resolve_common_algorithm(spec.algorithm);
 
-  exp::StreamRunResult<GatherAggregate> stream =
-      exp::run_checkpointed_stream<GatherAggregate>(
-          "gather-census-checkpoint", spec.fingerprint(), spec.total_jobs(), options,
-          [&](std::uint64_t job, GatherAggregate& aggregate, std::string* jsonl) {
-            const agents::GatherInstance instance = census_instance(spec, job);
-            // n = 1 has no pairs; a lone agent is vacuously a good
-            // configuration.
-            const bool funnel = instance.n() < 2 ||
-                                gather::is_funnel_configuration(instance.agents, instance.r);
-            std::vector<gather::GatherResult> runs(spec.policies.size());
-            for (std::size_t k = 0; k < spec.policies.size(); ++k) {
-              const gather::GatherConfig config =
-                  spec.engine_config(spec.policies[k], instance.n(), instance.r);
-              runs[k] = gather::GatherEngine(instance.agents, config).run(factory);
-              aggregate.add(spec.policies[k], runs[k], funnel);
-            }
-            if (jsonl != nullptr) *jsonl += jsonl_record(spec, job, instance, funnel, runs);
-          });
-
-  CensusResult result;
-  result.aggregate = std::move(stream.aggregate);
-  result.jobs = stream.jobs;
-  result.jobs_run = stream.jobs_run;
-  result.resumed_shards = stream.resumed_shards;
-  result.complete = stream.complete;
-  return result;
+  return exp::run_checkpointed_stream<GatherAggregate>(
+      spec, options, [&](std::uint64_t job, GatherAggregate& aggregate, std::string* jsonl) {
+        const agents::GatherInstance instance = census_instance(spec, job);
+        // n = 1 has no pairs; a lone agent is vacuously a good
+        // configuration.
+        const bool funnel = instance.n() < 2 ||
+                            gather::is_funnel_configuration(instance.agents, instance.r);
+        std::vector<gather::GatherResult> runs(spec.policies.size());
+        for (std::size_t k = 0; k < spec.policies.size(); ++k) {
+          const gather::GatherConfig config =
+              spec.engine_config(spec.policies[k], instance.n(), instance.r);
+          runs[k] = gather::GatherEngine(instance.agents, config).run(factory);
+          aggregate.add(spec.policies[k], runs[k], funnel);
+        }
+        if (jsonl != nullptr) *jsonl += jsonl_record(spec, job, instance, funnel, runs);
+      });
 }
 
 }  // namespace aurv::gatherx

@@ -32,17 +32,8 @@ namespace aurv::gatherx {
 /// vocabulary for both sweep kinds, and aurv_sweep parses one flag set.
 using CensusOptions = exp::CampaignOptions;
 
-struct CensusResult {
-  GatherAggregate aggregate;
-  std::uint64_t jobs = 0;            ///< total jobs in the census
-  std::uint64_t jobs_run = 0;        ///< jobs executed by this invocation
-  std::uint64_t resumed_shards = 0;  ///< completed-shard prefix from a checkpoint
-  bool complete = true;              ///< false when max_shards stopped the run early
-
-  /// The summary artifact. Depends only on (spec, aggregate, complete) —
-  /// not on thread count, timing, or checkpoint/resume splits.
-  [[nodiscard]] support::Json summary(const GatherScenarioSpec& spec) const;
-};
+/// The campaign runner's result type, so one summary shape for both.
+using CensusResult = exp::StreamRunResult<GatherAggregate>;
 
 /// The configuration job `j` runs on (exposed for tests and the CLI's
 /// `describe`; the runner generates configurations lazily with this exact

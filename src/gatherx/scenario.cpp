@@ -81,7 +81,7 @@ GatherScenarioSpec GatherScenarioSpec::from_json(const Json& json) {
   if (schema != 1)
     throw std::invalid_argument("gather scenario: unsupported schema " +
                                 std::to_string(schema));
-  if (json.string_or("kind", "") != "gather-census")
+  if (json.string_or("kind", "") != kKind)
     throw std::invalid_argument("gather scenario: \"kind\" must be \"gather-census\"");
 
   GatherScenarioSpec spec;
@@ -145,7 +145,7 @@ GatherScenarioSpec GatherScenarioSpec::from_json(const Json& json) {
 Json GatherScenarioSpec::to_json() const {
   Json json = Json::object();
   json.set("schema", Json(std::uint64_t{1}));
-  json.set("kind", Json("gather-census"));
+  json.set("kind", Json(kKind));
   json.set("name", Json(name));
   if (!description.empty()) json.set("description", Json(description));
   json.set("algorithm", Json(algorithm));

@@ -49,6 +49,10 @@
 namespace aurv::gatherx {
 
 struct GatherScenarioSpec {
+  /// The spec's "kind" field and the run kind: metrics snapshots name it,
+  /// and the summary and checkpoint kinds extend it.
+  static constexpr const char* kKind = "gather-census";
+
   std::string name;
   std::string description;
   std::string algorithm = "latecomers";

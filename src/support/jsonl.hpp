@@ -62,18 +62,17 @@ class CheckpointError : public std::invalid_argument {
 /// checkpoint behind: the previous checkpoint survives until the new one is
 /// fully on disk. Transient write/rename failures are retried with
 /// deterministic backoff; persistent ones propagate as VfsError.
-inline void save_json_atomically(const std::string& path, const Json& json,
-                                 const RetryPolicy& retry = {}) {
+inline void save_json_atomically(const std::string& path, const Json& json) {
   const std::string tmp = path + ".tmp";
   const std::string text = json.dump(2);
-  retry_io(retry, [&] {
+  retry_io(RetryPolicy{}, [&] {
     // Reopen-truncate on every attempt: a torn first try leaves no prefix
     // for the retry to double-write.
     const std::unique_ptr<VfsFile> file = vfs().open_write(tmp, Vfs::OpenMode::Truncate);
     file->write(text);
     file->close();
   });
-  retry_io(retry, [&] { vfs().rename(tmp, path); });
+  retry_io(RetryPolicy{}, [&] { vfs().rename(tmp, path); });
 }
 
 /// Canonical rendering of a spec fingerprint in checkpoint files: 16
@@ -90,9 +89,7 @@ class JsonlSink {
   /// Opens `path` for writing ("" = disabled sink, every call a no-op).
   /// `resume_bytes` > 0 truncates to that offset and appends; 0 starts the
   /// stream over.
-  explicit JsonlSink(const std::string& path, std::uint64_t resume_bytes = 0,
-                     RetryPolicy retry = {})
-      : path_(path), retry_(retry) {
+  explicit JsonlSink(const std::string& path, std::uint64_t resume_bytes = 0) : path_(path) {
     if (path.empty()) return;
     if (resume_bytes > 0) {
       std::uint64_t existing = 0;
@@ -110,14 +107,16 @@ class JsonlSink {
             std::to_string(resume_bytes) +
             " bytes); the stream does not match this checkpoint — delete both to start over");
       try {
-        retry_io(retry_, [&] { vfs().resize_file(path, resume_bytes); });
+        retry_io(RetryPolicy{}, [&] { vfs().resize_file(path, resume_bytes); });
       } catch (const VfsError& error) {
         throw std::invalid_argument("jsonl: cannot truncate " + path +
                                     " for resume: " + error.reason());
       }
-      file_ = retry_io(retry_, [&] { return vfs().open_write(path, Vfs::OpenMode::Append); });
+      file_ = retry_io(RetryPolicy{},
+                       [&] { return vfs().open_write(path, Vfs::OpenMode::Append); });
     } else {
-      file_ = retry_io(retry_, [&] { return vfs().open_write(path, Vfs::OpenMode::Truncate); });
+      file_ = retry_io(RetryPolicy{},
+                       [&] { return vfs().open_write(path, Vfs::OpenMode::Truncate); });
     }
     bytes_ = resume_bytes;
   }
@@ -127,12 +126,10 @@ class JsonlSink {
 
   void append(const std::string& text) {
     if (file_ == nullptr) return;
-    for (int attempt = 1;; ++attempt) {
+    retry_io(RetryPolicy{}, [&] {
       try {
         file_->write(text);
-        bytes_ += text.size();
-        return;
-      } catch (const VfsError& error) {
+      } catch (const VfsError&) {
         // Roll back whatever torn prefix reached the file so a retry (or
         // a later resume against the recorded offset) never sees it.
         try {
@@ -142,19 +139,15 @@ class JsonlSink {
           // rests on the resume-side truncation, which uses the recorded
           // offset and is therefore still sound.
         }
-        if (!error.transient() || attempt >= retry_.attempts) throw;
-        const std::uint64_t backoff = retry_.backoff_ms << (attempt - 1);
-        telemetry::registry().counter("vfs.retries").add();
-        telemetry::registry().counter("vfs.backoff_ms").add(backoff);
-        trace::instant("vfs.retry", "vfs");
-        vfs().sleep_for_ms(backoff);
+        throw;
       }
-    }
+    });
+    bytes_ += text.size();
   }
 
   void flush() {
     if (file_ == nullptr) return;
-    retry_io(retry_, [&] { file_->flush(); });
+    retry_io(RetryPolicy{}, [&] { file_->flush(); });
   }
 
   /// Durable-prefix offset to record in checkpoints.
@@ -162,7 +155,6 @@ class JsonlSink {
 
  private:
   std::string path_;
-  RetryPolicy retry_;
   std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
   std::uint64_t bytes_ = 0;
 };
@@ -180,11 +172,11 @@ class SoftJsonlSink {
   SoftJsonlSink() = default;
 
   SoftJsonlSink(const std::string& path, std::string counter_prefix,
-                std::uint64_t resume_bytes = 0, RetryPolicy retry = {})
+                std::uint64_t resume_bytes = 0)
       : counter_prefix_(std::move(counter_prefix)), path_hint_(path) {
     if (path.empty()) return;
     try {
-      sink_ = std::make_unique<JsonlSink>(path, resume_bytes, retry);
+      sink_ = std::make_unique<JsonlSink>(path, resume_bytes);
     } catch (const VfsError& error) {
       degrade(path, error.reason());
     }

@@ -7,45 +7,39 @@
 
 namespace aurv::support {
 
-SpillSegmentWriter::SpillSegmentWriter(std::string path, RetryPolicy retry)
-    : path_(std::move(path)), retry_(retry) {
+SpillSegmentWriter::SpillSegmentWriter(std::string path) : path_(std::move(path)) {
   // Truncate: a leftover segment of the same name from a pre-crash run is
   // overwritten — deterministic replay recreates it byte-identically.
-  file_ = retry_io(retry_, [&] { return vfs().open_write(path_, Vfs::OpenMode::Truncate); });
+  file_ = retry_io(RetryPolicy{}, [&] { return vfs().open_write(path_, Vfs::OpenMode::Truncate); });
 }
 
 SpillSegmentWriter::~SpillSegmentWriter() = default;  // VfsFile closes silently
 
 void SpillSegmentWriter::append(const std::string& line) {
-  for (int attempt = 1;; ++attempt) {
+  retry_io(RetryPolicy{}, [&] {
     try {
       file_->write(line);
       file_->write("\n");
-      bytes_ += line.size() + 1;
-      ++records_;
-      return;
-    } catch (const VfsError& error) {
+    } catch (const VfsError&) {
       // A torn record may have reached the file; rewind to the last
       // record boundary so a retry cannot leave duplicate bytes behind.
       try {
         file_->truncate_to(bytes_);
       } catch (const VfsError&) {
-        // Rewind failed too: give up through the throw below — the
-        // partially-written segment is removed by the caller.
+        // Rewind failed too: once the retries give up, the caller
+        // removes the partially-written segment.
       }
-      if (!error.transient() || attempt >= retry_.attempts) throw;
-      const std::uint64_t backoff = retry_.backoff_ms << (attempt - 1);
-      telemetry::registry().counter("vfs.retries").add();
-      telemetry::registry().counter("vfs.backoff_ms").add(backoff);
-      vfs().sleep_for_ms(backoff);
+      throw;
     }
-  }
+  });
+  bytes_ += line.size() + 1;
+  ++records_;
 }
 
 void SpillSegmentWriter::close() {
   if (file_ == nullptr) return;
   // flush() failures may be transient (retried); a failed close is final.
-  retry_io(retry_, [&] { file_->flush(); });
+  retry_io(RetryPolicy{}, [&] { file_->flush(); });
   file_->close();
   file_ = nullptr;
   // Tally only durably closed segments: a writer abandoned mid-fault is

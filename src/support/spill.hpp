@@ -67,7 +67,7 @@ namespace aurv::support {
 /// record boundary; persistent ones propagate as VfsError.
 class SpillSegmentWriter {
  public:
-  explicit SpillSegmentWriter(std::string path, RetryPolicy retry = {});
+  explicit SpillSegmentWriter(std::string path);
   ~SpillSegmentWriter();
   SpillSegmentWriter(const SpillSegmentWriter&) = delete;
   SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
@@ -81,7 +81,6 @@ class SpillSegmentWriter {
 
  private:
   std::string path_;
-  RetryPolicy retry_;
   std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
   std::uint64_t bytes_ = 0;        ///< durable record-boundary offset
   std::uint64_t records_ = 0;

@@ -1,6 +1,6 @@
 // Embedded HTTP status server: live introspection of a running driver
-// over plain HTTP/1.1 (`--status-port PORT` on aurv_sweep / aurv_cli
-// sweep; 0 asks the kernel for an ephemeral port, announced as one JSON
+// over plain HTTP/1.1 (`--status-port PORT` on aurv_sweep run and
+// search; 0 asks the kernel for an ephemeral port, announced as one JSON
 // line on stderr). Four GET endpoints:
 //
 //   /metrics   Prometheus text exposition (format 0.0.4) rendered from a

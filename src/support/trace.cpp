@@ -80,7 +80,6 @@ struct TraceSink::Impl {
   std::uint64_t pending_events = 0;
   std::uint64_t durable_bytes = 0;  ///< bytes known to be on disk (torn-write rewind point)
   bool first_event = true;
-  RetryPolicy retry;
   /// The most recent event lines, at most kRingCapacity (statusd's
   /// /trace source).
   std::deque<std::string> ring;
@@ -91,6 +90,7 @@ struct TraceSink::Impl {
   /// instead of retry_io: retry_io emits a trace instant, and re-entering
   /// this sink from its own write path would deadlock.
   bool write_all(const std::string& data) {
+    const RetryPolicy retry;
     for (int attempt = 1;; ++attempt) {
       try {
         file->write(data);

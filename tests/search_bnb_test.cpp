@@ -26,7 +26,6 @@
 namespace aurv::search {
 namespace {
 
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
 using support::Json;
@@ -345,10 +344,10 @@ TEST(Search, CertificateAndIncumbentLogAreShardCountInvariant) {
   const std::string log_1 = temp_path("search_log_1.jsonl");
   const std::string log_n = temp_path("search_log_n.jsonl");
 
-  SearchOptions serial;
+  BnbOptions serial;
   serial.max_shards = 1;
   serial.incumbent_log_path = log_1;
-  SearchOptions parallel;
+  BnbOptions parallel;
   parallel.max_shards = 8;
   parallel.incumbent_log_path = log_n;
 
@@ -366,12 +365,12 @@ TEST(Search, CheckpointResumeMatchesOneShot) {
   const std::string log_oneshot = temp_path("search_log_oneshot.jsonl");
   std::filesystem::remove(checkpoint);
 
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.max_shards = 4;
   oneshot.incumbent_log_path = log_oneshot;
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
 
-  SearchOptions interrupted = oneshot;
+  BnbOptions interrupted = oneshot;
   interrupted.incumbent_log_path = log_resumed;
   interrupted.checkpoint_path = checkpoint;
   interrupted.checkpoint_every = 2;
@@ -380,7 +379,7 @@ TEST(Search, CheckpointResumeMatchesOneShot) {
   EXPECT_FALSE(partial.bnb.complete());
   EXPECT_TRUE(std::filesystem::exists(checkpoint));
 
-  SearchOptions resume = interrupted;
+  BnbOptions resume = interrupted;
   resume.max_waves = 0;
   resume.resume = true;
   resume.max_shards = 1;  // resume on a different worker count, same artifacts
@@ -396,13 +395,13 @@ TEST(Search, ResumeRefusesEditedSpecAndForeignLogPath) {
   const std::string log = temp_path("search_ck_guard.jsonl");
   std::filesystem::remove(checkpoint);
 
-  SearchOptions options;
+  BnbOptions options;
   options.incumbent_log_path = log;
   options.checkpoint_path = checkpoint;
   options.max_waves = 2;
   (void)exp::run_search(spec, options);
 
-  SearchOptions resume = options;
+  BnbOptions resume = options;
   resume.resume = true;
   resume.max_waves = 0;
   SearchSpec edited = spec;
@@ -423,7 +422,7 @@ TEST(Search, ResumeRefusesRenamedIncumbentPointKeys) {
   const std::string log = temp_path("search_ck_point_keys.jsonl");
   std::filesystem::remove(checkpoint);
 
-  SearchOptions options;
+  BnbOptions options;
   options.incumbent_log_path = log;
   options.checkpoint_path = checkpoint;
   options.max_waves = 2;
@@ -441,7 +440,7 @@ TEST(Search, ResumeRefusesRenamedIncumbentPointKeys) {
   }
   ck.save_file(checkpoint);
 
-  SearchOptions resume = options;
+  BnbOptions resume = options;
   resume.resume = true;
   resume.max_waves = 0;
   EXPECT_THROW((void)exp::run_search(spec, resume), support::JsonError);

@@ -125,7 +125,7 @@ constexpr const char* kCampaignCheckpoint = "campaign.ckpt.json";
 Artifacts run_search_in(const std::string& dir, bool resume,
                         search::BnbResult* bnb_out = nullptr) {
   const exp::SearchSpec spec = fault_search_spec();
-  exp::SearchOptions options;
+  search::BnbOptions options;
   options.incumbent_log_path = dir + "/incumbents.jsonl";
   options.checkpoint_path = dir + "/" + kSearchCheckpoint;
   options.checkpoint_every = 2;
@@ -369,7 +369,7 @@ TEST(FaultTorture, DegradedCapacityBoundFailsWithAStructuredError) {
 
   const std::string dir = fresh_dir("fault_degrade_cap");
   const exp::SearchSpec spec = fault_search_spec();
-  exp::SearchOptions options;
+  search::BnbOptions options;
   options.incumbent_log_path = dir + "/incumbents.jsonl";
   options.spill_dir = dir + "/spill";
   options.frontier_mem = 2;

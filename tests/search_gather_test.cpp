@@ -18,9 +18,9 @@
 namespace aurv::search {
 namespace {
 
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
+using search::BnbOptions;
 using support::Json;
 using testpaths::scenario_path;
 using testpaths::slurp;
@@ -312,10 +312,10 @@ TEST(GatherSearch, CertificateAndIncumbentLogAreShardCountInvariant) {
   const std::string log_1 = temp_path("gather_inc_1.jsonl");
   const std::string log_4 = temp_path("gather_inc_4.jsonl");
 
-  SearchOptions serial;
+  BnbOptions serial;
   serial.max_shards = 1;
   serial.incumbent_log_path = log_1;
-  SearchOptions parallel;
+  BnbOptions parallel;
   parallel.max_shards = 4;
   parallel.incumbent_log_path = log_4;
 
@@ -338,12 +338,12 @@ TEST(GatherSearch, CheckpointResumeMatchesOneShot) {
   const std::string log_oneshot = temp_path("gather_search_inc_oneshot.jsonl");
   std::filesystem::remove(checkpoint);
 
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.max_shards = 4;
   oneshot.incumbent_log_path = log_oneshot;
   const Json expected = exp::run_search(spec, oneshot).certificate(spec);
 
-  SearchOptions interrupted;
+  BnbOptions interrupted;
   interrupted.max_shards = 4;
   interrupted.incumbent_log_path = log;
   interrupted.checkpoint_path = checkpoint;
@@ -352,7 +352,7 @@ TEST(GatherSearch, CheckpointResumeMatchesOneShot) {
   const exp::SearchRunResult partial = exp::run_search(spec, interrupted);
   EXPECT_FALSE(partial.bnb.complete());
 
-  SearchOptions resume = interrupted;
+  BnbOptions resume = interrupted;
   resume.max_waves = 0;
   resume.resume = true;
   resume.max_shards = 1;  // resume on a different worker count, same result
@@ -372,10 +372,10 @@ TEST(GatherSearch, SpilledFrontierIsByteIdenticalToInMemory) {
   const std::string spill_dir = temp_path("gather_spill_dir");
   std::filesystem::remove_all(spill_dir);
 
-  SearchOptions in_memory;
+  BnbOptions in_memory;
   in_memory.max_shards = 2;
   in_memory.incumbent_log_path = log_mem;
-  SearchOptions spilled = in_memory;
+  BnbOptions spilled = in_memory;
   spilled.incumbent_log_path = log_disk;
   spilled.spill_dir = spill_dir;
   spilled.frontier_mem = 2;
@@ -389,7 +389,7 @@ TEST(GatherSearch, SpilledFrontierIsByteIdenticalToInMemory) {
 
 TEST(GatherSearch, CommittedScenarioRunsToACompleteCertificate) {
   const SearchSpec spec = SearchSpec::load(scenario_path("search_gather_worst.json"));
-  SearchOptions options;
+  BnbOptions options;
   options.max_shards = 2;
   const exp::SearchRunResult result = exp::run_search(spec, options);
   EXPECT_TRUE(result.bnb.complete());

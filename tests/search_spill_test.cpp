@@ -25,9 +25,9 @@ namespace aurv::search {
 namespace {
 
 namespace fs = std::filesystem;
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
+using search::BnbOptions;
 using support::Json;
 using testpaths::copy_dir;
 using testpaths::fresh_dir;
@@ -64,12 +64,12 @@ SearchSpec small_spec() {
 TEST(SpillFrontier, SpilledRunIsByteIdenticalToInMemory) {
   const SearchSpec spec = small_spec();
 
-  SearchOptions in_memory;
+  BnbOptions in_memory;
   in_memory.incumbent_log_path = temp_path("spill_mem.jsonl");
   const exp::SearchRunResult mem = exp::run_search(spec, in_memory);
 
   const std::string spill_dir = fresh_dir("spill_frontier_dir");
-  SearchOptions spilled = in_memory;
+  BnbOptions spilled = in_memory;
   spilled.incumbent_log_path = temp_path("spill_disk.jsonl");
   spilled.spill_dir = spill_dir;
   spilled.frontier_mem = 2;
@@ -148,8 +148,8 @@ struct KillHarness {
   std::string work;
   std::vector<std::string> snapshots;  // one directory copy per wave
 
-  SearchOptions options(bool spill) {
-    SearchOptions options;
+  BnbOptions options(bool spill) {
+    BnbOptions options;
     options.incumbent_log_path = (fs::path(work) / "incumbents.jsonl").string();
     options.checkpoint_path = (fs::path(work) / "ck.json").string();
     options.checkpoint_every = 2;  // odd waves die mid-journal, even mid-cycle
@@ -164,7 +164,7 @@ struct KillHarness {
   /// Runs to completion, snapshotting after every wave; returns the final
   /// certificate text.
   std::string run_snapshotting(const SearchSpec& spec, bool spill) {
-    SearchOptions opts = options(spill);
+    BnbOptions opts = options(spill);
     opts.progress = [&](std::uint64_t, std::uint64_t) {
       const std::string snap = temp_path(tag + "_snap_" +
                                          std::to_string(snapshots.size()));
@@ -193,7 +193,7 @@ TEST(DeltaCheckpoint, ResumeFromAKillAtEveryWaveBoundaryReproducesBytes) {
   const SearchSpec spec = small_spec();
 
   // Ground truth: an uninterrupted, unspilled, uncheckpointed run.
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.incumbent_log_path = temp_path("spill_kill_oneshot.jsonl");
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
   const std::string expected_log = slurp(oneshot.incumbent_log_path);
@@ -204,7 +204,7 @@ TEST(DeltaCheckpoint, ResumeFromAKillAtEveryWaveBoundaryReproducesBytes) {
 
   for (std::size_t k = 0; k < harness.snapshots.size(); ++k) {
     harness.restore(k);
-    SearchOptions resume = harness.options(/*spill=*/true);
+    BnbOptions resume = harness.options(/*spill=*/true);
     resume.resume = true;
     resume.max_shards = 3;  // and on a different worker count
     const exp::SearchRunResult finished = exp::run_search(spec, resume);
@@ -218,7 +218,7 @@ TEST(DeltaCheckpoint, ResumeAcrossSpillModesReproducesBytes) {
   // A checkpoint written by a spilled run resumes in-memory and vice
   // versa: the frontier's location is invocation-side even across a kill.
   const SearchSpec spec = small_spec();
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.incumbent_log_path = temp_path("spill_modes_oneshot.jsonl");
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
 
@@ -226,7 +226,7 @@ TEST(DeltaCheckpoint, ResumeAcrossSpillModesReproducesBytes) {
     KillHarness spilled("modes_spilled");  // killed spilled run -> in-memory resume
     (void)spilled.run_snapshotting(spec, /*spill=*/true);
     spilled.restore(2);
-    SearchOptions resume = spilled.options(/*spill=*/false);
+    BnbOptions resume = spilled.options(/*spill=*/false);
     resume.resume = true;
     EXPECT_EQ(exp::run_search(spec, resume).certificate(spec).dump(2), expected);
   }
@@ -234,7 +234,7 @@ TEST(DeltaCheckpoint, ResumeAcrossSpillModesReproducesBytes) {
     KillHarness in_memory("modes_mem");  // killed in-memory run -> spilled resume
     (void)in_memory.run_snapshotting(spec, /*spill=*/false);
     in_memory.restore(2);
-    SearchOptions resume = in_memory.options(/*spill=*/true);
+    BnbOptions resume = in_memory.options(/*spill=*/true);
     resume.resume = true;
     const exp::SearchRunResult finished = exp::run_search(spec, resume);
     EXPECT_EQ(finished.certificate(spec).dump(2), expected);
@@ -250,7 +250,7 @@ TEST(DeltaCheckpoint, PartialOrTornTrailingJournalRecordIsDiscarded) {
   // replay must treat the durable prefix as the checkpoint and reproduce
   // the oneshot bytes (the lost wave is simply re-run).
   const SearchSpec spec = small_spec();
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.incumbent_log_path = temp_path("spill_torn_oneshot.jsonl");
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
 
@@ -265,7 +265,7 @@ TEST(DeltaCheckpoint, PartialOrTornTrailingJournalRecordIsDiscarded) {
       std::ofstream append(journals[0], std::ios::binary | std::ios::app);
       append << tail;
     }
-    SearchOptions resume = harness.options(/*spill=*/true);
+    BnbOptions resume = harness.options(/*spill=*/true);
     resume.resume = true;
     EXPECT_EQ(exp::run_search(spec, resume).certificate(spec).dump(2), expected) << tail;
   }
@@ -277,12 +277,12 @@ TEST(DeltaCheckpoint, JournalAndSegmentLinesAreCanonicalAndReplay) {
   // the Json tree dumps, so every line re-parses and re-dumps to itself.
   // A resume from a mid-journal kill replays them to the oneshot bytes.
   const SearchSpec spec = small_spec();
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.incumbent_log_path = temp_path("spill_canonical_oneshot.jsonl");
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
 
   KillHarness harness("canonical_lines");
-  SearchOptions opts = harness.options(/*spill=*/true);
+  BnbOptions opts = harness.options(/*spill=*/true);
   std::size_t journal_lines = 0;
   std::size_t segment_lines = 0;
   const auto check_lines = [](const std::string& path, std::size_t& count) {
@@ -302,7 +302,7 @@ TEST(DeltaCheckpoint, JournalAndSegmentLinesAreCanonicalAndReplay) {
   (void)harness.run_snapshotting(spec, /*spill=*/true);
   harness.restore(2);  // wave 3 of checkpoint_every=2: journal has a record
   ASSERT_EQ(harness.journal_files().size(), 1u);
-  SearchOptions resume = harness.options(/*spill=*/true);
+  BnbOptions resume = harness.options(/*spill=*/true);
   resume.resume = true;
   resume.max_shards = 4;
   EXPECT_EQ(exp::run_search(spec, resume).certificate(spec).dump(2), expected);
@@ -326,7 +326,7 @@ TEST(DeltaCheckpoint, FreshStartSweepsForeignJournals) {
   // sweep alone must have removed the foreign files.
   SearchSpec spec = small_spec();
   spec.box = {Interval{Rational(4), Rational(6)}, Interval{Rational(0), Rational(1)}};
-  SearchOptions options;
+  BnbOptions options;
   options.checkpoint_path = checkpoint;
   const exp::SearchRunResult result = exp::run_search(spec, options);
   EXPECT_TRUE(result.bnb.exhausted);
@@ -352,7 +352,7 @@ TEST(DeltaCheckpoint, TerminalBaseReflectsTheDrainedFrontier) {
   spec.limits.min_improvement = 1.0;
 
   const std::string work = fresh_dir("terminal_drain_work");
-  SearchOptions options;
+  BnbOptions options;
   options.incumbent_log_path = (fs::path(work) / "incumbents.jsonl").string();
   options.checkpoint_path = (fs::path(work) / "ck.json").string();
   options.checkpoint_every = 2;
@@ -368,7 +368,7 @@ TEST(DeltaCheckpoint, TerminalBaseReflectsTheDrainedFrontier) {
   EXPECT_EQ(base.at("stats").at("pruned").as_uint(), result.bnb.stats.pruned);
 
   // Resuming the finished search is a no-op landing on the same bytes.
-  SearchOptions resume = options;
+  BnbOptions resume = options;
   resume.resume = true;
   const exp::SearchRunResult again = exp::run_search(spec, resume);
   EXPECT_EQ(again.certificate(spec).dump(2), result.certificate(spec).dump(2));
@@ -379,7 +379,7 @@ TEST(DeltaCheckpoint, StaleJournalFromAKilledCompactionIsIgnored) {
   // kill in between leaves the stale generation's file behind. Resume must
   // go by the base's recorded generation and ignore the stale file.
   const SearchSpec spec = small_spec();
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.incumbent_log_path = temp_path("spill_stale_oneshot.jsonl");
   const std::string expected = exp::run_search(spec, oneshot).certificate(spec).dump(2);
 
@@ -400,7 +400,7 @@ TEST(DeltaCheckpoint, StaleJournalFromAKilledCompactionIsIgnored) {
     out << "{\"wave\":1,\"popped\":1,\"children\":[],\"incumbent\":null}\n"
         << "not even json\n";
   }
-  SearchOptions resume = harness.options(/*spill=*/true);
+  BnbOptions resume = harness.options(/*spill=*/true);
   resume.resume = true;
   EXPECT_EQ(exp::run_search(spec, resume).certificate(spec).dump(2), expected);
   // ...and the next compaction swept the stale generation away.

@@ -34,9 +34,9 @@ namespace {
 
 namespace statusd = support::statusd;
 namespace telemetry = support::telemetry;
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
+using search::BnbOptions;
 using support::Json;
 using testpaths::copy_dir;
 using testpaths::fresh_dir;
@@ -433,7 +433,7 @@ TEST(StatusdDeterminism, ArtifactsByteIdenticalUnderScraping) {
   const std::string ckpt_leaf = "statusd_det_ckpt";
   const std::string spill_leaf = "statusd_det_spill";
 
-  SearchOptions options;
+  BnbOptions options;
   options.max_shards = 1;
   options.incumbent_log_path = log_path;
   options.checkpoint_path = fresh_dir(ckpt_leaf) + "/base.json";

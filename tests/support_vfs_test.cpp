@@ -89,7 +89,7 @@ TEST(Vfs, FaultScheduleRoundTripsThroughJson) {
   EXPECT_FALSE(reloaded.faults[0].sticky);
   EXPECT_EQ(reloaded.faults[1].klass, FaultClass::CrashStop);
   EXPECT_TRUE(reloaded.faults[1].sticky);
-  EXPECT_THROW(fault_class_from_string("made-up"), JsonError);
+  EXPECT_THROW((void)fault_class_from_string("made-up"), JsonError);
 }
 
 TEST(Vfs, PathFilterAndAfterSelectTheFaultSite) {

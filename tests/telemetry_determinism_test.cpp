@@ -4,8 +4,9 @@
 // on, off, or at any heartbeat interval, and at any worker count — only
 // the metrics sink and stderr may carry wall-clock values. Also checks
 // that real runs actually populate the counters the snapshot schema
-// promises (nonzero engine.* / search.* / runner.*), and that the drivers
-// refuse a heartbeat interval that would flood stderr.
+// promises (nonzero engine.* / search.* / runner.*), that the drivers
+// refuse a heartbeat interval that would flood stderr, and that every
+// aurv_sweep command records its identity and times each phase once.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "test_paths.hpp"
 #include "exp/runner.hpp"
@@ -26,9 +28,9 @@ namespace aurv {
 namespace {
 
 namespace telemetry = support::telemetry;
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
+using search::BnbOptions;
 using support::Json;
 using testpaths::fresh_dir;
 using testpaths::scenario_path;
@@ -98,7 +100,7 @@ TEST(TelemetryDeterminism, SearchArtifactsIdenticalUnderObservation) {
 
   // Baseline: telemetry idle (registry exists but no heartbeat), 1 shard.
   telemetry::registry().reset();
-  SearchOptions plain;
+  BnbOptions plain;
   plain.max_shards = 1;
   plain.incumbent_log_path = temp_path("telemetry_plain.jsonl");
   const exp::SearchRunResult baseline = exp::run_search(spec, plain);
@@ -108,7 +110,7 @@ TEST(TelemetryDeterminism, SearchArtifactsIdenticalUnderObservation) {
   // Observed: 4 shards, an aggressive heartbeat hammering the registry
   // mid-run, spill enabled, and a metrics snapshot written at the end.
   telemetry::registry().reset();
-  SearchOptions observed;
+  BnbOptions observed;
   observed.max_shards = 4;
   observed.incumbent_log_path = temp_path("telemetry_observed.jsonl");
   observed.spill_dir = fresh_dir("telemetry_spill");
@@ -154,13 +156,13 @@ TEST(TelemetryDeterminism, SearchCountersAreThreadCountInvariant) {
   const SearchSpec spec = search_spec();
 
   telemetry::registry().reset();
-  SearchOptions serial;
+  BnbOptions serial;
   serial.max_shards = 1;
   (void)exp::run_search(spec, serial);
   const auto counters_serial = counters_now();
 
   telemetry::registry().reset();
-  SearchOptions parallel;
+  BnbOptions parallel;
   parallel.max_shards = 4;
   (void)exp::run_search(spec, parallel);
   const auto counters_parallel = counters_now();
@@ -283,6 +285,57 @@ TEST(TelemetryCli, ProgressOutsideItsRangeExitsThreeWithoutABeat) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_EQ(slurp(stderr_path).find("heartbeat"), std::string::npos);
+}
+
+TEST(TelemetryCli, EveryCommandRecordsItsIdentityAndTimesEachPhaseOnce) {
+  // Campaigns, gathering censuses and searches go through one observed
+  // lifecycle: each snapshot names the run's kind and shape, times load,
+  // run and emit exactly once, and the exit code says whether the run
+  // reached its end (0) or stopped early (4).
+  const std::string sweep = testpaths::sweep_binary();
+  if (!std::filesystem::exists(sweep)) GTEST_SKIP() << "aurv_sweep not built: " << sweep;
+  const std::string dir = fresh_dir("telemetry_cli_lifecycle");
+  const std::vector<std::string> run_config = {"shard_size", "checkpoint_every", "resume"};
+  const std::vector<std::string> search_config = {"max_waves", "spill_dir", "frontier_mem",
+                                                  "resume"};
+  struct Case {
+    std::string command;
+    std::string spec;
+    std::string flags;
+    std::string kind;
+    const std::vector<std::string>& config;
+    int exit_code;
+  };
+  // smoke_type2 has 64 jobs and gather_census_smoke 200, so one shard of
+  // 8 stops both early; search_smoke evaluates 48 boxes in waves of 8.
+  const Case cases[] = {
+      {"run", "smoke_type2.json", "", "campaign", run_config, 0},
+      {"run", "smoke_type2.json", " --shard-size 8 --max-shards 1", "campaign", run_config, 4},
+      {"run", "gather_census_smoke.json", "", "gather-census", run_config, 0},
+      {"run", "gather_census_smoke.json", " --shard-size 8 --max-shards 1", "gather-census",
+       run_config, 4},
+      {"search", "search_smoke.json", "", "search", search_config, 0},
+      {"search", "search_smoke.json", " --max-waves 1", "search", search_config, 4},
+  };
+  for (const Case& c : cases) {
+    const std::string metrics = dir + "/metrics.json";
+    std::filesystem::remove(metrics);
+    const std::string command = sweep + " " + c.command + " " + scenario_path(c.spec) +
+                                c.flags + " --quiet --out " + dir + "/out.json --metrics-out " +
+                                metrics;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), c.exit_code) << command;
+    const Json snapshot = Json::load_file(metrics);
+    const Json& run = snapshot.at("run");
+    EXPECT_EQ(run.at("kind").as_string(), c.kind) << command;
+    EXPECT_EQ(run.at("config").as_object().size(), c.config.size()) << run.dump();
+    for (const std::string& key : c.config)
+      EXPECT_NE(run.at("config").find(key), nullptr) << key << ": " << run.dump();
+    for (const char* phase : {"phase.load", "phase.run", "phase.emit"})
+      EXPECT_EQ(snapshot.at("timers").at(phase).at("count").as_uint(), 1u)
+          << phase << ": " << command;
+  }
 }
 
 }  // namespace

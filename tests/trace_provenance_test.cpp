@@ -32,9 +32,9 @@ namespace {
 namespace fs = std::filesystem;
 namespace telemetry = support::telemetry;
 namespace trace = support::trace;
-using exp::SearchOptions;
 using exp::SearchSpec;
 using numeric::Rational;
+using search::BnbOptions;
 using support::FaultClass;
 using support::FaultSchedule;
 using support::FaultSpec;
@@ -156,14 +156,14 @@ TEST(TraceProvenance, HeartbeatLinesNameTheActivePhase) {
 TEST(TraceProvenance, ProvenanceByteIdenticalAcrossWorkersAndSpill) {
   const SearchSpec spec = search_spec();
 
-  SearchOptions serial;
+  BnbOptions serial;
   serial.max_shards = 1;
   serial.provenance_path = temp_path("prov_serial.jsonl");
   const std::string serial_cert = exp::run_search(spec, serial).certificate(spec).dump(2);
   const std::string serial_stream = slurp(serial.provenance_path);
   EXPECT_FALSE(serial_stream.empty());
 
-  SearchOptions parallel;
+  BnbOptions parallel;
   parallel.max_shards = 4;
   parallel.provenance_path = temp_path("prov_parallel.jsonl");
   parallel.spill_dir = fresh_dir("prov_spill");
@@ -173,7 +173,7 @@ TEST(TraceProvenance, ProvenanceByteIdenticalAcrossWorkersAndSpill) {
       << "the provenance stream is part of the determinism contract";
 
   // And recording provenance must not have changed the certificate at all.
-  SearchOptions plain;
+  BnbOptions plain;
   plain.max_shards = 1;
   EXPECT_EQ(exp::run_search(spec, plain).certificate(spec).dump(2), serial_cert);
 }
@@ -182,7 +182,7 @@ TEST(TraceProvenance, ProvenanceSurvivesResumeAndLeavesCheckpointsUntouched) {
   const SearchSpec spec = search_spec();
 
   // Ground truth: one-shot run with provenance.
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.max_shards = 2;
   oneshot.provenance_path = temp_path("prov_oneshot.jsonl");
   const std::string full_cert = exp::run_search(spec, oneshot).certificate(spec).dump(2);
@@ -191,7 +191,7 @@ TEST(TraceProvenance, ProvenanceSurvivesResumeAndLeavesCheckpointsUntouched) {
   // Sliced run A: provenance on. The stream lives outside the checkpoint
   // directory so the directories stay comparable across configurations.
   const std::string dir_with = fresh_dir("prov_ckpt_with");
-  SearchOptions sliced;
+  BnbOptions sliced;
   sliced.max_shards = 2;
   sliced.provenance_path = temp_path("prov_sliced.jsonl");
   sliced.checkpoint_path = dir_with + "/search.ckpt";
@@ -203,7 +203,7 @@ TEST(TraceProvenance, ProvenanceSurvivesResumeAndLeavesCheckpointsUntouched) {
   // Sliced run B: identical but provenance off. Checkpoint bytes must be
   // identical — the stream needs no checkpoint bookkeeping.
   const std::string dir_without = fresh_dir("prov_ckpt_without");
-  SearchOptions control = sliced;
+  BnbOptions control = sliced;
   control.provenance_path.clear();
   control.checkpoint_path = dir_without + "/search.ckpt";
   EXPECT_FALSE(exp::run_search(spec, control).bnb.complete());
@@ -223,7 +223,7 @@ TEST(TraceProvenance, ProvenanceSurvivesResumeAndLeavesCheckpointsUntouched) {
 TEST(TraceProvenance, ProvenanceResumeTruncatesRecordsPastTheCheckpoint) {
   const SearchSpec spec = search_spec();
 
-  SearchOptions oneshot;
+  BnbOptions oneshot;
   oneshot.max_shards = 1;
   oneshot.provenance_path = temp_path("prov_trunc_oneshot.jsonl");
   (void)exp::run_search(spec, oneshot);
@@ -233,7 +233,7 @@ TEST(TraceProvenance, ProvenanceResumeTruncatesRecordsPastTheCheckpoint) {
   // kill after the provenance flush but before the journal append —
   // flush order makes the other interleaving impossible).
   const std::string dir = fresh_dir("prov_trunc_ckpt");
-  SearchOptions sliced;
+  BnbOptions sliced;
   sliced.max_shards = 1;
   sliced.provenance_path = temp_path("prov_trunc_sliced.jsonl");
   sliced.checkpoint_path = dir + "/search.ckpt";
@@ -259,14 +259,14 @@ TEST(TraceProvenance, ProvenanceResumeTruncatesRecordsPastTheCheckpoint) {
 TEST(TraceProvenance, TraceRecordsLoadableChromeTraceWithoutPerturbingArtifacts) {
   const SearchSpec spec = search_spec();
 
-  SearchOptions plain;
+  BnbOptions plain;
   plain.max_shards = 2;
   const std::string baseline = exp::run_search(spec, plain).certificate(spec).dump(2);
 
   telemetry::registry().reset();
   const std::string trace_path = temp_path("trace_search.json");
   ASSERT_TRUE(trace::sink().open(trace_path));
-  SearchOptions traced;
+  BnbOptions traced;
   traced.max_shards = 2;
   traced.checkpoint_path = fresh_dir("trace_ckpt") + "/search.ckpt";
   traced.checkpoint_every = 2;
@@ -309,7 +309,7 @@ TEST(TraceProvenance, TraceRecordsLoadableChromeTraceWithoutPerturbingArtifacts)
 
 TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
   const SearchSpec spec = search_spec();
-  SearchOptions plain;
+  BnbOptions plain;
   plain.max_shards = 2;
   const std::string baseline = exp::run_search(spec, plain).certificate(spec).dump(2);
 
@@ -325,7 +325,7 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
     const ScopedVfs seam(faulty);
     const std::string path = temp_path("trace_torn.json");
     ASSERT_TRUE(trace::sink().open(path));
-    SearchOptions traced;
+    BnbOptions traced;
     traced.max_shards = 2;
     EXPECT_EQ(exp::run_search(spec, traced).certificate(spec).dump(2), baseline);
     trace::sink().close();
@@ -348,7 +348,7 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
     const ScopedVfs seam(faulty);
     EXPECT_FALSE(trace::sink().open(temp_path("trace_dead_open.json")));
     EXPECT_TRUE(trace::sink().degraded());
-    SearchOptions traced;
+    BnbOptions traced;
     traced.max_shards = 2;
     EXPECT_EQ(exp::run_search(spec, traced).certificate(spec).dump(2), baseline);
     trace::sink().close();
@@ -368,7 +368,7 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
     FaultVfs faulty{FaultSchedule{{dead}}};
     const ScopedVfs seam(faulty);
     ASSERT_TRUE(trace::sink().open(temp_path("trace_dead_flush.json")));
-    SearchOptions traced;
+    BnbOptions traced;
     traced.max_shards = 2;
     EXPECT_EQ(exp::run_search(spec, traced).certificate(spec).dump(2), baseline);
     trace::sink().close();
@@ -380,10 +380,10 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
 
 TEST(TraceProvenance, ProvenanceWriterAbsorbsTornWritesAndDegradesSoft) {
   const SearchSpec spec = search_spec();
-  SearchOptions plain;
+  BnbOptions plain;
   plain.max_shards = 2;
   const std::string baseline = exp::run_search(spec, plain).certificate(spec).dump(2);
-  SearchOptions clean;
+  BnbOptions clean;
   clean.max_shards = 2;
   clean.provenance_path = temp_path("prov_clean.jsonl");
   (void)exp::run_search(spec, clean);
@@ -399,7 +399,7 @@ TEST(TraceProvenance, ProvenanceWriterAbsorbsTornWritesAndDegradesSoft) {
     torn.klass = FaultClass::ShortWrite;
     FaultVfs faulty{FaultSchedule{{torn}}};
     const ScopedVfs seam(faulty);
-    SearchOptions faulted;
+    BnbOptions faulted;
     faulted.max_shards = 2;
     faulted.provenance_path = temp_path("prov_torn.jsonl");
     EXPECT_EQ(exp::run_search(spec, faulted).certificate(spec).dump(2), baseline);
@@ -419,7 +419,7 @@ TEST(TraceProvenance, ProvenanceWriterAbsorbsTornWritesAndDegradesSoft) {
     dead.sticky = true;
     FaultVfs faulty{FaultSchedule{{dead}}};
     const ScopedVfs seam(faulty);
-    SearchOptions faulted;
+    BnbOptions faulted;
     faulted.max_shards = 2;
     faulted.provenance_path = temp_path("prov_dead.jsonl");
     EXPECT_EQ(exp::run_search(spec, faulted).certificate(spec).dump(2), baseline);
