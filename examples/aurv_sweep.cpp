@@ -8,11 +8,11 @@
 //       --out PATH           summary JSON artifact (default: stdout)
 //       --jsonl PATH         per-run JSONL records, in job order
 //       --checkpoint PATH    checkpoint file (enables --resume)
-//       --checkpoint-every K checkpoint every K shards (default 64)
+//       --checkpoint-every K checkpoint every K shards (default 64, >= 1)
 //       --resume             continue from the checkpoint; a missing,
 //                            truncated or foreign checkpoint is refused
 //                            with one structured stderr line (exit 5)
-//       --shard-size K       jobs per shard (default 256)
+//       --shard-size K       jobs per shard (default 256, >= 1)
 //       --max-shards K       stop after K shards (incremental execution)
 //       --quiet              no progress on stderr
 //       --progress [SECS]    heartbeat: one JSON line on stderr every SECS
@@ -40,8 +40,8 @@
 //       --checkpoint PATH    base checkpoint + per-wave delta journal
 //                            (enables --resume)
 //       --compact-every K    compact the wave journal into a fresh base
-//                            every K waves (default 16; --checkpoint-every
-//                            is an alias)
+//                            every K waves (default 16, >= 1;
+//                            --checkpoint-every is an alias)
 //       --resume             continue from the checkpoint; a missing,
 //                            truncated or foreign checkpoint is refused
 //                            with one structured stderr line (exit 5)
@@ -53,7 +53,7 @@
 //       --frontier-mem N     max open boxes held in memory (needs
 //                            --spill-dir; 0 = unbounded, default)
 //       --spill-segments N   open segment files before a k-way merge
-//                            compacts them (default 8)
+//                            compacts them (default 8, >= 1)
 //       --degraded-cap N     max open boxes held in memory after the spill
 //                            directory goes unwritable/full and the
 //                            frontier degrades to in-memory mode (0 =
@@ -197,6 +197,13 @@ auto naming_spec(const std::string& path, Read&& read) {
   }
 }
 
+/// A count flag's value, refused at parse time when it is 0.
+std::size_t parse_count(const std::string& text, const std::string& flag) {
+  const unsigned long long count = support::parse_uint(text, flag.c_str());
+  if (count == 0) throw std::invalid_argument(flag + " must be at least 1");
+  return count;
+}
+
 /// Parses a command's flags into `cli` (--out, --quiet and the telemetry
 /// flags); `own(flag, value)` takes the command's own flags, where
 /// `value()` consumes the next token. False after one stderr line on an
@@ -235,7 +242,7 @@ int cmd_search(int argc, char** argv) {
     else if (flag == "--checkpoint") options.checkpoint_path = value();
     // --checkpoint-every is the pre-delta-journal spelling, kept as an alias.
     else if (flag == "--compact-every" || flag == "--checkpoint-every")
-      options.checkpoint_every = support::parse_uint(value(), flag.c_str());
+      options.checkpoint_every = parse_count(value(), flag);
     else if (flag == "--resume") options.resume = true;
     else if (flag == "--max-waves")
       options.max_waves = support::parse_uint(value(), "--max-waves");
@@ -243,13 +250,15 @@ int cmd_search(int argc, char** argv) {
     else if (flag == "--frontier-mem")
       options.frontier_mem = support::parse_uint(value(), "--frontier-mem");
     else if (flag == "--spill-segments")
-      options.spill_max_segments = support::parse_uint(value(), "--spill-segments");
+      options.spill_max_segments = parse_count(value(), flag);
     else if (flag == "--degraded-cap")
       options.frontier_degraded_capacity = support::parse_uint(value(), "--degraded-cap");
     else return false;
     return true;
   });
   if (!parsed) return usage();
+  if (options.frontier_mem > 0 && options.spill_dir.empty())
+    throw std::invalid_argument("--frontier-mem needs --spill-dir");
   if (!cli.quiet) {
     options.progress = [](std::uint64_t evaluated, std::uint64_t open) {
       std::fprintf(stderr, "\r%llu boxes evaluated, %llu open   ",
@@ -297,10 +306,9 @@ int cmd_run(int argc, char** argv) {
     else if (flag == "--jsonl") options.jsonl_path = value();
     else if (flag == "--checkpoint") options.checkpoint_path = value();
     else if (flag == "--checkpoint-every")
-      options.checkpoint_every = support::parse_uint(value(), "--checkpoint-every");
+      options.checkpoint_every = parse_count(value(), flag);
     else if (flag == "--resume") options.resume = true;
-    else if (flag == "--shard-size")
-      options.shard_size = support::parse_uint(value(), "--shard-size");
+    else if (flag == "--shard-size") options.shard_size = parse_count(value(), flag);
     else if (flag == "--max-shards")
       options.max_shards = support::parse_uint(value(), "--max-shards");
     else return false;

@@ -7,9 +7,10 @@
 // Everything that makes the two runners deterministic lives here exactly
 // once: the in-order merge (bit-identical double sums at any thread
 // count), the bounded stash (constant memory however large the stream),
-// the checkpoint schema and its resume validation (kind, fingerprint,
-// shard_size, jsonl path), the JSONL truncate-on-resume contract, and the
-// jobs_run accounting. Callers provide only their spec and a per-job body.
+// the checkpoint payload and its resume validation (shard_size, jsonl
+// path; support::load_checkpoint checks kind, schema and fingerprint),
+// the JSONL truncate-on-resume contract, and the jobs_run accounting.
+// Callers provide only their spec and a per-job body.
 //
 // `Spec` must provide kKind (the checkpoint is "<kKind>-checkpoint"),
 // fingerprint() (pins the checkpoint) and total_jobs(). `Aggregate` must
@@ -46,6 +47,7 @@ template <typename Aggregate, typename Spec, typename RunJob>
                                                                  const CampaignOptions& options,
                                                                  RunJob&& run_job) {
   using support::Json;
+  constexpr std::uint64_t kCheckpointSchema = 1;
   const std::string checkpoint_kind = std::string(Spec::kKind) + "-checkpoint";
   const std::uint64_t total_jobs = spec.total_jobs();
 
@@ -62,10 +64,7 @@ template <typename Aggregate, typename Spec, typename RunJob>
   const std::string fingerprint_hex = support::fingerprint_hex(spec.fingerprint());
 
   const auto checkpoint_to_json = [&](const CheckpointState& state) {
-    Json json = Json::object();
-    json.set("schema", Json(std::uint64_t{1}));
-    json.set("kind", Json(checkpoint_kind));
-    json.set("fingerprint", Json(fingerprint_hex));
+    Json json = support::checkpoint_header(checkpoint_kind, kCheckpointSchema, fingerprint_hex);
     json.set("shard_size", Json(static_cast<std::uint64_t>(options.shard_size)));
     json.set("jsonl_path", Json(options.jsonl_path));
     json.set("completed_shards", Json(state.completed_shards));
@@ -74,18 +73,6 @@ template <typename Aggregate, typename Spec, typename RunJob>
     return json;
   };
   const auto checkpoint_from_json = [&](const Json& json) {
-    // Foreign checkpoints carry the path so drivers can emit one
-    // structured diagnostic line (CheckpointError is still an
-    // invalid_argument — the contract below is unchanged).
-    if (json.string_or("kind", "") != checkpoint_kind)
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "not a " + checkpoint_kind + " file (foreign checkpoint)");
-    if (json.at("fingerprint").as_string() != fingerprint_hex)
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "spec fingerprint mismatch (spec edited since the checkpoint was "
-          "written; delete the checkpoint to start over)");
     if (json.at("shard_size").as_uint() != options.shard_size)
       throw std::invalid_argument("checkpoint: shard_size mismatch (resume with --shard-size " +
                                   std::to_string(json.at("shard_size").as_uint()) + ")");
@@ -102,23 +89,8 @@ template <typename Aggregate, typename Spec, typename RunJob>
 
   CheckpointState state;  // completed prefix (empty unless resuming)
   if (options.resume && !options.checkpoint_path.empty()) {
-    // An explicit --resume with nothing (usable) to resume is refused
-    // with a structured error instead of silently starting over:
-    // restarting would truncate the very stream the caller asked to
-    // extend.
-    if (!support::vfs().exists(options.checkpoint_path))
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "missing (no checkpoint at this path; run without --resume to start fresh)");
-    Json checkpoint;
-    try {
-      checkpoint = Json::load_file(options.checkpoint_path);
-    } catch (const support::JsonError& error) {
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          std::string("unreadable or truncated (") + error.what() + ")");
-    }
-    state = checkpoint_from_json(checkpoint);
+    state = checkpoint_from_json(support::load_checkpoint(
+        options.checkpoint_path, checkpoint_kind, kCheckpointSchema, fingerprint_hex));
     if (state.completed_shards > total_shards)
       throw std::invalid_argument("checkpoint: more shards than the stream has");
   }

@@ -26,6 +26,8 @@ using support::Json;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr const char* kCheckpointKind = "search-checkpoint";
+constexpr std::uint64_t kCheckpointSchema = 2;
 
 std::string dim_label(const std::vector<std::string>& names, std::size_t index) {
   if (index < names.size()) return names[index];
@@ -146,10 +148,7 @@ void remove_stale_journals(const std::string& checkpoint_path, const std::string
 Json checkpoint_to_json(const SearchState& state, const ParamBox& root,
                         const Objective& objective, const BnbLimits& limits,
                         const BnbOptions& options) {
-  Json json = Json::object();
-  json.set("schema", Json(std::uint64_t{2}));
-  json.set("kind", Json("search-checkpoint"));
-  json.set("fingerprint", Json(options.fingerprint));
+  Json json = support::checkpoint_header(kCheckpointKind, kCheckpointSchema, options.fingerprint);
   json.set("root", root.to_json());
   json.set("objective", objective.descriptor());
   json.set("wave_size", Json(limits.wave_size));
@@ -167,25 +166,12 @@ Json checkpoint_to_json(const SearchState& state, const ParamBox& root,
   return json;
 }
 
+/// Restores the state of a checkpoint that support::load_checkpoint
+/// already matched to this search's kind, schema and fingerprint.
 SearchState checkpoint_from_json(const Json& json, const std::string& path, const ParamBox& root,
                                  const Objective& objective, const BnbLimits& limits,
                                  const BnbOptions& options,
                                  const Frontier::Config& frontier_config) {
-  // "Foreign" checkpoints — written by a different search, spec or build —
-  // are CheckpointErrors: structured (path + reason) so a driver can emit
-  // one machine-parseable diagnostic line instead of a bare what().
-  if (json.string_or("kind", "") != "search-checkpoint")
-    throw support::CheckpointError(path, "not a search-checkpoint file (foreign checkpoint)");
-  if (json.uint_or("schema", 0) != 2)
-    throw support::CheckpointError(
-        path, "schema " + std::to_string(json.uint_or("schema", 0)) +
-                  " (written by a different build of the search; delete the checkpoint to "
-                  "start over)");
-  if (json.at("fingerprint").as_string() != options.fingerprint)
-    throw support::CheckpointError(
-        path,
-        "search fingerprint mismatch (spec edited since the checkpoint was "
-        "written; delete the checkpoint to start over)");
   // The spec fingerprint covers these for exp::run_search, but direct
   // run_bnb callers may leave it empty — guard the search identity itself
   // (root box plus the objective's full construction descriptor) so a
@@ -273,20 +259,10 @@ std::string journal_record(std::uint64_t wave, std::uint64_t popped, const std::
 std::uint64_t replay_journal(SearchState& state, const std::string& path,
                              const std::vector<std::string>& names, std::size_t dim_count) {
   if (!support::vfs().exists(path)) return 0;
-  const std::string data = support::vfs().read_file(path);
-  std::size_t consumed = 0;
-  while (true) {
-    const std::size_t newline = data.find('\n', consumed);
-    if (newline == std::string::npos) break;  // partial trailing record
-    Json record;
-    try {
-      record = Json::parse(std::string_view(data).substr(consumed, newline - consumed));
-    } catch (const support::JsonError&) {
-      break;  // torn write at the kill point: the durable prefix ends here
-    }
-    // Past this point the record parsed, so a missing or mistyped field is
-    // not a torn write but real corruption — refuse with the same guidance
-    // as the other mismatch paths instead of leaking a bare key error.
+  return support::scan_durable_prefix(support::vfs().read_file(path), [&](const Json& record) {
+    // The record parsed, so a missing or mistyped field is not a torn
+    // write but real corruption — refuse with the same guidance as the
+    // other mismatch paths instead of leaking a bare key error.
     try {
       replay_record(state, record, names, dim_count);
     } catch (const support::JsonError& error) {
@@ -294,9 +270,8 @@ std::uint64_t replay_journal(SearchState& state, const std::string& path,
                                   "); journal and checkpoint are out of sync — delete both "
                                   "to start over");
     }
-    consumed = newline + 1;
-  }
-  return consumed;
+    return true;
+  });
 }
 
 /// One line per incumbent improvement: progress counters, the box, the
@@ -372,33 +347,22 @@ std::uint64_t provenance_resume_offset(const std::string& path, std::uint64_t wa
         "provenance: " + path +
         " is missing; cannot resume --provenance without the original stream (drop "
         "--provenance, or delete the checkpoint to start over)");
-  const std::string data = support::vfs().read_file(path);
-  std::size_t consumed = 0;
   bool saw_header = false;
-  while (true) {
-    const std::size_t newline = data.find('\n', consumed);
-    if (newline == std::string::npos) break;  // partial trailing record
-    Json record;
-    try {
-      record = Json::parse(std::string_view(data).substr(consumed, newline - consumed));
-    } catch (const support::JsonError&) {
-      break;  // torn write at the kill point: the durable prefix ends here
-    }
-    if (!saw_header) {
-      if (record.string_or("kind", "") != "search-provenance")
-        throw std::invalid_argument("provenance: " + path +
-                                    " is not a search-provenance stream; resuming would "
-                                    "truncate the wrong file");
-      if (record.string_or("fingerprint", "") != fingerprint)
-        throw std::invalid_argument(
-            "provenance: " + path +
-            " belongs to a different search (fingerprint mismatch); delete it to start over");
-      saw_header = true;
-    } else if (record.uint_or("wave", 0) > waves) {
-      break;  // first record of a wave the resumed run will re-execute
-    }
-    consumed = newline + 1;
-  }
+  const std::uint64_t consumed =
+      support::scan_durable_prefix(support::vfs().read_file(path), [&](const Json& record) {
+        // Stop at the first record of a wave the resumed run re-executes.
+        if (saw_header) return record.uint_or("wave", 0) <= waves;
+        if (record.string_or("kind", "") != "search-provenance")
+          throw std::invalid_argument("provenance: " + path +
+                                      " is not a search-provenance stream; resuming would "
+                                      "truncate the wrong file");
+        if (record.string_or("fingerprint", "") != fingerprint)
+          throw std::invalid_argument(
+              "provenance: " + path +
+              " belongs to a different search (fingerprint mismatch); delete it to start over");
+        saw_header = true;
+        return true;
+      });
   if (!saw_header)
     throw std::invalid_argument("provenance: " + path +
                                 " has no stream header; resuming would truncate the wrong file");
@@ -471,21 +435,8 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   bool root_infeasible = false;
   std::uint64_t journal_bytes = 0;
   if (options.resume && checkpointing) {
-    // An explicit --resume with nothing (usable) to resume is refused with
-    // a structured error instead of silently starting over: restarting
-    // would overwrite the very artifacts the caller asked to extend.
-    if (!support::vfs().exists(options.checkpoint_path))
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          "missing (no checkpoint at this path; run without --resume to start fresh)");
-    Json checkpoint;
-    try {
-      checkpoint = Json::load_file(options.checkpoint_path);
-    } catch (const support::JsonError& error) {
-      throw support::CheckpointError(
-          options.checkpoint_path,
-          std::string("unreadable or truncated (") + error.what() + ")");
-    }
+    const Json checkpoint = support::load_checkpoint(options.checkpoint_path, kCheckpointKind,
+                                                     kCheckpointSchema, options.fingerprint);
     state = checkpoint_from_json(checkpoint, options.checkpoint_path, root, objective, limits,
                                  options, frontier_config);
     journal_bytes = replay_journal(state, journal_path(options.checkpoint_path, state.generation),
@@ -524,7 +475,7 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   if (provenance_on && resumed)
     provenance_resume = provenance_resume_offset(options.provenance_path, state.stats.waves,
                                                  options.fingerprint);
-  support::SoftJsonlSink provenance(options.provenance_path, "provenance", provenance_resume);
+  support::SoftJsonlSink provenance(options.provenance_path, provenance_resume);
   if (provenance_on && !resumed) {
     provenance.append(provenance_header(options.fingerprint));
     if (root_infeasible)

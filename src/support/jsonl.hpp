@@ -1,19 +1,27 @@
-// Checkpoint plumbing shared by the campaign runner and the search
-// subsystem: an append-mode JSONL sink with checkpoint-resume truncation,
-// and atomic JSON checkpoint writes.
+// The durable-record path: every step that makes a record survive a kill
+// is implemented once, here, and shared by the campaign and census runner
+// (exp/stream_runner.hpp), the search (search/bnb.cpp) and the spill
+// frontier (support/spill.hpp):
 //
-// The contract that makes streamed records byte-identical across
-// checkpoint/resume cycles: a checkpoint stores the byte offset of the
-// stream's durable prefix; on resume the sink truncates the file back to
-// that offset (dropping records written after the checkpoint and lost to
-// the interruption) and appends from there. A file *shorter* than the
-// recorded offset means stream and checkpoint are out of sync, which is
-// refused instead of silently padding the hole.
-//
-// All mutating I/O goes through the support::vfs() seam (see vfs.hpp),
-// with a bounded deterministic retry for transient failures: a torn
-// append is rolled back to the sink's durable byte count before the
-// retry, so the rewrite can never duplicate a partial record.
+//   1. Append a record — JsonlSink::append. All mutating I/O goes through
+//      the support::vfs() seam (see vfs.hpp) with a bounded deterministic
+//      retry; a torn append is rolled back to the sink's durable byte
+//      count before the retry, so a rewrite never duplicates a partial
+//      record. Spill segments, JSONL streams, incumbent logs, wave
+//      journals and the provenance stream (through SoftJsonlSink) are all
+//      written this way.
+//   2. Rewind a torn write on resume — JsonlSink(path, resume_bytes). A
+//      checkpoint stores the byte offset of the stream's durable prefix;
+//      on resume the sink truncates the file back to it (dropping records
+//      written after the checkpoint) and appends from there. A file
+//      *shorter* than the recorded offset means stream and checkpoint are
+//      out of sync, which is refused instead of silently padding the hole.
+//   3. Read back the durable prefix — scan_durable_prefix walks complete
+//      records and stops at the first torn line.
+//   4. Refuse a foreign checkpoint — checkpoint_header writes the identity
+//      keys every checkpoint starts with, load_checkpoint checks them and
+//      throws a structured CheckpointError. save_json_atomically writes
+//      checkpoints with write-then-rename.
 #pragma once
 
 #include <cinttypes>
@@ -22,6 +30,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "support/json.hpp"
 #include "support/vfs.hpp"
@@ -75,6 +84,68 @@ inline void save_json_atomically(const std::string& path, const Json& json) {
   retry_io(RetryPolicy{}, [&] { vfs().rename(tmp, path); });
 }
 
+/// The identity keys every checkpoint starts with, in file order:
+/// {"schema", "kind", "fingerprint"}. load_checkpoint checks all three.
+inline Json checkpoint_header(const std::string& kind, std::uint64_t schema,
+                              const std::string& fingerprint) {
+  Json json = Json::object();
+  json.set("schema", Json(schema));
+  json.set("kind", Json(kind));
+  json.set("fingerprint", Json(fingerprint));
+  return json;
+}
+
+/// Loads the checkpoint a resume continues from. An explicit resume with
+/// nothing usable to resume is refused rather than silently started over,
+/// because restarting would overwrite the very artifacts the caller asked
+/// to extend: a missing or unreadable file, another kind, another schema
+/// or another spec fingerprint all throw CheckpointError.
+inline Json load_checkpoint(const std::string& path, const std::string& kind,
+                            std::uint64_t schema, const std::string& fingerprint) {
+  if (!vfs().exists(path))
+    throw CheckpointError(
+        path, "missing (no checkpoint at this path; run without --resume to start fresh)");
+  Json json;
+  try {
+    json = Json::load_file(path);
+  } catch (const JsonError& error) {
+    throw CheckpointError(path, std::string("unreadable or truncated (") + error.what() + ")");
+  }
+  if (json.string_or("kind", "") != kind)
+    throw CheckpointError(path, "not a " + kind + " file (foreign checkpoint)");
+  if (json.uint_or("schema", 0) != schema)
+    throw CheckpointError(path, "schema " + std::to_string(json.uint_or("schema", 0)) +
+                                    " (written by a different build; delete the checkpoint "
+                                    "to start over)");
+  if (json.at("fingerprint").as_string() != fingerprint)
+    throw CheckpointError(path,
+                          "spec fingerprint mismatch (spec edited since the checkpoint was "
+                          "written; delete the checkpoint to start over)");
+  return json;
+}
+
+/// Walks the records of a JSONL stream's bytes in order and returns the
+/// byte length of its durable prefix. The walk stops before a line that
+/// has no newline or does not parse (a torn write at the kill point), and
+/// before a record for which `visit(record)` returns false.
+template <typename Visit>
+std::uint64_t scan_durable_prefix(std::string_view data, Visit&& visit) {
+  std::size_t consumed = 0;
+  while (true) {
+    const std::size_t newline = data.find('\n', consumed);
+    if (newline == std::string_view::npos) break;  // partial trailing record
+    Json record;
+    try {
+      record = Json::parse(data.substr(consumed, newline - consumed));
+    } catch (const JsonError&) {
+      break;  // torn write at the kill point: the durable prefix ends here
+    }
+    if (!visit(record)) break;
+    consumed = newline + 1;
+  }
+  return consumed;
+}
+
 /// Canonical rendering of a spec fingerprint in checkpoint files: 16
 /// zero-padded lowercase hex digits. Campaign and search checkpoints share
 /// this format, so keep them on one helper.
@@ -89,19 +160,15 @@ class JsonlSink {
   /// Opens `path` for writing ("" = disabled sink, every call a no-op).
   /// `resume_bytes` > 0 truncates to that offset and appends; 0 starts the
   /// stream over.
-  explicit JsonlSink(const std::string& path, std::uint64_t resume_bytes = 0) : path_(path) {
+  explicit JsonlSink(const std::string& path, std::uint64_t resume_bytes = 0) {
     if (path.empty()) return;
     if (resume_bytes > 0) {
-      std::uint64_t existing = 0;
-      bool readable = vfs().exists(path);
-      if (readable) {
-        try {
-          existing = vfs().file_size(path);
-        } catch (const VfsError&) {
-          readable = false;
-        }
+      std::uint64_t existing = 0;  // stays 0 for a missing or unreadable file
+      try {
+        if (vfs().exists(path)) existing = vfs().file_size(path);
+      } catch (const VfsError&) {
       }
-      if (!readable || existing < resume_bytes)
+      if (existing < resume_bytes)
         throw std::invalid_argument(
             "jsonl: " + path + " is shorter than the checkpoint's recorded offset (" +
             std::to_string(resume_bytes) +
@@ -150,56 +217,50 @@ class JsonlSink {
     retry_io(RetryPolicy{}, [&] { file_->flush(); });
   }
 
+  /// Flushes (retried), then closes; throws VfsError when either fails.
+  void close() {
+    if (file_ == nullptr) return;
+    flush();
+    file_->close();
+    file_ = nullptr;
+  }
+
   /// Durable-prefix offset to record in checkpoints.
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
  private:
-  std::string path_;
   std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
   std::uint64_t bytes_ = 0;
 };
 
-/// A fail-soft JsonlSink for observability streams that are deterministic
-/// artifacts *when healthy* but must never fail the run (the search
-/// provenance stream): a persistent I/O failure — at open or on any
-/// append — degrades the sink to a counting no-op. Each record that
-/// cannot be written ticks `<counter_prefix>.dropped`, and one warning
-/// lands on stderr. Resume-offset mismatches (the caller pointed a
-/// checkpoint at the wrong file) still throw: those are configuration
-/// errors, not disk weather.
+/// The fail-soft sink of the search's prune-provenance stream: a
+/// deterministic artifact when healthy, but it must never fail the run. A
+/// persistent I/O failure — at open, on an append or on a flush — degrades
+/// it to a no-op: one warning lands on stderr, and every record it then
+/// cannot write ticks `provenance.dropped`. Resume-offset mismatches (a
+/// checkpoint pointed at the wrong file) still throw: those are
+/// configuration errors, not disk weather.
 class SoftJsonlSink {
  public:
-  SoftJsonlSink() = default;
-
-  SoftJsonlSink(const std::string& path, std::string counter_prefix,
-                std::uint64_t resume_bytes = 0)
-      : counter_prefix_(std::move(counter_prefix)), path_hint_(path) {
+  SoftJsonlSink(const std::string& path, std::uint64_t resume_bytes) : path_(path) {
     if (path.empty()) return;
     try {
       sink_ = std::make_unique<JsonlSink>(path, resume_bytes);
     } catch (const VfsError& error) {
-      degrade(path, error.reason());
+      degrade(error.reason());
     }
   }
 
-  /// Whether records are currently reaching the file.
-  [[nodiscard]] bool healthy() const noexcept { return sink_ != nullptr; }
-  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
-
   void append(const std::string& text) {
-    if (degraded_) {
-      telemetry::registry().counter(counter_prefix_ + ".dropped").add();
-      return;
+    if (sink_ != nullptr) {
+      try {
+        sink_->append(text);  // rolls the file back to its durable prefix on failure
+        return;
+      } catch (const VfsError& error) {
+        degrade(error.reason());
+      }
     }
-    if (sink_ == nullptr) return;
-    try {
-      sink_->append(text);
-    } catch (const VfsError& error) {
-      // JsonlSink already rolled the file back to its durable prefix.
-      bytes_at_degrade_ = sink_->bytes();
-      degrade(path_hint_.empty() ? "<provenance>" : path_hint_, error.reason());
-      telemetry::registry().counter(counter_prefix_ + ".dropped").add();
-    }
+    if (!path_.empty()) telemetry::registry().counter("provenance.dropped").add();
   }
 
   void flush() {
@@ -207,29 +268,19 @@ class SoftJsonlSink {
     try {
       sink_->flush();
     } catch (const VfsError& error) {
-      bytes_at_degrade_ = sink_->bytes();
-      degrade(path_hint_.empty() ? "<provenance>" : path_hint_, error.reason());
+      degrade(error.reason());
     }
   }
 
-  /// Durable-prefix offset for checkpoints (frozen at degrade time).
-  [[nodiscard]] std::uint64_t bytes() const noexcept {
-    return sink_ != nullptr ? sink_->bytes() : bytes_at_degrade_;
-  }
-
  private:
-  void degrade(const std::string& path, const std::string& reason) {
+  void degrade(const std::string& reason) {
     sink_.reset();
-    degraded_ = true;
-    std::fprintf(stderr, "aurv: %s: %s (%s); stream disabled, records dropped\n",
-                 counter_prefix_.c_str(), path.c_str(), reason.c_str());
+    std::fprintf(stderr, "aurv: provenance: %s (%s); stream disabled, records dropped\n",
+                 path_.c_str(), reason.c_str());
   }
 
-  std::string counter_prefix_ = "jsonl";
-  std::string path_hint_;
-  std::unique_ptr<JsonlSink> sink_;
-  std::uint64_t bytes_at_degrade_ = 0;
-  bool degraded_ = false;
+  std::string path_;
+  std::unique_ptr<JsonlSink> sink_;  ///< null when off ("" path) or degraded
 };
 
 }  // namespace aurv::support

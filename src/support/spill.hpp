@@ -26,9 +26,10 @@
 // checkpointed hot entries both go through it); `Codec::encode(value)`
 // must equal `Codec::to_json(value).dump()` and is what segments store.
 //
-// Fault policy: every mutating file operation goes through the
-// support::vfs() seam. Transient failures are absorbed by bounded
-// deterministic retry inside the segment writer; a *persistent* write
+// Fault policy: a segment is written like every other durable record,
+// through support::JsonlSink (one append per record), so transient
+// failures are absorbed by its bounded deterministic retry and a torn
+// record is rewound to the last record boundary; a *persistent* write
 // failure (ENOSPC, EIO, read-only directory) does not kill the deque —
 // it **degrades** to in-memory mode: the elements that failed to spill
 // stay in the hot set, no further segments are written, and existing
@@ -55,36 +56,12 @@
 
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/jsonl.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 #include "support/vfs.hpp"
 
 namespace aurv::support {
-
-/// Writes one sorted run of JSONL records to a fresh segment file
-/// (truncating any leftover of the same name from a pre-crash run).
-/// Transient write failures are retried after rewinding to the last
-/// record boundary; persistent ones propagate as VfsError.
-class SpillSegmentWriter {
- public:
-  explicit SpillSegmentWriter(std::string path);
-  ~SpillSegmentWriter();
-  SpillSegmentWriter(const SpillSegmentWriter&) = delete;
-  SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
-
-  /// `line` is one record without the trailing newline.
-  void append(const std::string& line);
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
-  /// Flushes and closes; throws VfsError if any write failed.
-  void close();
-
- private:
-  std::string path_;
-  std::unique_ptr<VfsFile> file_;  ///< closed silently by the destructor
-  std::uint64_t bytes_ = 0;        ///< durable record-boundary offset
-  std::uint64_t records_ = 0;
-};
 
 /// Streams the records of an immutable segment file from a byte offset.
 /// The current record ("head") stays loaded; advance() moves to the next.
@@ -233,12 +210,8 @@ class SpillDeque {
     // loads, keeping the cap honest even during the restore itself.
     for (const Json& entry : json.at("hot").as_array()) deque.insert(Codec::from_json(entry));
     for (const Json& entry : json.at("segments").as_array()) {
-      Segment segment{SpillSegmentReader(entry.at("path").as_string(),
-                                         entry.at("offset").as_uint(),
-                                         entry.at("remaining").as_uint()),
-                      std::nullopt};
-      if (!segment.reader.done())
-        segment.head = Codec::from_json(Json::parse(segment.reader.head()));
+      Segment segment(entry.at("path").as_string(), entry.at("offset").as_uint(),
+                      entry.at("remaining").as_uint());
       if (segment.head.has_value()) deque.segments_.push_back(std::move(segment));
     }
     // A kill between the owner's checkpoint write and its prune_retired()
@@ -308,7 +281,15 @@ class SpillDeque {
  private:
   struct Segment {
     SpillSegmentReader reader;
-    std::optional<T> head;
+    std::optional<T> head;  ///< the reader's head record, decoded
+
+    Segment(std::string path, std::uint64_t offset, std::uint64_t remaining)
+        : reader(std::move(path), offset, remaining) {
+      decode_head();
+    }
+    void decode_head() {
+      if (!reader.done()) head = Codec::from_json(Json::parse(reader.head()));
+    }
   };
 
   /// "seg-<digits>.jsonl" — the only files the sweep may touch.
@@ -347,7 +328,7 @@ class SpillDeque {
         }
       }
     } else {
-      segment.head = Codec::from_json(Json::parse(segment.reader.head()));
+      segment.decode_head();
     }
   }
 
@@ -373,6 +354,38 @@ class SpillDeque {
                    /*transient=*/false);
   }
 
+  /// Writes the next segment file through `write(sink)`, which appends
+  /// the records and returns how many, and opens it for reading. Only a
+  /// cleanly closed segment ticks the spill counters and sets the span's
+  /// "records" argument. On a persistent failure the partial file is
+  /// removed, the deque degrades, and the result is empty.
+  template <typename Write>
+  std::optional<Segment> write_segment(trace::Span& span, Write&& write) {
+    static telemetry::Counter& segments_counter = telemetry::registry().counter("spill.segments");
+    static telemetry::Counter& records_counter = telemetry::registry().counter("spill.records");
+    static telemetry::Counter& bytes_counter = telemetry::registry().counter("spill.bytes");
+    const std::string path = segment_path(seq_++);
+    std::uint64_t records = 0;
+    try {
+      JsonlSink sink(path);  // truncates a pre-crash leftover of the same name
+      records = write(sink);
+      sink.close();
+      segments_counter.add();
+      records_counter.add(records);
+      bytes_counter.add(sink.bytes());
+    } catch (const VfsError& error) {
+      vfs().remove(path);
+      degrade(error.what());
+      return std::nullopt;
+    }
+    if (span.armed()) {
+      Json args = Json::object();
+      args.set("records", Json(records));
+      span.set_args(std::move(args));
+    }
+    return Segment(path, 0, records);
+  }
+
   /// Moves the worst half of the hot set, in sorted order, into a fresh
   /// segment file. A persistent write failure degrades the deque instead
   /// of propagating: the unspilled elements simply stay hot (the pop
@@ -387,32 +400,21 @@ class SpillDeque {
     const std::size_t keep = config_.mem_capacity / 2;
     auto first_cold = hot_.begin();
     std::advance(first_cold, keep);
-    const std::string path = segment_path(seq_++);
-    std::uint64_t count = 0;
-    try {
-      SpillSegmentWriter writer(path);
-      for (auto it = first_cold; it != hot_.end(); ++it)
-        writer.append(Codec::encode(*it));
-      writer.close();
-      count = writer.records();
-    } catch (const VfsError& error) {
-      // Nothing was erased from hot_ yet, so the failed segment can be
-      // dropped wholesale and the elements served from memory.
-      vfs().remove(path);
-      degrade(error.what());
+    // Nothing is erased from hot_ before the segment is durable, so a
+    // failed one is dropped wholesale and its elements served from memory.
+    std::optional<Segment> segment = write_segment(span, [&](JsonlSink& sink) {
+      std::uint64_t records = 0;
+      for (auto it = first_cold; it != hot_.end(); ++it, ++records)
+        sink.append(Codec::encode(*it) + "\n");
+      return records;
+    });
+    if (!segment.has_value()) {
       enforce_degraded_cap();
       return;
     }
-    spilled_ += count;
-    if (span.armed()) {
-      Json args = Json::object();
-      args.set("records", Json(count));
-      span.set_args(std::move(args));
-    }
+    spilled_ += segment->reader.remaining();
     hot_.erase(first_cold, hot_.end());
-    Segment segment{SpillSegmentReader(path, 0, count), std::nullopt};
-    segment.head = Codec::from_json(Json::parse(segment.reader.head()));
-    segments_.push_back(std::move(segment));
+    segments_.push_back(std::move(*segment));
     if (segments_.size() > config_.max_segments) merge_segments();
   }
 
@@ -427,52 +429,35 @@ class SpillDeque {
     if (segments_.size() <= 1) return;
     static telemetry::Timer& merge_timer = telemetry::registry().timer("spill.merge");
     trace::Span span(merge_timer, "spill.merge", "spill", {.announce = true});
-    struct Scratch {
-      SpillSegmentReader reader;
-      T head;
-    };
-    std::vector<Scratch> scratch;
+    std::vector<Segment> scratch;
     scratch.reserve(segments_.size());
     for (const Segment& segment : segments_)
-      scratch.push_back(Scratch{SpillSegmentReader(segment.reader.path(),
-                                                   segment.reader.offset(),
-                                                   segment.reader.remaining()),
-                                *segment.head});
-    const std::string path = segment_path(seq_++);
-    std::uint64_t count = 0;
-    try {
-      SpillSegmentWriter writer(path);
+      scratch.emplace_back(segment.reader.path(), segment.reader.offset(),
+                           segment.reader.remaining());
+    std::optional<Segment> merged = write_segment(span, [&](JsonlSink& sink) {
+      std::uint64_t records = 0;
       std::size_t open = scratch.size();
       while (open > 0) {
-        Scratch* best = nullptr;
-        for (Scratch& s : scratch)
-          if (!s.reader.done() && (best == nullptr || less_(s.head, best->head))) best = &s;
-        writer.append(best->reader.head());
+        Segment* best = nullptr;
+        for (Segment& s : scratch)
+          if (!s.reader.done() && (best == nullptr || less_(*s.head, *best->head))) best = &s;
+        sink.append(best->reader.head() + "\n");
+        ++records;
         best->reader.advance();
         if (best->reader.done())
           --open;
         else
-          best->head = Codec::from_json(Json::parse(best->reader.head()));
+          best->decode_head();
       }
-      writer.close();
-      count = writer.records();
-    } catch (const VfsError& error) {
-      vfs().remove(path);
-      degrade(error.what());
-      return;
-    }
-    AURV_CHECK_MSG(count > 0, "SpillDeque: merged zero records from nonempty segments");
+      return records;
+    });
+    if (!merged.has_value()) return;
+    AURV_CHECK_MSG(merged->head.has_value(),
+                   "SpillDeque: merged zero records from nonempty segments");
     telemetry::registry().counter("spill.merges").add();
-    if (span.armed()) {
-      Json args = Json::object();
-      args.set("records", Json(count));
-      span.set_args(std::move(args));
-    }
     for (Segment& segment : segments_) retired_.push_back(segment.reader.path());
     segments_.clear();
-    Segment merged{SpillSegmentReader(path, 0, count), std::nullopt};
-    merged.head = Codec::from_json(Json::parse(merged.reader.head()));
-    segments_.push_back(std::move(merged));
+    segments_.push_back(std::move(*merged));
   }
 
   Config config_;

@@ -432,6 +432,15 @@ TEST(ResumeDiagnostics, CampaignResumeRefusesMissingTruncatedAndForeignCheckpoin
   std::ofstream(checkpoint, std::ios::binary | std::ios::trunc)
       << "{\"kind\": \"search-checkpoint\", \"schema\": 1}";
   expect_checkpoint_error(attempt, checkpoint, "foreign");
+
+  // A real checkpoint of this campaign, but of another schema.
+  (void)run_campaign_in(dir, false);
+  std::string text = slurp(checkpoint);
+  const std::size_t schema = text.find("\"schema\": 1,");
+  ASSERT_NE(schema, std::string::npos) << text;
+  text.replace(schema, 11, "\"schema\": 99");
+  std::ofstream(checkpoint, std::ios::binary | std::ios::trunc) << text;
+  expect_checkpoint_error(attempt, checkpoint, "schema 99");
 }
 
 // The CLI contract on top of the same errors: exit code 5 and the

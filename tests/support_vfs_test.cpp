@@ -2,7 +2,7 @@
 // trace and script failures exactly as advertised; the retry layer must
 // absorb transient faults with a deterministic backoff schedule and
 // nothing else; and the persistence primitives built on the seam
-// (JsonlSink, save_json_atomically, SpillSegmentWriter, SpillDeque) must
+// (JsonlSink, save_json_atomically, SpillDeque) must
 // recover from torn writes, keep atomic checkpoints atomic, and degrade
 // the spill store gracefully — producing byte-identical artifacts
 // throughout.
@@ -323,33 +323,6 @@ TEST(Vfs, AtomicSaveNeverLeavesATornCheckpointBehind) {
   EXPECT_EQ(slurp(path), before);  // live checkpoint untouched by the torn tmp
 }
 
-// ------------------------------------- SpillSegmentWriter under faults --
-
-TEST(Vfs, SegmentWriterRecoversTornRecordsAtRecordBoundaries) {
-  const std::string clean_path = temp_path("seg_clean.jsonl");
-  {
-    SpillSegmentWriter clean(clean_path);
-    clean.append("{\"record\":1}");
-    clean.append("{\"record\":2}");
-    clean.close();
-  }
-
-  const std::string faulted_path = temp_path("seg_faulted.jsonl");
-  FaultSchedule schedule;
-  // Tear the first write of record 2 (ops: open, r1, \n, r2...).
-  schedule.faults.push_back(fault(3, faulted_path, FaultClass::ShortWrite));
-  FaultVfs faulty(schedule);
-  {
-    ScopedVfs guard(faulty);
-    SpillSegmentWriter writer(faulted_path);
-    writer.append("{\"record\":1}");
-    writer.append("{\"record\":2}");
-    writer.close();
-    EXPECT_EQ(writer.records(), 2u);
-  }
-  EXPECT_EQ(slurp(faulted_path), slurp(clean_path));
-}
-
 // --------------------------------------- SpillDeque graceful degradation --
 
 std::vector<std::string> pop_all_tags(auto& deque) {
@@ -387,6 +360,41 @@ std::vector<Item> some_items(std::size_t count) {
   for (std::size_t k = 0; k < count; ++k)
     items.push_back(Item{static_cast<double>((k * 7919) % 101), "tag" + std::to_string(k)});
   return items;
+}
+
+TEST(Vfs, SpillDequeRewindsATornSegmentRecordWithoutDegrading) {
+  // A segment is written through JsonlSink, one append per record: a torn
+  // record is rewound to the last record boundary and retried, so the
+  // segment bytes, and the pops, are those of a clean run.
+  const std::vector<Item> items = some_items(5);
+  const auto spill = [&](const std::string& dir, std::vector<std::string>& tags) {
+    ItemDeque::Config config;
+    config.spill_dir = dir;
+    config.mem_capacity = 4;
+    ItemDeque deque(config);
+    for (const Item& item : items) deque.insert(item);  // the fifth insert spills
+    EXPECT_EQ(deque.segment_count(), 1u);
+    EXPECT_FALSE(deque.degraded()) << deque.degradation();
+    const std::string bytes = slurp(dir + "/seg-0.jsonl");
+    tags = pop_all_tags(deque);
+    return bytes;
+  };
+  std::vector<std::string> clean_tags;
+  const std::string clean = spill(fresh_dir("vfs_torn_segment_clean"), clean_tags);
+
+  // Segment ops: open (0), record 1 (1), record 2 (2, torn), ...
+  FaultSchedule schedule;
+  schedule.faults.push_back(fault(2, "seg-", FaultClass::ShortWrite));
+  FaultVfs faulty(schedule);
+  std::vector<std::string> faulted_tags;
+  std::string faulted;
+  {
+    ScopedVfs guard(faulty);
+    faulted = spill(fresh_dir("vfs_torn_segment_faulted"), faulted_tags);
+  }
+  EXPECT_GT(faulty.backoff_recorded_ms(), 0u);  // the fault fired and was retried
+  EXPECT_EQ(faulted, clean);
+  EXPECT_EQ(faulted_tags, clean_tags);
 }
 
 TEST(Vfs, SpillDequeDegradesToInMemoryOnAFullDiskWithIdenticalPops) {

@@ -287,6 +287,32 @@ TEST(TelemetryCli, ProgressOutsideItsRangeExitsThreeWithoutABeat) {
   EXPECT_EQ(slurp(stderr_path).find("heartbeat"), std::string::npos);
 }
 
+TEST(TelemetryCli, InvalidCountOptionsExitThreeBeforeAnyInternalCheck) {
+  // Option values the library would reject with an internal AURV_CHECK
+  // (whose message names a source line) are refused while the flags are
+  // parsed, with one stable "error:" line.
+  const std::string sweep = testpaths::sweep_binary();
+  if (!std::filesystem::exists(sweep)) GTEST_SKIP() << "aurv_sweep not built: " << sweep;
+  const std::string dir = fresh_dir("telemetry_cli_counts");
+  const std::string stderr_path = dir + "/stderr.txt";
+  const std::string search = " search " + scenario_path("search_smoke.json");
+  const std::string run = " run " + scenario_path("smoke_type2.json");
+  for (const std::string& args :
+       {search + " --frontier-mem 4", search + " --spill-dir " + dir + "/spill --spill-segments 0",
+        search + " --compact-every 0", search + " --checkpoint-every 0",
+        run + " --shard-size 0", run + " --checkpoint-every 0"}) {
+    const std::string command =
+        sweep + args + " --quiet --out " + dir + "/out.json 2> " + stderr_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 3) << args;
+    const std::string text = slurp(stderr_path);
+    EXPECT_EQ(text.find("error: "), 0u) << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << "one stderr line: " << text;
+    EXPECT_EQ(text.find("AURV_CHECK"), std::string::npos) << text;
+  }
+}
+
 TEST(TelemetryCli, EveryCommandRecordsItsIdentityAndTimesEachPhaseOnce) {
   // Campaigns, gathering censuses and searches go through one observed
   // lifecycle: each snapshot names the run's kind and shape, times load,
