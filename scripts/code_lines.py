@@ -4,8 +4,9 @@
 A code line is a non-blank line that is not comment-only (its first
 non-blank characters are not "//"). With no arguments the script prints
 one row per layer (each directory under src/) and the src/ total; with
-paths (files or directories, relative to the repo root) it prints one row
-per path and their total instead.
+paths (files or directories, relative to the repo root, or absolute
+paths anywhere) it prints one row per path, named as given, and their
+total instead.
 
 Usage:
     python3 scripts/code_lines.py
@@ -42,16 +43,19 @@ def code_lines(path: pathlib.Path) -> int:
 
 def main(argv: list[str]) -> int:
     if argv:
-        paths = [ROOT / arg for arg in argv]
-        missing = [str(p) for p in paths if not p.exists()]
+        # Named paths print as given: an absolute path outside the repo
+        # (say, a parent checkout) has no repo-relative name.
+        named = [(arg, ROOT / arg) for arg in argv]
+        missing = [str(p) for _, p in named if not p.exists()]
         if missing:
             print("no such path: " + ", ".join(missing), file=sys.stderr)
             return 1
         total_label = "total"
     else:
-        paths = sorted(p for p in (ROOT / "src").iterdir() if p.is_dir())
+        named = [(str(p.relative_to(ROOT)), p)
+                 for p in sorted((ROOT / "src").iterdir()) if p.is_dir()]
         total_label = "src/"
-    rows = [(str(p.relative_to(ROOT)), code_lines(p)) for p in paths]
+    rows = [(name, code_lines(p)) for name, p in named]
     width = max(len(total_label), *(len(name) for name, _ in rows))
     for name, count in rows:
         print(f"{name:<{width}}  {count:>6,}")

@@ -74,14 +74,14 @@ class CheckpointError : public std::invalid_argument {
 inline void save_json_atomically(const std::string& path, const Json& json) {
   const std::string tmp = path + ".tmp";
   const std::string text = json.dump(2);
-  retry_io(RetryPolicy{}, [&] {
+  retry_io([&] {
     // Reopen-truncate on every attempt: a torn first try leaves no prefix
     // for the retry to double-write.
     const std::unique_ptr<VfsFile> file = vfs().open_write(tmp, Vfs::OpenMode::Truncate);
     file->write(text);
     file->close();
   });
-  retry_io(RetryPolicy{}, [&] { vfs().rename(tmp, path); });
+  retry_io([&] { vfs().rename(tmp, path); });
 }
 
 /// The identity keys every checkpoint starts with, in file order:
@@ -174,16 +174,14 @@ class JsonlSink {
             std::to_string(resume_bytes) +
             " bytes); the stream does not match this checkpoint — delete both to start over");
       try {
-        retry_io(RetryPolicy{}, [&] { vfs().resize_file(path, resume_bytes); });
+        retry_io([&] { vfs().resize_file(path, resume_bytes); });
       } catch (const VfsError& error) {
         throw std::invalid_argument("jsonl: cannot truncate " + path +
                                     " for resume: " + error.reason());
       }
-      file_ = retry_io(RetryPolicy{},
-                       [&] { return vfs().open_write(path, Vfs::OpenMode::Append); });
+      file_ = retry_io([&] { return vfs().open_write(path, Vfs::OpenMode::Append); });
     } else {
-      file_ = retry_io(RetryPolicy{},
-                       [&] { return vfs().open_write(path, Vfs::OpenMode::Truncate); });
+      file_ = retry_io([&] { return vfs().open_write(path, Vfs::OpenMode::Truncate); });
     }
     bytes_ = resume_bytes;
   }
@@ -193,7 +191,7 @@ class JsonlSink {
 
   void append(const std::string& text) {
     if (file_ == nullptr) return;
-    retry_io(RetryPolicy{}, [&] {
+    retry_io([&] {
       try {
         file_->write(text);
       } catch (const VfsError&) {
@@ -214,7 +212,7 @@ class JsonlSink {
 
   void flush() {
     if (file_ == nullptr) return;
-    retry_io(RetryPolicy{}, [&] { file_->flush(); });
+    retry_io([&] { file_->flush(); });
   }
 
   /// Flushes (retried), then closes; throws VfsError when either fails.

@@ -17,10 +17,12 @@
 // offset, never rewrites bytes. That makes them safe to reference from a
 // base checkpoint — `state_to_json()` records each segment's path, byte
 // offset and remaining record count plus the hot set, and `from_json()`
-// reopens the exact same logical container. Files drained or superseded
-// by a merge are only *retired* (remembered, not deleted) until the owner
-// calls `prune_retired()` after its next durable checkpoint, so a crash
-// between the two never orphans state a resume still needs.
+// reopens the exact same logical container; the deque's own `Segment`
+// streams each open file from its recorded offset. Files drained or
+// superseded by a merge are only *retired* (remembered, not deleted)
+// until the owner calls `prune_retired()` after its next durable
+// checkpoint, so a crash between the two never orphans state a resume
+// still needs.
 //
 // `Codec` maps T to/from support::Json (lossless — segment records and
 // checkpointed hot entries both go through it); `Codec::encode(value)`
@@ -50,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,37 +65,6 @@
 #include "support/vfs.hpp"
 
 namespace aurv::support {
-
-/// Streams the records of an immutable segment file from a byte offset.
-/// The current record ("head") stays loaded; advance() moves to the next.
-class SpillSegmentReader {
- public:
-  /// Opens `path` positioned at `offset` with `remaining` records left to
-  /// read; throws std::invalid_argument when the file is missing or holds
-  /// fewer records than promised (a segment/checkpoint mismatch).
-  SpillSegmentReader(std::string path, std::uint64_t offset, std::uint64_t remaining);
-  SpillSegmentReader(SpillSegmentReader&&) = default;
-  SpillSegmentReader& operator=(SpillSegmentReader&&) = default;
-
-  [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
-  /// The current record line; valid only while !done().
-  [[nodiscard]] const std::string& head() const noexcept { return head_; }
-  void advance();
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// Byte offset of the head record (what a checkpoint must store).
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
-  [[nodiscard]] std::uint64_t remaining() const noexcept { return remaining_; }
-
- private:
-  void read_head();
-
-  std::string path_;
-  std::unique_ptr<std::ifstream> file_;  // pointer: keeps the reader movable
-  std::string head_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t remaining_ = 0;
-};
 
 template <typename T, typename Less, typename Codec>
 class SpillDeque {
@@ -136,7 +108,7 @@ class SpillDeque {
 
   [[nodiscard]] std::uint64_t size() const noexcept {
     std::uint64_t total = hot_.size();
-    for (const Segment& segment : segments_) total += segment.reader.remaining();
+    for (const Segment& segment : segments_) total += segment.remaining;
     return total;
   }
   [[nodiscard]] bool empty() const noexcept { return hot_.empty() && segments_.empty(); }
@@ -191,9 +163,9 @@ class SpillDeque {
     Json segments = Json::array();
     for (const Segment& segment : segments_) {
       Json entry = Json::object();
-      entry.set("path", Json(segment.reader.path()));
-      entry.set("offset", Json(segment.reader.offset()));
-      entry.set("remaining", Json(segment.reader.remaining()));
+      entry.set("path", Json(segment.path));
+      entry.set("offset", Json(segment.offset));
+      entry.set("remaining", Json(segment.remaining));
       segments.push_back(std::move(entry));
     }
     json.set("segments", std::move(segments));
@@ -238,7 +210,7 @@ class SpillDeque {
   /// durable checkpoints, where segment files have no value once the run
   /// ends; never call while a checkpoint still references the files.
   void discard_files() {
-    for (Segment& segment : segments_) retired_.push_back(segment.reader.path());
+    for (Segment& segment : segments_) retired_.push_back(segment.path);
     segments_.clear();
     hot_.clear();
     prune_retired();
@@ -258,8 +230,7 @@ class SpillDeque {
     if (!config_.spill_dir.empty())
       dirs.insert(std::filesystem::weakly_canonical(config_.spill_dir, ec));
     for (const Segment& segment : segments_) {
-      const std::filesystem::path path =
-          std::filesystem::weakly_canonical(segment.reader.path(), ec);
+      const std::filesystem::path path = std::filesystem::weakly_canonical(segment.path, ec);
       keep.insert(path);
       dirs.insert(path.parent_path());
     }
@@ -279,16 +250,47 @@ class SpillDeque {
   [[nodiscard]] std::size_t segment_count() const noexcept { return segments_.size(); }
 
  private:
+  /// An immutable segment file, streamed from a byte offset. The current
+  /// record ("head") stays loaded, raw and decoded; advance() moves on.
   struct Segment {
-    SpillSegmentReader reader;
-    std::optional<T> head;  ///< the reader's head record, decoded
+    std::string path;
+    std::uint64_t offset = 0;     ///< byte offset of the head (what a checkpoint stores)
+    std::uint64_t remaining = 0;  ///< records left, the head included
+    std::unique_ptr<std::ifstream> file;  // pointer: keeps the segment movable
+    std::string line;             ///< the head record as stored
+    std::optional<T> head;        ///< the head record, decoded
 
-    Segment(std::string path, std::uint64_t offset, std::uint64_t remaining)
-        : reader(std::move(path), offset, remaining) {
-      decode_head();
+    /// Opens `path` at `offset` with `remaining` records left; throws
+    /// std::invalid_argument when the file is missing or holds fewer
+    /// records than promised (a segment/checkpoint mismatch).
+    Segment(std::string segment_path, std::uint64_t at, std::uint64_t records)
+        : path(std::move(segment_path)), offset(at), remaining(records) {
+      if (remaining == 0) return;  // fully drained: nothing to open
+      file = std::make_unique<std::ifstream>(path, std::ios::binary);
+      if (!file->is_open())
+        throw std::invalid_argument("spill: cannot open segment " + path +
+                                    " (missing or unreadable; the spill directory does not "
+                                    "match this checkpoint)");
+      file->seekg(static_cast<std::streamoff>(offset));
+      read_head();
     }
-    void decode_head() {
-      if (!reader.done()) head = Codec::from_json(Json::parse(reader.head()));
+
+    [[nodiscard]] bool done() const noexcept { return remaining == 0; }
+
+    void advance() {
+      AURV_CHECK_MSG(remaining > 0, "spill: advance past the end of a segment");
+      offset += line.size() + 1;  // the record and its newline
+      --remaining;
+      if (remaining > 0) read_head();
+    }
+
+   private:
+    void read_head() {
+      if (!std::getline(*file, line))
+        throw std::invalid_argument("spill: segment " + path +
+                                    " is shorter than the checkpoint's recorded record count "
+                                    "(truncated or mismatched segment file)");
+      head = Codec::from_json(Json::parse(line));
     }
   };
 
@@ -318,17 +320,15 @@ class SpillDeque {
   }
 
   void advance_segment(Segment& segment) {
-    segment.reader.advance();
-    if (segment.reader.done()) {
-      retired_.push_back(segment.reader.path());
+    segment.advance();
+    if (segment.done()) {
+      retired_.push_back(segment.path);
       for (auto it = segments_.begin(); it != segments_.end(); ++it) {
         if (&*it == &segment) {
           segments_.erase(it);
           break;
         }
       }
-    } else {
-      segment.decode_head();
     }
   }
 
@@ -412,7 +412,7 @@ class SpillDeque {
       enforce_degraded_cap();
       return;
     }
-    spilled_ += segment->reader.remaining();
+    spilled_ += segment->remaining;
     hot_.erase(first_cold, hot_.end());
     segments_.push_back(std::move(*segment));
     if (segments_.size() > config_.max_segments) merge_segments();
@@ -421,7 +421,7 @@ class SpillDeque {
   /// K-way-merges every open segment into one sorted run. Raw record
   /// lines are copied as-is (no decode/re-encode), so a merged segment is
   /// byte-equivalent to the concatenation of its inputs in pop order.
-  /// Fault-safe: the merge reads through *scratch* readers opened at the
+  /// Fault-safe: the merge reads through *scratch* segments opened at the
   /// live segments' current offsets, so a failed merge write leaves the
   /// live state untouched — the deque degrades (keeps serving from the
   /// unmerged segments) instead of losing records.
@@ -432,22 +432,18 @@ class SpillDeque {
     std::vector<Segment> scratch;
     scratch.reserve(segments_.size());
     for (const Segment& segment : segments_)
-      scratch.emplace_back(segment.reader.path(), segment.reader.offset(),
-                           segment.reader.remaining());
+      scratch.emplace_back(segment.path, segment.offset, segment.remaining);
     std::optional<Segment> merged = write_segment(span, [&](JsonlSink& sink) {
       std::uint64_t records = 0;
       std::size_t open = scratch.size();
       while (open > 0) {
         Segment* best = nullptr;
         for (Segment& s : scratch)
-          if (!s.reader.done() && (best == nullptr || less_(*s.head, *best->head))) best = &s;
-        sink.append(best->reader.head() + "\n");
+          if (!s.done() && (best == nullptr || less_(*s.head, *best->head))) best = &s;
+        sink.append(best->line + "\n");
         ++records;
-        best->reader.advance();
-        if (best->reader.done())
-          --open;
-        else
-          best->decode_head();
+        best->advance();
+        if (best->done()) --open;
       }
       return records;
     });
@@ -455,7 +451,7 @@ class SpillDeque {
     AURV_CHECK_MSG(merged->head.has_value(),
                    "SpillDeque: merged zero records from nonempty segments");
     telemetry::registry().counter("spill.merges").add();
-    for (Segment& segment : segments_) retired_.push_back(segment.reader.path());
+    for (Segment& segment : segments_) retired_.push_back(segment.path);
     segments_.clear();
     segments_.push_back(std::move(*merged));
   }

@@ -90,7 +90,6 @@ struct TraceSink::Impl {
   /// instead of retry_io: retry_io emits a trace instant, and re-entering
   /// this sink from its own write path would deadlock.
   bool write_all(const std::string& data) {
-    const RetryPolicy retry;
     for (int attempt = 1;; ++attempt) {
       try {
         file->write(data);
@@ -103,8 +102,8 @@ struct TraceSink::Impl {
           // Rewind failed too; the file may keep a torn tail. It is a
           // diagnostic stream, so this only costs viewer-loadability.
         }
-        if (!error.transient() || attempt >= retry.attempts) return false;
-        const std::uint64_t backoff = retry.backoff_ms << (attempt - 1);
+        if (!error.transient() || attempt >= kRetryAttempts) return false;
+        const std::uint64_t backoff = kRetryBackoffMs << (attempt - 1);
         sink_metrics().retries.add();
         sink_metrics().backoff_ms.add(backoff);
         vfs().sleep_for_ms(backoff);

@@ -123,45 +123,48 @@ class RealVfs final : public Vfs {
     fs::create_directories(dir, ec);
     if (ec) throw VfsError("mkdir", dir, ec.message(), false);
   }
-  bool exists(const std::string& path) override {
-    std::error_code ec;
-    return fs::exists(path, ec);
-  }
-  std::uint64_t file_size(const std::string& path) override {
-    std::error_code ec;
-    const std::uintmax_t size = fs::file_size(path, ec);
-    if (ec) throw VfsError("stat", path, ec.message(), false);
-    return size;
-  }
-  std::string read_file(const std::string& path) override {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw VfsError("read", path, "cannot open", false);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) throw VfsError("read", path, "read failed", false);
-    return buffer.str();
-  }
-  std::vector<std::string> list_dir(const std::string& dir) override {
-    std::vector<std::string> names;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec))
-      names.push_back(entry.path().filename().string());
-    std::sort(names.begin(), names.end());
-    return names;
-  }
 };
 
-std::atomic<Vfs*>& current_vfs_slot() {
+RealVfs& real_backend() {
   static RealVfs real;
-  static std::atomic<Vfs*> current{&real};
+  return real;
+}
+
+std::atomic<Vfs*>& current_vfs_slot() {
+  static std::atomic<Vfs*> current{&real_backend()};
   return current;
 }
 
 }  // namespace
 
-Vfs& real_vfs() {
-  static RealVfs real;
-  return real;
+bool Vfs::exists(const std::string& path) {
+  std::error_code ec;
+  return fs::exists(path, ec);
+}
+
+std::uint64_t Vfs::file_size(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) throw VfsError("stat", path, ec.message(), false);
+  return size;
+}
+
+std::string Vfs::read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw VfsError("read", path, "cannot open", false);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) throw VfsError("read", path, "read failed", false);
+  return buffer.str();
+}
+
+std::vector<std::string> Vfs::list_dir(const std::string& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 Vfs& vfs() { return *current_vfs_slot().load(std::memory_order_acquire); }
@@ -233,17 +236,33 @@ FaultSchedule FaultSchedule::from_json(const Json& json) {
 // ------------------------------------------------------------------------
 
 // Not in an anonymous namespace: FaultVfs befriends this exact type so it
-// can reach the private on_op/crash hooks.
-/// Wraps an inner file: every operation is counted/injected by the owner.
+// can reach the private apply().
+/// Wraps a real file: every operation goes through the owner's apply().
 class FaultFile final : public VfsFile {
  public:
   FaultFile(FaultVfs& owner, std::string path, std::unique_ptr<VfsFile> inner)
       : owner_(owner), path_(std::move(path)), inner_(std::move(inner)) {}
 
-  void write(std::string_view data) override;
-  void flush() override;
-  void truncate_to(std::uint64_t size) override;
-  void close() override;
+  void write(std::string_view data) override {
+    try {
+      // A torn write leaves half the payload on disk before the error
+      // surfaces — the signature failure mode of a real kill mid-fwrite.
+      owner_.apply("write", path_, [&] { inner_->write(data); },
+                   [&] { inner_->write(data.substr(0, data.size() / 2)); });
+    } catch (const VfsCrashStop&) {
+      inner_->flush();  // "after operation K": K's bytes are on disk
+      throw;
+    }
+  }
+  void flush() override {
+    owner_.apply("flush", path_, [&] { inner_->flush(); });
+  }
+  void truncate_to(std::uint64_t size) override {
+    owner_.apply("truncate", path_, [&] { inner_->truncate_to(size); });
+  }
+  void close() override {
+    owner_.apply("close", path_, [&] { inner_->close(); });
+  }
 
  private:
   FaultVfs& owner_;
@@ -251,42 +270,55 @@ class FaultFile final : public VfsFile {
   std::unique_ptr<VfsFile> inner_;
 };
 
-FaultVfs::FaultVfs(FaultSchedule schedule, Vfs& inner)
-    : schedule_(std::move(schedule)), matched_(schedule_.faults.size(), 0), inner_(inner) {}
+FaultVfs::FaultVfs(FaultSchedule schedule)
+    : schedule_(std::move(schedule)), matched_(schedule_.faults.size(), 0) {}
 
-FaultVfs::Decision FaultVfs::on_op(const char* op, const std::string& path) {
-  const std::scoped_lock lock(mutex_);
-  Decision decision;
-  if (crashed_) {
-    decision.suppress = true;
-    return decision;
-  }
-  decision.index = next_index_++;
-  log_.push_back(OpRecord{decision.index, op, path});
-  for (std::size_t k = 0; k < schedule_.faults.size(); ++k) {
-    const FaultSpec& fault = schedule_.faults[k];
-    if (!fault.path_contains.empty() && path.find(fault.path_contains) == std::string::npos)
-      continue;
-    const std::uint64_t seen = matched_[k]++;
-    if (seen == fault.after || (fault.sticky && seen > fault.after)) {
-      decision.fault = &fault;
-      return decision;  // first matching fault wins
-    }
-  }
-  return decision;
-}
-
-void FaultVfs::crash(const Decision& decision, const char* op, const std::string& path) {
+bool FaultVfs::apply(const char* op, const std::string& path,
+                     const std::function<void()>& perform, const std::function<void()>& torn) {
+  const FaultSpec* due = nullptr;
+  std::uint64_t index = 0;
   {
     const std::scoped_lock lock(mutex_);
-    crashed_ = true;
+    if (crashed_) return false;
+    index = log_.size();
+    log_.push_back(OpRecord{index, op, path});
+    for (std::size_t k = 0; k < schedule_.faults.size() && due == nullptr; ++k) {
+      const FaultSpec& fault = schedule_.faults[k];
+      if (!fault.path_contains.empty() && path.find(fault.path_contains) == std::string::npos)
+        continue;
+      const std::uint64_t seen = matched_[k]++;
+      if (seen == fault.after || (fault.sticky && seen > fault.after))
+        due = &fault;  // first matching fault wins
+    }
   }
-  throw VfsCrashStop{decision.index, op, path};
+  if (due == nullptr) {
+    perform();
+    return true;
+  }
+  if (due->klass == FaultClass::CrashStop) {
+    perform();  // the op completes, then the process dies
+    {
+      const std::scoped_lock lock(mutex_);
+      crashed_ = true;
+    }
+    throw VfsCrashStop{index, op, path};
+  }
+  if (due->klass == FaultClass::ShortWrite && torn) torn();
+  telemetry::registry().counter("vfs.faults_injected").add();
+  const char* reason = "";
+  switch (due->klass) {
+    case FaultClass::ShortWrite: reason = "short write (injected torn write)"; break;
+    case FaultClass::NoSpace: reason = "no space left on device (injected ENOSPC)"; break;
+    case FaultClass::FlushIo: reason = "input/output error (injected EIO)"; break;
+    case FaultClass::RenameFail: reason = "rename failed (injected)"; break;
+    case FaultClass::CrashStop: break;
+  }
+  throw VfsError(op, path, reason, /*transient=*/!due->sticky);
 }
 
 std::uint64_t FaultVfs::ops() const {
   const std::scoped_lock lock(mutex_);
-  return next_index_;
+  return log_.size();
 }
 
 std::vector<FaultVfs::OpRecord> FaultVfs::op_log() const {
@@ -304,91 +336,11 @@ bool FaultVfs::crashed() const {
   return crashed_;
 }
 
-namespace {
-
-[[noreturn]] void throw_injected(const FaultSpec& fault, const char* op,
-                                 const std::string& path) {
-  telemetry::registry().counter("vfs.faults_injected").add();
-  const bool transient = !fault.sticky;
-  switch (fault.klass) {
-    case FaultClass::NoSpace:
-      throw VfsError(op, path, "no space left on device (injected ENOSPC)", transient);
-    case FaultClass::FlushIo:
-      throw VfsError(op, path, "input/output error (injected EIO)", transient);
-    case FaultClass::RenameFail:
-      throw VfsError(op, path, "rename failed (injected)", transient);
-    case FaultClass::ShortWrite:
-      throw VfsError(op, path, "short write (injected torn write)", transient);
-    case FaultClass::CrashStop:
-      break;  // handled by the caller, never reaches here
-  }
-  throw VfsError(op, path, "injected fault", transient);
-}
-
-}  // namespace
-
-void FaultFile::write(std::string_view data) {
-  const FaultVfs::Decision decision = owner_.on_op("write", path_);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::ShortWrite) {
-      // The torn half reaches the disk before the error surfaces — the
-      // signature failure mode of a real kill mid-fwrite.
-      inner_->write(data.substr(0, data.size() / 2));
-      throw_injected(*decision.fault, "write", path_);
-    }
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_->write(data);
-      inner_->flush();  // "after operation K": K's bytes are on disk
-      owner_.crash(decision, "write", path_);
-    }
-    throw_injected(*decision.fault, "write", path_);
-  }
-  inner_->write(data);
-}
-
-void FaultFile::flush() {
-  const FaultVfs::Decision decision = owner_.on_op("flush", path_);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_->flush();
-      owner_.crash(decision, "flush", path_);
-    }
-    throw_injected(*decision.fault, "flush", path_);
-  }
-  inner_->flush();
-}
-
-void FaultFile::truncate_to(std::uint64_t size) {
-  const FaultVfs::Decision decision = owner_.on_op("truncate", path_);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_->truncate_to(size);
-      owner_.crash(decision, "truncate", path_);
-    }
-    throw_injected(*decision.fault, "truncate", path_);
-  }
-  inner_->truncate_to(size);
-}
-
-void FaultFile::close() {
-  const FaultVfs::Decision decision = owner_.on_op("close", path_);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_->close();
-      owner_.crash(decision, "close", path_);
-    }
-    throw_injected(*decision.fault, "close", path_);
-  }
-  inner_->close();
-}
-
 std::unique_ptr<VfsFile> FaultVfs::open_write(const std::string& path, OpenMode mode) {
-  const Decision decision = on_op("open_write", path);
-  if (decision.suppress) {
+  std::unique_ptr<VfsFile> file;
+  // On a crash-stop the open itself completes (creating/truncating the
+  // file), then the process dies and the handle is dropped unused.
+  if (!apply("open_write", path, [&] { file = real_backend().open_write(path, mode); })) {
     // A dead process opens nothing; hand back a sink that swallows
     // everything so unwinding destructors stay silent.
     struct DeadFile final : VfsFile {
@@ -399,77 +351,29 @@ std::unique_ptr<VfsFile> FaultVfs::open_write(const std::string& path, OpenMode 
     };
     return std::make_unique<DeadFile>();
   }
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      // The open itself completes (creating/truncating the file), then the
-      // process dies; the handle is dropped unused.
-      const auto created = inner_.open_write(path, mode);
-      (void)created;
-      crash(decision, "open_write", path);
-    }
-    throw_injected(*decision.fault, "open_write", path);
-  }
-  return std::make_unique<FaultFile>(*this, path, inner_.open_write(path, mode));
+  return std::make_unique<FaultFile>(*this, path, std::move(file));
 }
 
 void FaultVfs::rename(const std::string& from, const std::string& to) {
-  const Decision decision = on_op("rename", from + " -> " + to);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_.rename(from, to);
-      crash(decision, "rename", from + " -> " + to);
-    }
-    throw_injected(*decision.fault, "rename", from + " -> " + to);
-  }
-  inner_.rename(from, to);
+  apply("rename", from + " -> " + to, [&] { real_backend().rename(from, to); });
 }
 
 bool FaultVfs::remove(const std::string& path) {
-  const Decision decision = on_op("remove", path);
-  if (decision.suppress) return false;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      const bool removed = inner_.remove(path);
-      (void)removed;
-      crash(decision, "remove", path);
-    }
-    return false;  // removal is best-effort: injected faults just fail it
+  bool removed = false;
+  try {
+    apply("remove", path, [&] { removed = real_backend().remove(path); });
+  } catch (const VfsError&) {
+    // Removal is best-effort: an injected fault just fails it.
   }
-  return inner_.remove(path);
+  return removed;
 }
 
 void FaultVfs::resize_file(const std::string& path, std::uint64_t size) {
-  const Decision decision = on_op("resize", path);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_.resize_file(path, size);
-      crash(decision, "resize", path);
-    }
-    throw_injected(*decision.fault, "resize", path);
-  }
-  inner_.resize_file(path, size);
+  apply("resize", path, [&] { real_backend().resize_file(path, size); });
 }
 
 void FaultVfs::create_directories(const std::string& dir) {
-  const Decision decision = on_op("mkdir", dir);
-  if (decision.suppress) return;
-  if (decision.fault != nullptr) {
-    if (decision.fault->klass == FaultClass::CrashStop) {
-      inner_.create_directories(dir);
-      crash(decision, "mkdir", dir);
-    }
-    throw_injected(*decision.fault, "mkdir", dir);
-  }
-  inner_.create_directories(dir);
-}
-
-bool FaultVfs::exists(const std::string& path) { return inner_.exists(path); }
-std::uint64_t FaultVfs::file_size(const std::string& path) { return inner_.file_size(path); }
-std::string FaultVfs::read_file(const std::string& path) { return inner_.read_file(path); }
-std::vector<std::string> FaultVfs::list_dir(const std::string& dir) {
-  return inner_.list_dir(dir);
+  apply("mkdir", dir, [&] { real_backend().create_directories(dir); });
 }
 
 void FaultVfs::sleep_for_ms(std::uint64_t ms) {

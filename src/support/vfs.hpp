@@ -3,11 +3,14 @@
 // Everything that makes state durable — spill segments, JSONL sinks,
 // checkpoint bases and wave journals — performs its mutating I/O through
 // the process-current `Vfs` instead of calling the C/std::filesystem
-// APIs directly. In production the seam is `real_vfs()`, a thin
-// passthrough. In tests it can be swapped (ScopedVfs) for a `FaultVfs`
-// that injects *scripted, deterministic* failures: fail the Nth write,
-// persist only a torn prefix, report ENOSPC, fail a flush with EIO, fail
-// a rename, or crash-stop the whole process image after operation K.
+// APIs directly. In production the seam is a thin passthrough to the
+// real filesystem. In tests it can be swapped (ScopedVfs) for a
+// `FaultVfs`, which wraps that same real backend and injects *scripted,
+// deterministic* failures: fail the Nth write, persist only a torn
+// prefix, report ENOSPC, fail a flush with EIO, fail a rename, or
+// crash-stop the whole process image after operation K. Only mutating
+// operations are injectable; the read side (exists, file_size,
+// read_file, list_dir) is plain, non-virtual `Vfs` functions.
 //
 // Why this is worth a seam at all: the stack is deterministic in the
 // Bobpp sense — certificates and JSONL streams are byte-identical at any
@@ -36,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -111,23 +115,20 @@ class Vfs {
   virtual void resize_file(const std::string& path, std::uint64_t size) = 0;
   virtual void create_directories(const std::string& dir) = 0;
 
-  /// ---- read-side operations (never fault-injected: a failure here is
-  ///      a *resume* diagnostic, exercised by its own tests) ------------
-  [[nodiscard]] virtual bool exists(const std::string& path) = 0;
-  /// Size in bytes; throws VfsError (non-transient) when unreadable.
-  [[nodiscard]] virtual std::uint64_t file_size(const std::string& path) = 0;
-  /// Whole-file read; throws VfsError (non-transient) when unreadable.
-  [[nodiscard]] virtual std::string read_file(const std::string& path) = 0;
-  /// Filenames (leaf names, sorted) in `dir`; empty when unreadable.
-  [[nodiscard]] virtual std::vector<std::string> list_dir(const std::string& dir) = 0;
-
   /// Backoff hook for retry_io: production sleeps, FaultVfs records the
   /// would-be sleep instead so the torture matrix runs at full speed.
   virtual void sleep_for_ms(std::uint64_t ms);
-};
 
-/// The production backend (direct passthrough to cstdio/std::filesystem).
-[[nodiscard]] Vfs& real_vfs();
+  /// ---- read side (never fault-injected: a failure here is a *resume*
+  ///      diagnostic, exercised by its own tests) ------------------------
+  [[nodiscard]] bool exists(const std::string& path);
+  /// Size in bytes; throws VfsError (non-transient) when unreadable.
+  [[nodiscard]] std::uint64_t file_size(const std::string& path);
+  /// Whole-file read; throws VfsError (non-transient) when unreadable.
+  [[nodiscard]] std::string read_file(const std::string& path);
+  /// Filenames (leaf names, sorted) in `dir`; empty when unreadable.
+  [[nodiscard]] std::vector<std::string> list_dir(const std::string& dir);
+};
 
 /// The process-current seam every persistence call site routes through.
 [[nodiscard]] Vfs& vfs();
@@ -145,23 +146,22 @@ class ScopedVfs {
   Vfs* previous_;
 };
 
-/// Bounded deterministic retry: exponential backoff (base << attempt),
-/// retrying only transient VfsErrors. The schedule is a pure function of
-/// (policy, attempt) — no randomness, no clock reads — so a faulted run
-/// and its replay issue the identical operation sequence.
-struct RetryPolicy {
-  int attempts = 4;               ///< total tries (>= 1)
-  std::uint64_t backoff_ms = 1;   ///< sleep before retry k is backoff_ms << (k-1)
-};
+/// Bounded deterministic retry: `kRetryAttempts` tries in total, the
+/// k-th retry after `kRetryBackoffMs << (k-1)` ms (1, 2, 4 ms), retrying
+/// only transient VfsErrors. The schedule is a pure function of the
+/// attempt — no randomness, no clock reads — so a faulted run and its
+/// replay issue the identical operation sequence.
+inline constexpr int kRetryAttempts = 4;
+inline constexpr std::uint64_t kRetryBackoffMs = 1;
 
 template <typename Fn>
-auto retry_io(const RetryPolicy& policy, Fn&& fn) -> decltype(fn()) {
+auto retry_io(Fn&& fn) -> decltype(fn()) {
   for (int attempt = 1;; ++attempt) {
     try {
       return fn();
     } catch (const VfsError& error) {
-      if (!error.transient() || attempt >= policy.attempts) throw;
-      const std::uint64_t backoff = policy.backoff_ms << (attempt - 1);
+      if (!error.transient() || attempt >= kRetryAttempts) throw;
+      const std::uint64_t backoff = kRetryBackoffMs << (attempt - 1);
       telemetry::registry().counter("vfs.retries").add();
       telemetry::registry().counter("vfs.backoff_ms").add(backoff);
       trace::instant("vfs.retry", "vfs");
@@ -211,10 +211,11 @@ struct FaultSchedule {
   [[nodiscard]] static FaultSchedule from_json(const Json& json);
 };
 
-/// A Vfs decorator that counts mutating operations, injects the scripted
-/// faults of its schedule, and records an operation trace (the site
-/// enumeration the torture harness replays against). Thread-safe; with an
-/// empty schedule it is a pure counting/tracing passthrough.
+/// A Vfs that wraps the real backend, counts mutating operations,
+/// injects the scripted faults of its schedule, and records an operation
+/// trace (the site enumeration the torture harness replays against).
+/// Thread-safe; with an empty schedule it is a pure counting/tracing
+/// passthrough.
 class FaultVfs : public Vfs {
  public:
   struct OpRecord {
@@ -223,17 +224,13 @@ class FaultVfs : public Vfs {
     std::string path;
   };
 
-  explicit FaultVfs(FaultSchedule schedule, Vfs& inner = real_vfs());
+  explicit FaultVfs(FaultSchedule schedule);
 
   std::unique_ptr<VfsFile> open_write(const std::string& path, OpenMode mode) override;
   void rename(const std::string& from, const std::string& to) override;
   bool remove(const std::string& path) override;
   void resize_file(const std::string& path, std::uint64_t size) override;
   void create_directories(const std::string& dir) override;
-  bool exists(const std::string& path) override;
-  std::uint64_t file_size(const std::string& path) override;
-  std::string read_file(const std::string& path) override;
-  std::vector<std::string> list_dir(const std::string& dir) override;
   void sleep_for_ms(std::uint64_t ms) override;
 
   /// Mutating operations observed (including the ones that faulted).
@@ -248,22 +245,17 @@ class FaultVfs : public Vfs {
  private:
   friend class FaultFile;
 
-  /// Records op (index, kind, path); returns the fault to inject, if any.
-  /// nullptr when the op proceeds normally. When `crashed_`, sets
-  /// `suppress` instead — the op must silently do nothing.
-  struct Decision {
-    bool suppress = false;
-    const FaultSpec* fault = nullptr;
-    std::uint64_t index = 0;
-  };
-  [[nodiscard]] Decision on_op(const char* op, const std::string& path);
-  [[noreturn]] void crash(const Decision& decision, const char* op, const std::string& path);
+  /// The one interception path of every mutating op. Records the op,
+  /// then: once crashed, does nothing and returns false; with no fault
+  /// due, runs `perform`; with a CrashStop due, runs `perform` and throws
+  /// VfsCrashStop; otherwise runs `torn` (ShortWrite only, when given)
+  /// and throws the scheduled VfsError.
+  bool apply(const char* op, const std::string& path, const std::function<void()>& perform,
+             const std::function<void()>& torn = {});
 
   mutable std::mutex mutex_;
   FaultSchedule schedule_;
   std::vector<std::uint64_t> matched_;  ///< per-spec count of matching ops seen
-  Vfs& inner_;
-  std::uint64_t next_index_ = 0;
   std::vector<OpRecord> log_;
   std::uint64_t backoff_ms_ = 0;
   bool crashed_ = false;

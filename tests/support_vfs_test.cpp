@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,8 +136,8 @@ TEST(Vfs, StickyFaultKeepsFiringAndIsNotTransient) {
 // ------------------------------------------------------------ retry_io --
 
 TEST(Vfs, RetryAbsorbsTransientFaultsWithDeterministicBackoff) {
-  // Three one-shot faults make attempts 1-3 fail; attempt 4 (the last the
-  // default policy allows) succeeds. Backoff is 1, 2, 4 ms — recorded by
+  // Three one-shot faults make attempts 1-3 fail; attempt 4 (the last
+  // kRetryAttempts allows) succeeds. Backoff is 1, 2, 4 ms — recorded by
   // FaultVfs, never slept. (All three use after=0: when a spec fires it
   // short-circuits the scan, so each attempt consumes exactly one spec.)
   FaultSchedule schedule;
@@ -144,7 +147,7 @@ TEST(Vfs, RetryAbsorbsTransientFaultsWithDeterministicBackoff) {
   ScopedVfs guard(faulty);
   const std::string path = temp_path("vfs_retry.txt");
 
-  auto file = retry_io(RetryPolicy{}, [&] {
+  auto file = retry_io([&] {
     return vfs().open_write(path, Vfs::OpenMode::Truncate);
   });
   file->write("recovered");
@@ -159,15 +162,13 @@ TEST(Vfs, RetryGivesUpAfterTheConfiguredAttempts) {
     schedule.faults.push_back(fault(0, "", FaultClass::NoSpace));
   FaultVfs faulty(schedule);
   ScopedVfs guard(faulty);
-  RetryPolicy policy;
-  policy.attempts = 3;
-  EXPECT_THROW(retry_io(policy, [&] {
+  EXPECT_THROW(retry_io([&] {
                  return vfs().open_write(temp_path("vfs_give_up.txt"),
                                          Vfs::OpenMode::Truncate);
                }),
                VfsError);
-  EXPECT_EQ(faulty.ops(), 3u);                      // exactly 3 attempts issued
-  EXPECT_EQ(faulty.backoff_recorded_ms(), 1u + 2u);  // backoff between them only
+  EXPECT_EQ(faulty.ops(), 4u);  // exactly kRetryAttempts attempts issued
+  EXPECT_EQ(faulty.backoff_recorded_ms(), 1u + 2u + 4u);  // backoff between them only
 }
 
 TEST(Vfs, RetryNeverRetriesPersistentFaults) {
@@ -175,7 +176,7 @@ TEST(Vfs, RetryNeverRetriesPersistentFaults) {
   schedule.faults.push_back(fault(0, "", FaultClass::NoSpace, /*sticky=*/true));
   FaultVfs faulty(schedule);
   ScopedVfs guard(faulty);
-  EXPECT_THROW(retry_io(RetryPolicy{}, [&] {
+  EXPECT_THROW(retry_io([&] {
                  return vfs().open_write(temp_path("vfs_persistent.txt"),
                                          Vfs::OpenMode::Truncate);
                }),
@@ -213,6 +214,206 @@ TEST(Vfs, CrashStopKeepsOpKDurableAndSuppressesEverythingAfter) {
   post_mortem->write("ghost");
   post_mortem->close();
   EXPECT_EQ(slurp(path), "durable");
+}
+
+// ------------------------------------ every op under every fault class --
+
+/// One mutating op, staged in `dir`: `prepare` seeds its files outside
+/// the seam, `run` issues `before` setup ops and then the op itself
+/// through vfs() (keeping any handle alive in `file`) and returns what
+/// the op returned (remove's flag; true otherwise), and `observe` reads
+/// back what the op changes while the handle is still open. `untouched`
+/// and `done` are what observe() sees when the op did not run / ran.
+struct MutatingOp {
+  std::string op;
+  std::uint64_t before;
+  std::string target;  ///< the path the op reports, after dir ("" for rename)
+  std::function<void(const std::string& dir)> prepare;
+  std::function<bool(const std::string& dir, std::unique_ptr<VfsFile>& file)> run;
+  std::function<std::string(const std::string& dir)> observe;
+  std::string untouched;
+  std::string done;
+};
+
+constexpr const char* kPayload = "0123456789";
+
+void put(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
+}
+
+std::string content_or_missing(const std::string& path) {
+  return std::filesystem::exists(path) ? slurp(path) : "<missing>";
+}
+
+std::vector<MutatingOp> every_mutating_op() {
+  const auto file_at = [](const std::string& dir) {
+    return content_or_missing(dir + "/f");
+  };
+  const auto empty_file = [](const std::string& dir) { put(dir + "/f", ""); };
+  const auto payload_file = [](const std::string& dir) { put(dir + "/f", kPayload); };
+  return {
+      {"open_write", 0, "/f", [](const std::string& dir) { put(dir + "/f", "old"); },
+       [](const std::string& dir, std::unique_ptr<VfsFile>& file) {
+         file = vfs().open_write(dir + "/f", Vfs::OpenMode::Truncate);
+         return true;
+       },
+       file_at, "old", ""},
+      {"write", 1, "/f", empty_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>& file) {
+         file = vfs().open_write(dir + "/f", Vfs::OpenMode::Truncate);
+         file->write(kPayload);
+         return true;
+       },
+       file_at, "", kPayload},
+      {"flush", 2, "/f", empty_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>& file) {
+         file = vfs().open_write(dir + "/f", Vfs::OpenMode::Truncate);
+         file->write(kPayload);
+         file->flush();
+         return true;
+       },
+       file_at, "", kPayload},
+      {"truncate", 1, "/f", payload_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>& file) {
+         file = vfs().open_write(dir + "/f", Vfs::OpenMode::Append);
+         file->truncate_to(4);
+         return true;
+       },
+       file_at, kPayload, "0123"},
+      {"close", 2, "/f", empty_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>& file) {
+         file = vfs().open_write(dir + "/f", Vfs::OpenMode::Truncate);
+         file->write(kPayload);
+         file->close();
+         return true;
+       },
+       file_at, "", kPayload},
+      {"rename", 0, "", [](const std::string& dir) { put(dir + "/a", kPayload); },
+       [](const std::string& dir, std::unique_ptr<VfsFile>&) {
+         vfs().rename(dir + "/a", dir + "/b");
+         return true;
+       },
+       [](const std::string& dir) {
+         return content_or_missing(dir + "/a") + "|" + content_or_missing(dir + "/b");
+       },
+       std::string(kPayload) + "|<missing>", "<missing>|" + std::string(kPayload)},
+      {"remove", 0, "/f", payload_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>&) {
+         return vfs().remove(dir + "/f");
+       },
+       file_at, kPayload, "<missing>"},
+      {"resize", 0, "/f", payload_file,
+       [](const std::string& dir, std::unique_ptr<VfsFile>&) {
+         vfs().resize_file(dir + "/f", 4);
+         return true;
+       },
+       file_at, kPayload, "0123"},
+      {"mkdir", 0, "/sub", [](const std::string&) {},
+       [](const std::string& dir, std::unique_ptr<VfsFile>&) {
+         vfs().create_directories(dir + "/sub");
+         return true;
+       },
+       [](const std::string& dir) {
+         return std::filesystem::is_directory(dir + "/sub") ? "dir" : "<missing>";
+       },
+       "<missing>", "dir"},
+  };
+}
+
+std::string injected_reason(FaultClass klass) {
+  switch (klass) {
+    case FaultClass::ShortWrite: return "short write (injected torn write)";
+    case FaultClass::NoSpace: return "no space left on device (injected ENOSPC)";
+    case FaultClass::FlushIo: return "input/output error (injected EIO)";
+    case FaultClass::RenameFail: return "rename failed (injected)";
+    case FaultClass::CrashStop: break;
+  }
+  return "";
+}
+
+TEST(Vfs, EveryMutatingOpObeysEveryFaultClass) {
+  const std::vector<MutatingOp> ops = every_mutating_op();
+  ASSERT_EQ(ops.size(), 9u);
+  for (const MutatingOp& c : ops) {
+    for (const FaultClass klass :
+         {FaultClass::ShortWrite, FaultClass::NoSpace, FaultClass::FlushIo,
+          FaultClass::RenameFail, FaultClass::CrashStop}) {
+      for (const bool sticky : {false, true}) {
+        SCOPED_TRACE(c.op + " / " + to_string(klass) + (sticky ? " / sticky" : " / one-shot"));
+        const std::string dir = fresh_dir("vfs_contract");
+        const std::string target =
+            c.op == "rename" ? dir + "/a -> " + dir + "/b" : dir + c.target;
+        c.prepare(dir);
+        FaultSchedule schedule;
+        schedule.faults.push_back(fault(c.before, "", klass, sticky));
+        FaultVfs faulty(schedule);
+        ScopedVfs guard(faulty);
+        std::unique_ptr<VfsFile> file;
+
+        if (klass == FaultClass::CrashStop) {
+          // The op completes, then the "process" dies right after it.
+          try {
+            (void)c.run(dir, file);
+            ADD_FAILURE() << "crash-stop did not fire";
+          } catch (const VfsCrashStop& crash) {
+            EXPECT_EQ(crash.op_index, c.before);
+            EXPECT_EQ(crash.op, c.op);
+            EXPECT_EQ(crash.path, target);
+          }
+          EXPECT_TRUE(faulty.crashed());
+          EXPECT_EQ(c.observe(dir), c.done);
+          file.reset();
+          // Every later op, of every kind, is a silent no-op.
+          for (const MutatingOp& later : ops) {
+            SCOPED_TRACE("after the crash: " + later.op);
+            const std::string dead = fresh_dir("vfs_contract_dead");
+            later.prepare(dead);
+            std::unique_ptr<VfsFile> dead_file;
+            EXPECT_EQ(later.run(dead, dead_file), later.op != "remove");
+            EXPECT_EQ(later.observe(dead), later.untouched);
+          }
+          EXPECT_EQ(faulty.ops(), c.before + 1);
+          continue;
+        }
+
+        if (c.op == "remove") {
+          // Removal is best-effort: an injected fault fails it silently.
+          EXPECT_FALSE(c.run(dir, file));
+        } else {
+          try {
+            (void)c.run(dir, file);
+            ADD_FAILURE() << "the fault did not fire";
+          } catch (const VfsError& error) {
+            EXPECT_EQ(error.op(), c.op);
+            EXPECT_EQ(error.path(), target);
+            EXPECT_EQ(error.reason(), injected_reason(klass));
+            EXPECT_EQ(error.transient(), !sticky);
+          }
+        }
+        EXPECT_FALSE(faulty.crashed());
+        EXPECT_EQ(faulty.ops(), c.before + 1);  // the faulted op is counted
+        EXPECT_EQ(c.observe(dir), c.untouched);
+        file.reset();
+        if (c.op == "write") {  // the torn half, and only it, reaches the file
+          EXPECT_EQ(slurp(dir + "/f"),
+                    klass == FaultClass::ShortWrite ? std::string(kPayload).substr(0, 5) : "");
+        }
+
+        // A sticky fault keeps firing on the next op; a one-shot one is spent.
+        if (sticky) {
+          try {
+            vfs().create_directories(dir + "/next");
+            ADD_FAILURE() << "a sticky fault must keep firing";
+          } catch (const VfsError& error) {
+            EXPECT_FALSE(error.transient());
+          }
+        } else {
+          vfs().create_directories(dir + "/next");
+          EXPECT_TRUE(std::filesystem::is_directory(dir + "/next"));
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------- JsonlSink under faults --
