@@ -93,6 +93,7 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/search_driver.hpp"
+#include "exp/spec_util.hpp"
 #include "gatherx/census.hpp"
 #include "gatherx/scenario.hpp"
 #include "search/objective.hpp"
@@ -139,7 +140,7 @@ int cmd_list() {
 
 int cmd_describe(const std::string& path) {
   // One load + parse; campaign scenario specs have no top-level "kind" field.
-  try {
+  return exp::naming_spec(path, [&] {
     const Json json = Json::load_file(path);
     if (json.string_or("kind", "") == exp::SearchSpec::kKind) {
       const exp::SearchSpec spec = exp::SearchSpec::from_json(json);
@@ -181,20 +182,7 @@ int cmd_describe(const std::string& path) {
                   exp::campaign_instance(spec, job).to_string().c_str());
     }
     return 0;
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
-}
-
-/// Runs `read` (a spec load or parse) so that its errors name the spec
-/// file.
-template <typename Read>
-auto naming_spec(const std::string& path, Read&& read) {
-  try {
-    return read();
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
+  });
 }
 
 /// A count flag's value, refused at parse time when it is 0.
@@ -326,8 +314,9 @@ int cmd_run(int argc, char** argv) {
   }
 
   const driver::ObservedRun observed(cli);
-  const Json json = observed.load(
-      [&] { return naming_spec(cli.spec_path, [&] { return Json::load_file(cli.spec_path); }); });
+  const Json json = observed.load([&] {
+    return exp::naming_spec(cli.spec_path, [&] { return Json::load_file(cli.spec_path); });
+  });
   Json config = Json::object();
   config.set("shard_size", Json(static_cast<std::uint64_t>(options.shard_size)));
   config.set("checkpoint_every", Json(static_cast<std::uint64_t>(options.checkpoint_every)));
@@ -336,7 +325,7 @@ int cmd_run(int argc, char** argv) {
   // type and runner differ.
   const auto sweep = [&](auto from_json, auto runner) {
     return observed.finish(
-        naming_spec(cli.spec_path, [&] { return from_json(json); }), options.threads,
+        exp::naming_spec(cli.spec_path, [&] { return from_json(json); }), options.threads,
         std::move(config), [&](const auto& spec) { return runner(spec, options); },
         [&](const auto& result) {
           if (!cli.quiet) {

@@ -138,15 +138,7 @@ Json ScenarioSpec::to_json() const {
   return json;
 }
 
-ScenarioSpec ScenarioSpec::load(const std::string& path) {
-  try {
-    return from_json(Json::load_file(path));
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
-}
-
-void ScenarioSpec::save(const std::string& path) const { to_json().save_file(path); }
+ScenarioSpec ScenarioSpec::load(const std::string& path) { return load_spec<ScenarioSpec>(path); }
 
 std::uint64_t ScenarioSpec::fingerprint() const { return fnv1a_fingerprint(to_json()); }
 
@@ -280,15 +272,7 @@ Json SearchSpec::to_json() const {
   return json;
 }
 
-SearchSpec SearchSpec::load(const std::string& path) {
-  try {
-    return from_json(Json::load_file(path));
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
-}
-
-void SearchSpec::save(const std::string& path) const { to_json().save_file(path); }
+SearchSpec SearchSpec::load(const std::string& path) { return load_spec<SearchSpec>(path); }
 
 std::uint64_t SearchSpec::fingerprint() const { return fnv1a_fingerprint(to_json()); }
 

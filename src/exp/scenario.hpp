@@ -81,7 +81,6 @@ struct ScenarioSpec {
   [[nodiscard]] support::Json to_json() const;
 
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
-  void save(const std::string& path) const;
 
   /// FNV-1a over the canonical serialization — checkpoints store it so a
   /// resume against an edited spec is refused instead of merging apples
@@ -149,7 +148,6 @@ struct SearchSpec {
   [[nodiscard]] support::Json to_json() const;
 
   [[nodiscard]] static SearchSpec load(const std::string& path);
-  void save(const std::string& path) const;
 
   /// FNV-1a over the canonical serialization; search checkpoints store it
   /// so resuming an edited spec is refused.

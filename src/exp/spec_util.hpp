@@ -1,8 +1,9 @@
 // Strict-parsing helpers shared by the declarative spec files (campaign
 // ScenarioSpec / SearchSpec in exp/scenario.*, gathering GatherScenarioSpec
-// in gatherx/scenario.*): unknown-key rejection, exact-rational fields that
-// accept "a/b" strings or JSON numbers, the engine block, and the FNV-1a
-// fingerprint over a spec's canonical serialization that checkpoints pin.
+// in gatherx/scenario.*): the one spec loader, unknown-key rejection,
+// exact-rational fields that accept "a/b" strings or JSON numbers, the
+// engine block, and the FNV-1a fingerprint over a spec's canonical
+// serialization that checkpoints pin.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,24 @@
 #include "support/json.hpp"
 
 namespace aurv::exp {
+
+/// Runs `read` (a spec load or parse) so that its errors name the spec
+/// file: any exception becomes std::invalid_argument("<path>: <what>").
+template <typename Read>
+auto naming_spec(const std::string& path, Read&& read) {
+  try {
+    return read();
+  } catch (const std::exception& error) {
+    throw std::invalid_argument(path + ": " + error.what());
+  }
+}
+
+/// Loads and strictly parses the spec file at `path` through
+/// `Spec::from_json`; errors name the file.
+template <typename Spec>
+[[nodiscard]] Spec load_spec(const std::string& path) {
+  return naming_spec(path, [&] { return Spec::from_json(support::Json::load_file(path)); });
+}
 
 /// Strictness: every key of `json` must be in `allowed`; throws
 /// std::invalid_argument naming the offender and its context otherwise.

@@ -1,97 +1,34 @@
 #include "gatherx/aggregate.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "support/check.hpp"
-
 namespace aurv::gatherx {
 
 using support::Json;
 
+namespace {
+
+constexpr exp::OutcomeKeys kGatherKeys{
+    "gathered", "gather_rate", "gather_time", "min_diameter_floor",
+    [](std::size_t k) { return gather::to_string(static_cast<gather::GatherStop>(k)); }};
+
+}  // namespace
+
 void PolicyAggregate::add(const gather::GatherResult& result, bool funnel) {
-  if (runs == 0) {
-    min_diameter_floor = result.min_diameter_seen;
-  } else {
-    min_diameter_floor = std::min(min_diameter_floor, result.min_diameter_seen);
-  }
-  ++runs;
-  ++stop_reasons[static_cast<std::size_t>(result.reason)];
-  total_events += result.events;
-  max_events = std::max(max_events, result.events);
+  OutcomeTally::add(static_cast<std::size_t>(result.reason), result.events, result.gathered,
+                    result.gather_time, result.min_diameter_seen);
   if (funnel) {
     ++funnel_runs;
     if (result.gathered) ++funnel_gathered;
   }
-  if (result.gathered) {
-    if (gathered == 0) {
-      gather_time_min = result.gather_time;
-      gather_time_max = result.gather_time;
-    } else {
-      gather_time_min = std::min(gather_time_min, result.gather_time);
-      gather_time_max = std::max(gather_time_max, result.gather_time);
-    }
-    ++gathered;
-    gather_time_sum += result.gather_time;
-    ++gather_time_histogram[static_cast<std::size_t>(
-        exp::meet_time_bucket(result.gather_time))];
-  }
 }
 
 void PolicyAggregate::merge(const PolicyAggregate& other) {
-  if (other.runs == 0) return;
-  if (runs == 0) {
-    *this = other;
-    return;
-  }
-  min_diameter_floor = std::min(min_diameter_floor, other.min_diameter_floor);
-  runs += other.runs;
-  for (std::size_t k = 0; k < stop_reasons.size(); ++k) stop_reasons[k] += other.stop_reasons[k];
-  total_events += other.total_events;
-  max_events = std::max(max_events, other.max_events);
+  OutcomeTally::merge(other);
   funnel_runs += other.funnel_runs;
   funnel_gathered += other.funnel_gathered;
-  if (other.gathered > 0) {
-    if (gathered == 0) {
-      gather_time_min = other.gather_time_min;
-      gather_time_max = other.gather_time_max;
-    } else {
-      gather_time_min = std::min(gather_time_min, other.gather_time_min);
-      gather_time_max = std::max(gather_time_max, other.gather_time_max);
-    }
-    gathered += other.gathered;
-    gather_time_sum += other.gather_time_sum;
-    for (std::size_t k = 0; k < gather_time_histogram.size(); ++k)
-      gather_time_histogram[k] += other.gather_time_histogram[k];
-  }
-}
-
-double PolicyAggregate::gather_time_percentile(double p) const {
-  return exp::histogram_percentile(gather_time_histogram, gathered, p, gather_time_max);
 }
 
 Json PolicyAggregate::to_json() const {
-  Json json = Json::object();
-  json.set("runs", Json(runs));
-  json.set("gathered", Json(gathered));
-  json.set("gather_rate", Json(gather_rate()));
-  Json reasons = Json::object();
-  for (std::size_t k = 0; k < stop_reasons.size(); ++k) {
-    reasons.set(gather::to_string(static_cast<gather::GatherStop>(k)), Json(stop_reasons[k]));
-  }
-  json.set("stop_reasons", std::move(reasons));
-  json.set("total_events", Json(total_events));
-  json.set("max_events", Json(max_events));
-  json.set("gather_time_sum", Json(gather_time_sum));
-  json.set("gather_time_min", Json(gather_time_min));
-  json.set("gather_time_max", Json(gather_time_max));
-  json.set("gather_time_p50", Json(gather_time_percentile(0.50)));
-  json.set("gather_time_p95", Json(gather_time_percentile(0.95)));
-  json.set("gather_time_p99", Json(gather_time_percentile(0.99)));
-  Json histogram = Json::array();
-  for (const std::uint64_t count : gather_time_histogram) histogram.push_back(Json(count));
-  json.set("gather_time_histogram", std::move(histogram));
-  json.set("min_diameter_floor", Json(min_diameter_floor));
+  Json json = OutcomeTally::to_json(kGatherKeys);
   json.set("funnel_runs", Json(funnel_runs));
   json.set("funnel_gathered", Json(funnel_gathered));
   return json;
@@ -99,24 +36,7 @@ Json PolicyAggregate::to_json() const {
 
 PolicyAggregate PolicyAggregate::from_json(const Json& json) {
   PolicyAggregate aggregate;
-  aggregate.runs = json.at("runs").as_uint();
-  aggregate.gathered = json.at("gathered").as_uint();
-  const Json& reasons = json.at("stop_reasons");
-  for (std::size_t k = 0; k < aggregate.stop_reasons.size(); ++k) {
-    aggregate.stop_reasons[k] =
-        reasons.at(gather::to_string(static_cast<gather::GatherStop>(k))).as_uint();
-  }
-  aggregate.total_events = json.at("total_events").as_uint();
-  aggregate.max_events = json.at("max_events").as_uint();
-  aggregate.gather_time_sum = json.at("gather_time_sum").as_number();
-  aggregate.gather_time_min = json.at("gather_time_min").as_number();
-  aggregate.gather_time_max = json.at("gather_time_max").as_number();
-  const Json::Array& histogram = json.at("gather_time_histogram").as_array();
-  AURV_CHECK_MSG(histogram.size() == aggregate.gather_time_histogram.size(),
-                 "histogram size mismatch in checkpoint");
-  for (std::size_t k = 0; k < histogram.size(); ++k)
-    aggregate.gather_time_histogram[k] = histogram[k].as_uint();
-  aggregate.min_diameter_floor = json.at("min_diameter_floor").as_number();
+  aggregate.read_json(json, kGatherKeys);
   aggregate.funnel_runs = json.at("funnel_runs").as_uint();
   aggregate.funnel_gathered = json.at("funnel_gathered").as_uint();
   return aggregate;

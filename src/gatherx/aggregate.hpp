@@ -1,7 +1,7 @@
 // Streaming gathering-census statistics: what TAB-7 reports about a
 // population of n-agent runs, in O(1) memory per shard and bit-identical at
-// any thread count (the census runner adds in job order within a shard and
-// merges in shard order, exactly like the two-agent CampaignAggregate).
+// any thread count. The statistics are exp::OutcomeTally's, the same tally
+// the two-agent campaigns keep, written under the gathering key names.
 //
 // One PolicyAggregate per configured stop policy: gathering under
 // FirstSight (accreting chains) and AllVisible (simultaneous visibility)
@@ -10,7 +10,6 @@
 // per-stop-policy breakdown side by side.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "exp/aggregate.hpp"
@@ -19,30 +18,10 @@
 
 namespace aurv::gatherx {
 
-struct PolicyAggregate {
-  /// Same log2 bucketing as the two-agent meet-time histogram (bucket k
-  /// covers [2^(k-16), 2^(k-15)), clamped) — shared via exp::meet_time_bucket
-  /// so gather and meet percentiles read on one scale.
-  static constexpr int kHistogramBuckets = exp::CampaignAggregate::kHistogramBuckets;
-
-  std::uint64_t runs = 0;
-  std::uint64_t gathered = 0;
-  /// Indexed by gather::GatherStop.
-  std::array<std::uint64_t, 4> stop_reasons{};
-
-  std::uint64_t total_events = 0;
-  std::uint64_t max_events = 0;
-
-  double gather_time_sum = 0.0;
-  double gather_time_min = 0.0;  ///< valid when gathered > 0
-  double gather_time_max = 0.0;
-  std::array<std::uint64_t, kHistogramBuckets> gather_time_histogram{};
-
-  /// min over all runs of the run's smallest observed configuration
-  /// diameter — the floor of the max pairwise distance: how close the
-  /// never-gathering runs came. Valid when runs > 0.
-  double min_diameter_floor = 0.0;
-
+/// One stop policy's tally: "gathered", "gather_time_*",
+/// "min_diameter_floor" (the floor of the max pairwise distance: how close
+/// the never-gathering runs came), stop reasons named by gather::GatherStop.
+struct PolicyAggregate : exp::OutcomeTally {
   /// The [38] "good configuration" predicate cross-tab: how many runs the
   /// funnel predicate accepted, and how many of those actually gathered —
   /// the census-scale version of TAB-7's funnel? column.
@@ -50,22 +29,8 @@ struct PolicyAggregate {
   std::uint64_t funnel_gathered = 0;
 
   void add(const gather::GatherResult& result, bool funnel);
-
-  /// Associative combine; the census runner always calls this left-to-right
-  /// in shard order, which is what makes double sums reproducible.
   void merge(const PolicyAggregate& other);
 
-  /// Gather-time percentile from the histogram: upper edge of the bucket
-  /// containing the p-quantile rank among gathered runs (0 when none).
-  [[nodiscard]] double gather_time_percentile(double p) const;
-
-  [[nodiscard]] double gather_rate() const {
-    return runs == 0 ? 0.0 : static_cast<double>(gathered) / static_cast<double>(runs);
-  }
-
-  /// Lossless round-trip (doubles serialized exactly) — the checkpoint
-  /// format. to_json also embeds derived convenience fields (gather_rate,
-  /// p50/p95/p99) which from_json ignores.
   [[nodiscard]] support::Json to_json() const;
   [[nodiscard]] static PolicyAggregate from_json(const support::Json& json);
 

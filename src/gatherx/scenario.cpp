@@ -170,14 +170,8 @@ Json GatherScenarioSpec::to_json() const {
 }
 
 GatherScenarioSpec GatherScenarioSpec::load(const std::string& path) {
-  try {
-    return from_json(Json::load_file(path));
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
+  return exp::load_spec<GatherScenarioSpec>(path);
 }
-
-void GatherScenarioSpec::save(const std::string& path) const { to_json().save_file(path); }
 
 std::uint64_t GatherScenarioSpec::fingerprint() const {
   return exp::fnv1a_fingerprint(to_json());

@@ -90,7 +90,6 @@ struct GatherScenarioSpec {
   [[nodiscard]] support::Json to_json() const;
 
   [[nodiscard]] static GatherScenarioSpec load(const std::string& path);
-  void save(const std::string& path) const;
 
   /// FNV-1a over the canonical serialization; census checkpoints store it
   /// so resuming an edited spec is refused.

@@ -70,21 +70,6 @@ FInterval view(const Interval& interval) {
 
 // ------------------------------------------------------------ SearchSpace --
 
-const std::vector<std::string>& SearchSpace::param_names(Family family) {
-  static const std::vector<std::string> tuple = {"r",   "x", "y", "phi", "tau",
-                                                 "v",   "t", "r_a", "r_b"};
-  static const std::vector<std::string> s1 = {"theta", "r", "t"};
-  static const std::vector<std::string> s2 = {"half_phi", "lateral", "r", "t"};
-  static const std::vector<std::string> gather = {"n", "r", "spread", "delay", "policy"};
-  switch (family) {
-    case Family::Tuple: return tuple;
-    case Family::BoundaryS1: return s1;
-    case Family::BoundaryS2: return s2;
-    case Family::GatherTuple: return gather;
-  }
-  throw std::logic_error("SearchSpace: unknown family");
-}
-
 std::string SearchSpace::to_string(Family family) {
   switch (family) {
     case Family::Tuple: return "tuple";
@@ -109,9 +94,10 @@ void SearchSpace::validate() const {
     throw std::invalid_argument("search space: chi must be +1 or -1");
   if (dim_names.empty())
     throw std::invalid_argument("search space: at least one searched dimension required");
-  const std::vector<std::string>& legal = param_names(family);
+  const std::vector<ParamDefault>& legal = defaults_of(family);
   const auto known = [&](const std::string& name) {
-    return std::find(legal.begin(), legal.end(), name) != legal.end();
+    return std::any_of(legal.begin(), legal.end(),
+                       [&](const ParamDefault& entry) { return name == entry.name; });
   };
   for (std::size_t k = 0; k < dim_names.size(); ++k) {
     if (!known(dim_names[k]))

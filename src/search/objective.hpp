@@ -100,14 +100,12 @@ class SearchSpace {
   Family family = Family::Tuple;
   int chi = +1;  ///< tuple family only; boundary families pin it
 
-  /// Searched dimension names, in box-dimension order. Must be a subset of
-  /// param_names(family), without duplicates (validated by validate()).
+  /// Searched dimension names, in box-dimension order. Must be parameters
+  /// of the family, without duplicates (validated by validate()).
   std::vector<std::string> dim_names;
   /// Fixed values for non-searched parameters (exact rationals).
   std::vector<std::pair<std::string, numeric::Rational>> fixed;
 
-  /// The legal parameter names of a family, in presentation order.
-  [[nodiscard]] static const std::vector<std::string>& param_names(Family family);
   [[nodiscard]] static std::string to_string(Family family);
   [[nodiscard]] static Family family_from_string(const std::string& name);
 

@@ -1,15 +1,15 @@
 // The durable-record path: every step that makes a record survive a kill
 // is implemented once, here, and shared by the campaign and census runner
-// (exp/stream_runner.hpp), the search (search/bnb.cpp) and the spill
-// frontier (support/spill.hpp):
+// (exp/stream_runner.hpp), the search (search/bnb.cpp), the spill
+// frontier (support/spill.hpp) and the trace sink (support/trace.cpp):
 //
 //   1. Append a record — JsonlSink::append. All mutating I/O goes through
 //      the support::vfs() seam (see vfs.hpp) with a bounded deterministic
 //      retry; a torn append is rolled back to the sink's durable byte
 //      count before the retry, so a rewrite never duplicates a partial
 //      record. Spill segments, JSONL streams, incumbent logs, wave
-//      journals and the provenance stream (through SoftJsonlSink) are all
-//      written this way.
+//      journals, the trace file and the provenance stream (through
+//      SoftJsonlSink) are all written this way.
 //   2. Rewind a torn write on resume — JsonlSink(path, resume_bytes). A
 //      checkpoint stores the byte offset of the stream's durable prefix;
 //      on resume the sink truncates the file back to it (dropping records
@@ -234,14 +234,16 @@ class JsonlSink {
 /// The fail-soft sink of the search's prune-provenance stream: a
 /// deterministic artifact when healthy, but it must never fail the run. A
 /// persistent I/O failure — at open, on an append or on a flush — degrades
-/// it to a no-op: one warning lands on stderr, and every record it then
-/// cannot write ticks `provenance.dropped`. Resume-offset mismatches (a
-/// checkpoint pointed at the wrong file) still throw: those are
-/// configuration errors, not disk weather.
+/// it to a no-op: one warning lands on stderr, the gauge
+/// `provenance.degraded` turns 1 (so /healthz answers 503), and every
+/// record it then cannot write ticks `provenance.dropped`. Resume-offset
+/// mismatches (a checkpoint pointed at the wrong file) still throw: those
+/// are configuration errors, not disk weather.
 class SoftJsonlSink {
  public:
   SoftJsonlSink(const std::string& path, std::uint64_t resume_bytes) : path_(path) {
     if (path.empty()) return;
+    telemetry::registry().gauge("provenance.degraded").set(0);
     try {
       sink_ = std::make_unique<JsonlSink>(path, resume_bytes);
     } catch (const VfsError& error) {
@@ -273,6 +275,7 @@ class SoftJsonlSink {
  private:
   void degrade(const std::string& reason) {
     sink_.reset();
+    telemetry::registry().gauge("provenance.degraded").set(1);
     std::fprintf(stderr, "aurv: provenance: %s (%s); stream disabled, records dropped\n",
                  path_.c_str(), reason.c_str());
   }

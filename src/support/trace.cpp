@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 
+#include "support/jsonl.hpp"
 #include "support/vfs.hpp"
 
 namespace aurv::support::trace {
@@ -30,8 +31,6 @@ std::uint64_t steady_ns() {
 struct SinkMetrics {
   telemetry::Counter& events = telemetry::registry().counter("trace.events");
   telemetry::Counter& dropped = telemetry::registry().counter("trace.dropped");
-  telemetry::Counter& retries = telemetry::registry().counter("trace.retries");
-  telemetry::Counter& backoff_ms = telemetry::registry().counter("trace.backoff_ms");
   telemetry::Gauge& degraded = telemetry::registry().gauge("trace.degraded");
 };
 
@@ -39,6 +38,17 @@ SinkMetrics& sink_metrics() {
   static SinkMetrics metrics;
   return metrics;
 }
+
+/// Set while this thread appends to the trace file under the sink mutex:
+/// retry_io's "vfs.retry" instant must not re-enter the open sink from
+/// there, which would deadlock on that mutex. (Open and close run with the
+/// sink disabled, where an instant takes no lock.)
+thread_local bool in_sink_io = false;
+
+struct SinkIo {
+  SinkIo() { in_sink_io = true; }
+  ~SinkIo() { in_sink_io = false; }
+};
 
 /// An event that finds the sink closed is a drop only when a trace was
 /// requested and its writer failed.
@@ -74,48 +84,23 @@ struct TraceSink::Impl {
   std::atomic<std::uint64_t> open_ns{0};
 
   // Everything below is guarded by `mutex`.
-  std::unique_ptr<VfsFile> file;
+  std::unique_ptr<JsonlSink> file;  ///< rewinds a torn write and retries it
   std::string path;
   std::string pending;           ///< serialized bytes awaiting a flush
   std::uint64_t pending_events = 0;
-  std::uint64_t durable_bytes = 0;  ///< bytes known to be on disk (torn-write rewind point)
   bool first_event = true;
   /// The most recent event lines, at most kRingCapacity (statusd's
   /// /trace source).
   std::deque<std::string> ring;
 
-  /// Appends `data` to the file with bounded deterministic retry,
-  /// rewinding any torn prefix before each attempt. Returns false on a
-  /// persistent failure (caller degrades). Deliberately hand-rolled
-  /// instead of retry_io: retry_io emits a trace instant, and re-entering
-  /// this sink from its own write path would deadlock.
-  bool write_all(const std::string& data) {
-    for (int attempt = 1;; ++attempt) {
-      try {
-        file->write(data);
-        durable_bytes += data.size();
-        return true;
-      } catch (const VfsError& error) {
-        try {
-          file->truncate_to(durable_bytes);
-        } catch (const VfsError&) {
-          // Rewind failed too; the file may keep a torn tail. It is a
-          // diagnostic stream, so this only costs viewer-loadability.
-        }
-        if (!error.transient() || attempt >= kRetryAttempts) return false;
-        const std::uint64_t backoff = kRetryBackoffMs << (attempt - 1);
-        sink_metrics().retries.add();
-        sink_metrics().backoff_ms.add(backoff);
-        vfs().sleep_for_ms(backoff);
-      }
-    }
-  }
-
   /// Flushes `pending` to disk; on persistent failure degrades the sink
   /// (mutex held). Returns whether the sink is still healthy.
   bool flush_pending() {
     if (pending.empty()) return true;
-    if (!write_all(pending)) {
+    try {
+      const SinkIo io;
+      file->append(pending);
+    } catch (const VfsError&) {
       degrade("write failed: " + path);
       return false;
     }
@@ -185,9 +170,8 @@ bool TraceSink::open(const std::string& path) {
   impl_->degraded.store(false, std::memory_order_relaxed);
   sink_metrics().degraded.set(0);
   try {
-    impl_->file = vfs().open_write(path, Vfs::OpenMode::Truncate);
+    impl_->file = std::make_unique<JsonlSink>(path);
   } catch (const VfsError& error) {
-    impl_->file.reset();
     impl_->degraded.store(true, std::memory_order_relaxed);
     sink_metrics().degraded.set(1);
     std::fprintf(stderr, "aurv: trace: cannot open %s (%s); tracing disabled\n",
@@ -197,7 +181,6 @@ bool TraceSink::open(const std::string& path) {
   impl_->path = path;
   impl_->pending = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   impl_->pending_events = 0;
-  impl_->durable_bytes = 0;
   impl_->first_event = true;
   impl_->ring.clear();
   impl_->open_ns.store(steady_ns(), std::memory_order_relaxed);
@@ -249,6 +232,7 @@ std::vector<std::string> TraceSink::recent(std::size_t last_n) const {
 // ------------------------------------------------------------------------
 
 void instant(std::string_view name, std::string_view cat) {
+  if (in_sink_io) return;  // a retry inside the sink's own write
   TraceSink& the_sink = sink();
   if (!the_sink.enabled()) {
     count_unrecorded(the_sink);

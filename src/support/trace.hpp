@@ -8,9 +8,10 @@
 //
 // The same hard invariant as the rest of the telemetry layer: tracing
 // NEVER touches a deterministic artifact, and it NEVER fails a run. The
-// sink writes through the support::vfs() seam so fault-injection tests
-// can script its disk dying, and on any persistent write failure it
-// degrades to a counting no-op — `trace.dropped` ticks, the
+// sink appends through a support::JsonlSink (jsonl.hpp: torn-write rewind,
+// bounded retry counted in `vfs.retries`) on the support::vfs() seam, so
+// fault-injection tests can script its disk dying; on any persistent write
+// failure it degrades to a counting no-op — `trace.dropped` ticks, the
 // `trace.degraded` gauge reads 1 (so /healthz reports it), one warning
 // lands on stderr, the run continues untouched.
 //
@@ -112,7 +113,8 @@ class TraceBuffer {
 
 /// Emits a zero-duration instant event ("ph":"i") straight to the sink,
 /// e.g. a vfs retry firing inside a span. No-op when the sink is not
-/// collecting.
+/// collecting, or when the retry is the sink's own (its file I/O runs
+/// under the sink lock).
 void instant(std::string_view name, std::string_view cat);
 
 /// What a Span does beyond timing (see Span).

@@ -184,11 +184,11 @@ TEST(Aggregate, HistogramAndPercentiles) {
   }
   run.meet_time = 1000.0;  // one huge outlier
   aggregate.add(run);
-  EXPECT_EQ(aggregate.meet_time_percentile(0.50), 2.0);
-  EXPECT_EQ(aggregate.meet_time_percentile(0.99), 2.0);
-  EXPECT_EQ(aggregate.meet_time_percentile(1.0), 1024.0);
-  EXPECT_EQ(aggregate.meet_time_min, 1.5);
-  EXPECT_EQ(aggregate.meet_time_max, 1000.0);
+  EXPECT_EQ(aggregate.time_percentile(0.50), 2.0);
+  EXPECT_EQ(aggregate.time_percentile(0.99), 2.0);
+  EXPECT_EQ(aggregate.time_percentile(1.0), 1024.0);
+  EXPECT_EQ(aggregate.time_min, 1.5);
+  EXPECT_EQ(aggregate.time_max, 1000.0);
 }
 
 // ---------------------------------------------------------------- runner --

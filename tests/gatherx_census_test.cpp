@@ -191,7 +191,7 @@ TEST(GatherAggregate, JsonRoundTripIsLossless) {
   CensusOptions options;
   options.threads = 2;
   const CensusResult result = run_census(small_spec(), options);
-  ASSERT_GT(result.aggregate.first_sight.gathered, 0u);
+  ASSERT_GT(result.aggregate.first_sight.met, 0u);
   ASSERT_GT(result.aggregate.all_visible.runs, 0u);
   EXPECT_EQ(GatherAggregate::from_json(result.aggregate.to_json()), result.aggregate);
 }
@@ -205,9 +205,9 @@ TEST(GatherAggregate, SingleAgentRunsCountAsGatheredAtTimeZero) {
   for (const gather::StopPolicy policy : spec.policies) {
     const PolicyAggregate& slice = result.aggregate.slice(policy);
     EXPECT_EQ(slice.runs, 8u) << gather::to_string(policy);
-    EXPECT_EQ(slice.gathered, 8u) << gather::to_string(policy);
-    EXPECT_EQ(slice.gather_time_max, 0.0) << gather::to_string(policy);
-    EXPECT_EQ(slice.min_diameter_floor, 0.0) << gather::to_string(policy);
+    EXPECT_EQ(slice.met, 8u) << gather::to_string(policy);
+    EXPECT_EQ(slice.time_max, 0.0) << gather::to_string(policy);
+    EXPECT_EQ(slice.closest_floor, 0.0) << gather::to_string(policy);
   }
 }
 

@@ -22,6 +22,7 @@
 #include "exp/scenario.hpp"
 #include "exp/search_driver.hpp"
 #include "support/json.hpp"
+#include "support/statusd.hpp"
 #include "support/telemetry.hpp"
 #include "support/trace.hpp"
 #include "support/vfs.hpp"
@@ -31,6 +32,7 @@ namespace {
 
 namespace fs = std::filesystem;
 namespace telemetry = support::telemetry;
+namespace statusd = support::statusd;
 namespace trace = support::trace;
 using exp::SearchSpec;
 using numeric::Rational;
@@ -330,7 +332,7 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
     EXPECT_EQ(exp::run_search(spec, traced).certificate(spec).dump(2), baseline);
     trace::sink().close();
     EXPECT_FALSE(trace::sink().degraded());
-    EXPECT_GT(counter_value("trace.retries"), 0u);
+    EXPECT_GT(counter_value("vfs.retries"), 0u);
     EXPECT_EQ(counter_value("trace.dropped"), 0u);
     EXPECT_GT(Json::parse(slurp(path)).at("traceEvents").as_array().size(), 2u);
   }
@@ -425,6 +427,10 @@ TEST(TraceProvenance, ProvenanceWriterAbsorbsTornWritesAndDegradesSoft) {
     EXPECT_EQ(exp::run_search(spec, faulted).certificate(spec).dump(2), baseline);
     EXPECT_GT(counter_value("provenance.dropped"), 0u)
         << "dropped records must be visible in the metrics";
+    EXPECT_EQ(telemetry::registry().gauge("provenance.degraded").value(), 1);
+    const statusd::Response health = statusd::handle_request("GET", "/healthz", {}, 0.0);
+    EXPECT_EQ(health.status, 503);
+    EXPECT_NE(health.body.find("provenance.degraded"), std::string::npos) << health.body;
   }
 }
 
