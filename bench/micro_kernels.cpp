@@ -97,6 +97,28 @@ void BM_ClosestApproach(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosestApproach);
 
+void BM_WindowCull(benchmark::State& state) {
+  // The swept-disc bound the engine tries before that geometry: on
+  // BM_ClosestApproach's window, which it cannot settle, and on the same
+  // motion ten times farther out, which it settles. The predicate is
+  // inline, so the inputs are laundered to keep it from folding away.
+  aurv::geom::Vec2 near{3.0, 4.0};
+  aurv::geom::Vec2 far{30.0, 40.0};
+  aurv::geom::Vec2 velocity{-1.0, -0.5};
+  double duration = 10.0;
+  double floor = 1.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(near);
+    benchmark::DoNotOptimize(far);
+    benchmark::DoNotOptimize(velocity);
+    benchmark::DoNotOptimize(duration);
+    benchmark::DoNotOptimize(floor);
+    benchmark::DoNotOptimize(aurv::geom::stays_beyond(near, velocity, duration, floor));
+    benchmark::DoNotOptimize(aurv::geom::stays_beyond(far, velocity, duration, floor));
+  }
+}
+BENCHMARK(BM_WindowCull);
+
 void BM_ContactPredicateMix(benchmark::State& state) {
   // One window per iteration from a seeded mix that reaches every exit of
   // first_contact and contact_interval in equal shares: already in

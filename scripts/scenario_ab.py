@@ -35,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 WORKERS = (1, 4)
 SLICES = {"search_type1_deep": ["--max-waves", "300"]}
-EXACT_TWINS = ("smoke_type2", "search_smoke", "gather_census_smoke", "gather_census_funnel")
+EXACT_TWINS = ("smoke_type2", "type4_census", "search_smoke", "gather_census_smoke",
+               "gather_census_funnel")
 STOPPED_EARLY = 4  # aurv_sweep's exit code for a search cut by --max-waves
 
 

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "geom/vec2.hpp"
@@ -90,6 +92,34 @@ void set_exact_contacts_only(bool exact_only) noexcept;
   if (s > r2 * (1.0 + kMargin)) return std::partial_ordering::greater;
   if (s < r2 * (1.0 - kMargin)) return std::partial_ordering::less;
   return std::partial_ordering::unordered;
+}
+
+/// Whether the window is settled by its swept-disc bound: true only when
+/// |offset + s * relative_velocity| > floor exactly for every s in
+/// [0, duration] (so first_contact with any radius <= floor finds none) and
+/// the hypot of closest_point's offset is above floor. It tests
+/// (1 - 2^-46) |offset|^2 > (floor + |v| duration)^2 in doubles, which
+/// leaves a margin of 2^-48 (|offset| + |v| duration), about four times
+/// the rounding of that test, of closest_point's offset and of a 1-ulp
+/// hypot (docs/NUMERICS.md, "Window cull"). Guards: |offset|^2 <= 2^1000,
+/// floor >= 2^-480, a finite duration >= 0, and |v|^2 either 0 from an
+/// exact zero vector or at least 2^-960; outside them, for non-finite
+/// inputs and in exact-only mode it answers false.
+[[nodiscard]] inline bool stays_beyond(Vec2 offset, Vec2 relative_velocity, double duration,
+                                       double floor) noexcept {
+  constexpr double kTiny = 0x1p-960;
+  constexpr double kHuge = 0x1p1000;
+  constexpr double kShrink = 1.0 - 0x1p-46;
+  const double a = offset.norm2();
+  const double v2 = relative_velocity.norm2();
+  if (!(a <= kHuge && floor >= 0x1p-480 && duration >= 0.0 &&
+        duration <= std::numeric_limits<double>::max()) ||
+      exact_contacts_only())
+    return false;
+  // A square that underflowed to 0 or a subnormal would hide the speed.
+  if (v2 < kTiny && (relative_velocity.x != 0.0 || relative_velocity.y != 0.0)) return false;
+  const double clearance = floor + std::sqrt(v2) * duration;
+  return a * kShrink > clearance * clearance;
 }
 
 /// std::hypot(d.x, d.y) <= r, bit for bit, with the hypot taken only when

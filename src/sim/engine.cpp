@@ -47,6 +47,8 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
       telemetry::registry().counter("engine.rendezvous");
   static telemetry::Counter& window_solves_counter =
       telemetry::registry().counter("engine.window_solves");
+  static telemetry::Counter& windows_culled_counter =
+      telemetry::registry().counter("engine.windows_culled");
   static telemetry::Counter& trace_dropped_counter =
       telemetry::registry().counter("engine.trace_dropped");
   static telemetry::Log2Histogram& events_histogram =
@@ -55,6 +57,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
   Track a(agents::AgentFrame::for_a(instance_), std::move(for_a));
   Track b(agents::AgentFrame::for_b(instance_), std::move(for_b));
   std::uint64_t window_solves = 0;
+  std::uint64_t windows_culled = 0;
 
   const double radius_a = config_.r_a.value_or(instance_.r());
   const double radius_b = config_.r_b.value_or(instance_.r());
@@ -102,6 +105,7 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     events_counter.add(result.events);
     instructions_counter.add(result.instructions_a + result.instructions_b);
     window_solves_counter.add(window_solves);
+    windows_culled_counter.add(windows_culled);
     if (result.met) rendezvous_counter.add();
     if (result.trace.enabled()) trace_dropped_counter.add(result.trace.dropped());
     events_histogram.record(result.events);
@@ -152,38 +156,46 @@ SimResult Engine::run(program::Program for_a, program::Program for_b) const {
     Rational window_span = *window_end;
     window_span -= now;
     const double window = window_span.to_double();
-    // The window's closest distance can only lower the running minimum when
-    // it is not certainly above it; only then is its hypot taken.
-    const geom::Vec2 closest = geom::closest_point(offset, relative_velocity, window).offset;
-    if (!(geom::compare_distance(closest, result.min_distance_seen) > 0))
-      result.min_distance_seen = std::min(result.min_distance_seen, closest.norm());
+    ++window_solves;
+    // A window whose swept-disc bound stays above both the running minimum
+    // and the larger contact radius can neither lower the minimum nor make
+    // contact (r_big >= r_success), so its geometry is skipped.
+    if (geom::stays_beyond(offset, relative_velocity, window,
+                           std::max(result.min_distance_seen, r_big))) {
+      ++windows_culled;
+    } else {
+      // The window's closest distance can only lower the running minimum
+      // when it is not certainly above it; only then is its hypot taken.
+      const geom::Vec2 closest = geom::closest_point(offset, relative_velocity, window).offset;
+      if (!(geom::compare_distance(closest, result.min_distance_seen) > 0))
+        result.min_distance_seen = std::min(result.min_distance_seen, closest.norm());
 
-    if (distinct_radii && !far_sighted->frozen()) {
-      // The larger radius is crossed first; the far-sighted agent freezes
-      // there while the other keeps executing (Section 5 of the paper).
-      ++window_solves;
-      if (const std::optional<double> hit =
-              geom::first_contact(offset, relative_velocity, r_big, window)) {
-        Rational freeze_time = now;
-        freeze_time += Rational::from_double(*hit);
-        if (freeze_time > *window_end) freeze_time = *window_end;  // round-off guard
-        far_sighted->freeze_at(freeze_time);
-        now = freeze_time;
-        ++result.events;
-        record(now);
-        continue;
+      if (distinct_radii && !far_sighted->frozen()) {
+        // The larger radius is crossed first; the far-sighted agent freezes
+        // there while the other keeps executing (Section 5 of the paper).
+        if (const std::optional<double> hit =
+                geom::first_contact(offset, relative_velocity, r_big, window)) {
+          Rational freeze_time = now;
+          freeze_time += Rational::from_double(*hit);
+          if (freeze_time > *window_end) freeze_time = *window_end;  // round-off guard
+          far_sighted->freeze_at(freeze_time);
+          now = freeze_time;
+          ++result.events;
+          record(now);
+          continue;
+        }
+      } else if (const std::optional<double> hit =
+                     geom::first_contact(offset, relative_velocity, r_success, window)) {
+        Rational meet_time = now;
+        meet_time += Rational::from_double(*hit);
+        if (meet_time > *window_end) meet_time = *window_end;  // round-off guard
+        result.meet_window_start = base + now;
+        result.meet_window_offset = *hit;
+        result.meet_time = (base + meet_time).to_double();
+        a.freeze_at(meet_time);
+        b.freeze_at(meet_time);
+        return finish(StopReason::Rendezvous, meet_time);
       }
-    } else if (++window_solves; const std::optional<double> hit =
-                   geom::first_contact(offset, relative_velocity, r_success, window)) {
-      Rational meet_time = now;
-      meet_time += Rational::from_double(*hit);
-      if (meet_time > *window_end) meet_time = *window_end;  // round-off guard
-      result.meet_window_start = base + now;
-      result.meet_window_offset = *hit;
-      result.meet_time = (base + meet_time).to_double();
-      a.freeze_at(meet_time);
-      b.freeze_at(meet_time);
-      return finish(StopReason::Rendezvous, meet_time);
     }
 
     if (at_horizon) return finish(StopReason::HorizonReached, *window_end);

@@ -770,5 +770,135 @@ TEST(DistanceFilter, ExactOnlyNeverDecides) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Swept-disc window cull: whenever stays_beyond settles a window, the
+// geometry it lets the engine skip must have found nothing: no contact with
+// a disk of radius floor, and a closest-point hypot above floor.
+
+/// Checks one window; returns whether the predicate settled it.
+bool expect_cull_sound(Vec2 offset, Vec2 velocity, double duration, double floor) {
+  if (!stays_beyond(offset, velocity, duration, floor)) return false;
+  std::ostringstream what;
+  what.precision(17);
+  what << "offset=(" << offset.x << ", " << offset.y << ") v=(" << velocity.x << ", "
+       << velocity.y << ") w=" << duration << " floor=" << floor;
+  EXPECT_FALSE(first_contact(offset, velocity, floor, duration).has_value()) << what.str();
+  const Vec2 closest = closest_point(offset, velocity, duration).offset;
+  EXPECT_GT(std::hypot(closest.x, closest.y), floor) << what.str();
+  return true;
+}
+
+/// A log-uniform floor in [1e-6, 1e6].
+double draw_floor(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> exponent(-6.0, 6.0);
+  return std::pow(10.0, exponent(rng));
+}
+
+TEST(WindowCull, RandomWindowsAreSound) {
+  // Offsets, speeds and windows on scales around the floor's, in random
+  // directions: about half of them clear the bound.
+  const ExactOnlyGuard guard(false);
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> scale(-12, 12);
+  int settled = 0;
+  for (int round = 0; round < 40000; ++round) {
+    const double floor = draw_floor(rng);
+    const Vec2 offset = std::ldexp(floor * (0.5 + unit(rng)), scale(rng)) *
+                        unit_vector(kTwoPi * unit(rng));
+    const Vec2 velocity = std::ldexp(unit(rng), scale(rng)) * unit_vector(kTwoPi * unit(rng));
+    const double duration = std::ldexp(floor * unit(rng), scale(rng));
+    if (expect_cull_sound(offset, velocity, duration, floor)) ++settled;
+  }
+  EXPECT_GT(settled, 10000);
+}
+
+TEST(WindowCull, NearTiesAreSound) {
+  // |o| - |v| w = floor (1 +- k 2^-52) for an agent heading straight at the
+  // other, so the bound is attained at s = w. The swept distance |v| w runs
+  // from 0 to 2^40 floors: the larger it is, the more rounding the
+  // predicate, closest_point and hypot carry relative to the floor.
+  const ExactOnlyGuard guard(false);
+  std::mt19937_64 rng(4052);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> sweep_scale(-8, 40);
+  std::uniform_int_distribution<int> speed_scale(-20, 20);
+  const long ks[] = {0, 1, 2, 4, 8, 16, 64, 512, 4096, 1L << 16, 1L << 20, 1L << 30, 1L << 40};
+  int settled = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const double floor = draw_floor(rng);
+    const double sweep = round % 8 == 0 ? 0.0 : std::ldexp(floor * (0.5 + unit(rng)), sweep_scale(rng));
+    const double speed = std::ldexp(0.5 + unit(rng), speed_scale(rng));
+    const double duration = sweep / speed;
+    const Vec2 direction = unit_vector(kTwoPi * unit(rng));
+    const Vec2 velocity = -speed * direction;
+    for (const long k : ks) {
+      for (const double sign : {1.0, -1.0}) {
+        const double gap = floor * (1.0 + sign * std::ldexp(static_cast<double>(k), -52));
+        const double length = gap + speed * duration;
+        const bool fired = expect_cull_sound(length * direction, velocity, duration, floor);
+        if (fired) ++settled;
+        // Well clear of the margin 2^-48 (|o| + |v| w), the bound settles.
+        if (sign > 0 && (gap - floor) > 0x1p-44 * (length + speed * duration)) {
+          EXPECT_TRUE(fired) << "k=" << k << " floor=" << floor << " sweep=" << sweep;
+        }
+      }
+    }
+  }
+  EXPECT_GT(settled, 8000);
+}
+
+TEST(WindowCull, EdgeInputs) {
+  const ExactOnlyGuard guard(false);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  const Vec2 far{30.0, 40.0};
+  // No motion or no time: the offset itself is the whole window.
+  EXPECT_TRUE(expect_cull_sound(far, Vec2{}, 1e300, 49.0));
+  EXPECT_TRUE(expect_cull_sound(far, Vec2{-1.0, 0.0}, 0.0, 49.0));
+  EXPECT_FALSE(stays_beyond(far, Vec2{}, 10.0, 50.0));
+  EXPECT_TRUE(expect_cull_sound(far, Vec2{-1.0, -1.0}, 10.0, 1.0));
+  // A huge or non-finite window is never settled while anything moves.
+  EXPECT_FALSE(stays_beyond(far, Vec2{-1.0, -1.0}, 1e300, 1.0));
+  EXPECT_FALSE(stays_beyond(far, Vec2{-1e-300, 0.0}, huge, 1.0));
+  for (const double w : {inf, nan, -1.0, -1e-300}) {
+    EXPECT_FALSE(stays_beyond(far, Vec2{-1.0, 0.0}, w, 1.0)) << w;
+    EXPECT_FALSE(stays_beyond(far, Vec2{}, w, 1.0)) << w;
+  }
+  // Floors outside [2^-480, inf) and non-finite offsets or velocities.
+  for (const double floor : {inf, nan, 0.0, -1.0, tiny, 0x1p-481}) {
+    EXPECT_FALSE(stays_beyond(far, Vec2{-1.0, 0.0}, 1.0, floor)) << floor;
+  }
+  EXPECT_TRUE(expect_cull_sound(far, Vec2{-1.0, 0.0}, 1.0, 0x1p-480));
+  for (const Vec2 offset : {Vec2{inf, 0.0}, Vec2{nan, 1.0}, Vec2{1e300, 0.0}}) {
+    EXPECT_FALSE(stays_beyond(offset, Vec2{-1.0, 0.0}, 1.0, 1.0));
+  }
+  for (const Vec2 velocity : {Vec2{inf, 0.0}, Vec2{nan, 0.0}, Vec2{1e200, 0.0}}) {
+    EXPECT_FALSE(stays_beyond(far, velocity, 1.0, 1.0));
+    EXPECT_FALSE(stays_beyond(far, velocity, 0.0, 1.0));
+  }
+  // A speed whose square underflows is not mistaken for standing still:
+  // 1e-170 over 1e200 time units sweeps 1e30.
+  EXPECT_FALSE(stays_beyond(far, Vec2{-1e-170, 0.0}, 1e200, 1.0));
+  EXPECT_FALSE(stays_beyond(far, Vec2{-tiny, 0.0}, 1.0, 1.0));
+  EXPECT_TRUE(expect_cull_sound(far, Vec2{-0x1p-480, 0.0}, 1.0, 1.0));
+  // Already inside the floor, or reaching it within the window.
+  EXPECT_FALSE(stays_beyond(Vec2{0.5, 0.0}, Vec2{}, 1.0, 1.0));
+  EXPECT_FALSE(stays_beyond(far, Vec2{-1.0, 0.0}, 49.0, 1.0));
+}
+
+TEST(WindowCull, ExactOnlyNeverFires) {
+  const ExactOnlyGuard guard(true);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int round = 0; round < 2000; ++round) {
+    const Vec2 offset = (100.0 + 100.0 * unit(rng)) * unit_vector(kTwoPi * unit(rng));
+    const Vec2 velocity = unit(rng) * unit_vector(kTwoPi * unit(rng));
+    EXPECT_FALSE(stays_beyond(offset, velocity, 10.0 * unit(rng), 1.0 + unit(rng)));
+  }
+}
+
 }  // namespace
 }  // namespace aurv::geom

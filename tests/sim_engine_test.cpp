@@ -9,16 +9,20 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "agents/instance.hpp"
+#include "agents/sampler.hpp"
 #include "core/almost_universal.hpp"
 #include "geom/angle.hpp"
+#include "geom/closest_approach.hpp"
 #include "program/combinators.hpp"
 #include "program/instruction.hpp"
 #include "sim/engine.hpp"
 #include "sim/track.hpp"
+#include "support/telemetry.hpp"
 
 namespace aurv::sim {
 namespace {
@@ -423,6 +427,86 @@ TEST(RebasedClock, DistinctRadiiFreezeAfterHugeWait) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.a_position.x), 0x4013ffffffeed1f3ull);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(result.b_position.x), 0x4017ffffffffffffull);
   EXPECT_EQ(digest_of(result), 0x86778921c8ce1765ull);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-only mode switches off the window cull along with the contact and
+// distance filters, so a run must report the same bits either way.
+
+SimResult run_algorithm_one(const Instance& inst, const EngineConfig& config, bool exact_only) {
+  const bool previous = geom::exact_contacts_only();
+  geom::set_exact_contacts_only(exact_only);
+  SimResult result = Engine(inst, config).run([] { return core::almost_universal_rv(); });
+  geom::set_exact_contacts_only(previous);
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_run(const SimResult& plain, const SimResult& exact) {
+  EXPECT_EQ(plain.reason, exact.reason);
+  EXPECT_EQ(plain.events, exact.events);
+  EXPECT_EQ(plain.instructions_a, exact.instructions_a);
+  EXPECT_EQ(plain.instructions_b, exact.instructions_b);
+  EXPECT_EQ(plain.meet_window_start, exact.meet_window_start);
+  EXPECT_TRUE(same_bits(plain.meet_time, exact.meet_time));
+  EXPECT_TRUE(same_bits(plain.meet_window_offset, exact.meet_window_offset));
+  EXPECT_TRUE(same_bits(plain.min_distance_seen, exact.min_distance_seen));
+  EXPECT_TRUE(same_bits(plain.final_distance, exact.final_distance));
+  EXPECT_TRUE(same_bits(plain.a_position.x, exact.a_position.x));
+  EXPECT_TRUE(same_bits(plain.a_position.y, exact.a_position.y));
+  EXPECT_TRUE(same_bits(plain.b_position.x, exact.b_position.x));
+  EXPECT_TRUE(same_bits(plain.b_position.y, exact.b_position.y));
+}
+
+using Sampler = Instance (*)(agents::SampleRng&, const agents::SamplerRanges&);
+constexpr Sampler kSamplers[] = {agents::sample_type1, agents::sample_type2,
+                                 agents::sample_type3, agents::sample_type4};
+
+// Starts far enough apart that most runs take hundreds of windows or more;
+// the 20k-event budget leaves some of them fuel-exhausted.
+constexpr agents::SamplerRanges kFarStarts{.dist_min = 3.0, .dist_max = 8.0};
+
+TEST(WindowCull, SampledRunsMatchExactOnlyBitForBit) {
+  EngineConfig config;
+  config.max_events = 20'000;
+  const support::telemetry::Counter& culled =
+      support::telemetry::registry().counter("engine.windows_culled");
+  const std::uint64_t culled_before = culled.value();
+  for (std::size_t type = 0; type < std::size(kSamplers); ++type) {
+    for (std::uint64_t sample = 0; sample < 12; ++sample) {
+      agents::SampleRng rng = agents::sample_stream(29, 100 * type + sample);
+      const Instance inst = kSamplers[type](rng, kFarStarts);
+      SCOPED_TRACE("type " + std::to_string(type + 1) + " sample " + std::to_string(sample));
+      expect_same_run(run_algorithm_one(inst, config, false),
+                      run_algorithm_one(inst, config, true));
+    }
+  }
+  EXPECT_GT(culled.value(), culled_before);
+}
+
+TEST(WindowCull, DistinctRadiiRunsMatchExactOnlyBitForBit) {
+  // r_a != r_b: the far-sighted agent freezes at the larger radius while the
+  // other keeps moving, the branch the committed scenarios never reach.
+  // Either agent takes the larger radius; every meet passes that freeze.
+  EngineConfig config;
+  config.max_events = 20'000;
+  int met = 0;
+  for (std::uint64_t sample = 0; sample < 16; ++sample) {
+    agents::SampleRng rng = agents::sample_stream(30, sample);
+    const Instance inst = kSamplers[sample % 4](rng, kFarStarts);
+    for (const double ratio : {0.4, 2.5}) {
+      config.r_a = inst.r();
+      config.r_b = ratio * inst.r();
+      SCOPED_TRACE("sample " + std::to_string(sample) + " r_b/r_a " + std::to_string(ratio));
+      const SimResult plain = run_algorithm_one(inst, config, false);
+      expect_same_run(plain, run_algorithm_one(inst, config, true));
+      if (plain.met) ++met;
+    }
+  }
+  EXPECT_GT(met, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -253,6 +253,8 @@ TEST(TelemetryDeterminism, CampaignCountersAreThreadCountInvariant) {
         << family << "\n" << serial.at(family).dump() << "\n" << parallel.at(family).dump();
   }
   EXPECT_GT(serial.at("counters").at("runner.jobs").as_uint(), 0u);
+  // The window cull's count is compared with the rest; it must be live.
+  EXPECT_GT(serial.at("counters").at("engine.windows_culled").as_uint(), 0u);
   EXPECT_GT(serial.at("gauges").at("program.shared_bytes").as_int(), 0);
 }
 
