@@ -475,7 +475,7 @@ BnbResult run_bnb(const ParamBox& root, const Objective& objective, const BnbLim
   if (provenance_on && resumed)
     provenance_resume = provenance_resume_offset(options.provenance_path, state.stats.waves,
                                                  options.fingerprint);
-  support::SoftJsonlSink provenance(options.provenance_path, provenance_resume);
+  support::SoftJsonlSink provenance("provenance", options.provenance_path, provenance_resume);
   if (provenance_on && !resumed) {
     provenance.append(provenance_header(options.fingerprint));
     if (root_infeasible)

@@ -8,8 +8,10 @@
 //      retry; a torn append is rolled back to the sink's durable byte
 //      count before the retry, so a rewrite never duplicates a partial
 //      record. Spill segments, JSONL streams, incumbent logs, wave
-//      journals, the trace file and the provenance stream (through
-//      SoftJsonlSink) are all written this way.
+//      journals, the trace file and the provenance stream are all
+//      written this way; the last two through SoftJsonlSink, the one
+//      fail-soft stream, which turns a persistent failure into a
+//      `<name>.degraded` gauge and counted drops instead of an error.
 //   2. Rewind a torn write on resume — JsonlSink(path, resume_bytes). A
 //      checkpoint stores the byte offset of the stream's durable prefix;
 //      on resume the sink truncates the file back to it (dropping records
@@ -231,19 +233,23 @@ class JsonlSink {
   std::uint64_t bytes_ = 0;
 };
 
-/// The fail-soft sink of the search's prune-provenance stream: a
-/// deterministic artifact when healthy, but it must never fail the run. A
-/// persistent I/O failure — at open, on an append or on a flush — degrades
-/// it to a no-op: one warning lands on stderr, the gauge
-/// `provenance.degraded` turns 1 (so /healthz answers 503), and every
-/// record it then cannot write ticks `provenance.dropped`. Resume-offset
-/// mismatches (a checkpoint pointed at the wrong file) still throw: those
-/// are configuration errors, not disk weather.
+/// The one fail-soft stream, shared by the search's prune-provenance
+/// stream and the trace file: a JsonlSink while healthy, but it must never
+/// fail the run. A persistent I/O failure — at open, on an append, a flush
+/// or the close — degrades it to a no-op: one warning lands on stderr, the
+/// gauge `<name>.degraded` turns 1 (so /healthz answers 503), and every
+/// record it then cannot write ticks `<name>.dropped`. A "" path is an off
+/// stream that registers no metric. Resume-offset mismatches (a checkpoint
+/// pointed at the wrong file) still throw: those are configuration errors,
+/// not disk weather.
 class SoftJsonlSink {
  public:
-  SoftJsonlSink(const std::string& path, std::uint64_t resume_bytes) : path_(path) {
+  SoftJsonlSink(std::string_view name, const std::string& path, std::uint64_t resume_bytes = 0)
+      : name_(name), path_(path) {
     if (path.empty()) return;
-    telemetry::registry().gauge("provenance.degraded").set(0);
+    degraded_gauge_ = &telemetry::registry().gauge(name_ + ".degraded");
+    dropped_ = &telemetry::registry().counter(name_ + ".dropped");
+    degraded_gauge_->set(0);
     try {
       sink_ = std::make_unique<JsonlSink>(path, resume_bytes);
     } catch (const VfsError& error) {
@@ -251,37 +257,50 @@ class SoftJsonlSink {
     }
   }
 
-  void append(const std::string& text) {
-    if (sink_ != nullptr) {
-      try {
-        sink_->append(text);  // rolls the file back to its durable prefix on failure
-        return;
-      } catch (const VfsError& error) {
-        degrade(error.reason());
-      }
-    }
-    if (!path_.empty()) telemetry::registry().counter("provenance.dropped").add();
+  /// Appends `text`, `records` records that are dropped together when
+  /// the write fails. The file rolls back to its durable prefix first.
+  void append(const std::string& text, std::uint64_t records = 1) {
+    guard([&] { sink_->append(text); });
+    if (degraded_) dropped_->add(records);
   }
 
-  void flush() {
+  void flush() { guard([this] { sink_->flush(); }); }
+
+  /// Flushes and closes the file (a failure degrades the stream).
+  void close() {
+    guard([this] { sink_->close(); });
+    sink_.reset();
+  }
+
+  /// Whether a persistent failure turned the stream into a no-op. Held
+  /// here, not read back from the gauge, which `registry().reset()` zeroes.
+  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
+
+ private:
+  template <typename Io>
+  void guard(Io&& io) {
     if (sink_ == nullptr) return;
     try {
-      sink_->flush();
+      io();
     } catch (const VfsError& error) {
       degrade(error.reason());
     }
   }
 
- private:
   void degrade(const std::string& reason) {
     sink_.reset();
-    telemetry::registry().gauge("provenance.degraded").set(1);
-    std::fprintf(stderr, "aurv: provenance: %s (%s); stream disabled, records dropped\n",
+    degraded_ = true;
+    degraded_gauge_->set(1);
+    std::fprintf(stderr, "aurv: %s: %s (%s); stream disabled, records dropped\n", name_.c_str(),
                  path_.c_str(), reason.c_str());
   }
 
+  std::string name_;
   std::string path_;
-  std::unique_ptr<JsonlSink> sink_;  ///< null when off ("" path) or degraded
+  telemetry::Gauge* degraded_gauge_ = nullptr;  ///< null for an off stream
+  telemetry::Counter* dropped_ = nullptr;
+  std::unique_ptr<JsonlSink> sink_;  ///< null when off, closed or degraded
+  bool degraded_ = false;
 };
 
 }  // namespace aurv::support

@@ -1,6 +1,5 @@
 #include "support/statusd.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -61,15 +60,6 @@ std::string seconds_text(double seconds) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9f", seconds);
   return buffer;
-}
-
-/// Inclusive upper bound of bit_width bucket `index` as a decimal string:
-/// bucket 0 holds only 0, bucket k >= 1 holds [2^(k-1), 2^k) i.e. up to
-/// 2^k - 1.
-std::string bucket_le(int index) {
-  if (index == 0) return "0";
-  if (index >= 64) return "18446744073709551615";
-  return std::to_string((std::uint64_t{1} << index) - 1);
 }
 
 // ----------------------------------------------------------------------
@@ -154,7 +144,9 @@ std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
     std::uint64_t cumulative = 0;
     for (const auto& [index, count] : value.buckets) {
       cumulative += count;
-      out += metric + "_bucket{le=\"" + bucket_le(index) + "\"} " +
+      // Inclusive upper bound: 2 floor - 1, wrapping to 2^64 - 1 for bucket 64.
+      const std::uint64_t le = 2 * telemetry::Log2Histogram::floor(index) - (index > 0 ? 1 : 0);
+      out += metric + "_bucket{le=\"" + std::to_string(le) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
     out += metric + "_bucket{le=\"+Inf\"} " + std::to_string(value.count) + "\n";
@@ -336,18 +328,15 @@ int StatusServer::port() const noexcept { return impl_->port; }
 std::unique_ptr<StatusServer> StatusServer::start(Config config) {
   const auto fail_soft = [&config](const char* what) -> std::unique_ptr<StatusServer> {
     telemetry::registry().counter("statusd.dropped").add();
-    std::fprintf(stderr, "aurv: statusd: %s for %s:%d (%s); status server disabled\n",
-                 what, config.bind_address.c_str(), config.port, std::strerror(errno));
+    std::fprintf(stderr, "aurv: statusd: %s for 127.0.0.1:%d (%s); status server disabled\n",
+                 what, config.port, std::strerror(errno));
     return nullptr;
   };
 
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_port = htons(static_cast<std::uint16_t>(config.port));
-  if (::inet_pton(AF_INET, config.bind_address.c_str(), &address.sin_addr) != 1) {
-    errno = EINVAL;
-    return fail_soft("bad bind address");
-  }
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return fail_soft("cannot create socket");

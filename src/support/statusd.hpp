@@ -1,7 +1,7 @@
 // Embedded HTTP status server: live introspection of a running driver
-// over plain HTTP/1.1 (`--status-port PORT` on aurv_sweep run and
-// search; 0 asks the kernel for an ephemeral port, announced as one JSON
-// line on stderr). Four GET endpoints:
+// over plain HTTP/1.1 on the loopback address only (`--status-port PORT`
+// on aurv_sweep run and search; 0 asks the kernel for an ephemeral port,
+// announced as one JSON line on stderr). Four GET endpoints:
 //
 //   /metrics   Prometheus text exposition (format 0.0.4) rendered from a
 //              live telemetry::Registry snapshot + run-identity labels
@@ -10,6 +10,8 @@
 //              the same fields as a heartbeat line minus "heartbeat" and
 //              "rates"
 //   /healthz   200 "ok" / 503 naming every nonzero `*.degraded` gauge
+//              (the fail-soft trace and provenance streams, the spill
+//              frontier)
 //   /trace     tail of the in-memory span ring (?last=N) when a
 //              --trace-out stream is active
 //
@@ -40,12 +42,12 @@
 
 namespace aurv::support::statusd {
 
+/// The server always binds the loopback address 127.0.0.1: this is a
+/// diagnostics endpoint, not a service.
 struct Config {
   /// TCP port to bind; 0 = ephemeral (kernel-chosen, reported by port()
   /// and the stderr announce line).
   int port = 0;
-  /// Loopback by default: this is a diagnostics endpoint, not a service.
-  std::string bind_address = "127.0.0.1";
   int timeout_ms = 2000;  ///< per-connection receive and per-send deadline
   telemetry::RunInfo run;
 };
@@ -61,11 +63,13 @@ struct Response {
 /// Renders a registry snapshot as Prometheus text exposition format
 /// 0.0.4. Deterministic given the snapshot: `aurv_` prefix, dots and
 /// dashes to underscores, counters as `_total`, gauges plain, log2
-/// histograms as cumulative `_bucket{le="2^k-1"}`/`_sum`/`_count`,
+/// histograms as cumulative `_bucket{le="2 floor - 1"}`/`_sum`/`_count`
+/// (Log2Histogram::floor; the zero bucket's `le` is 0),
 /// timers as `_seconds_total` (%.9f) + `_spans_total`, preceded by
 /// `aurv_run_info{...} 1` and `aurv_uptime_seconds`.
 /// `scripts/metrics_report.py prom` renders the identical format from an
-/// offline snapshot file — keep the two in lockstep.
+/// offline snapshot file — keep the two in lockstep
+/// (`StatusdPrometheus.MatchesTheOfflineRenderer` byte-compares them).
 [[nodiscard]] std::string render_prometheus(const telemetry::Registry::Snapshot& snapshot,
                                             const telemetry::RunInfo& run, double uptime_s);
 

@@ -7,18 +7,32 @@ namespace aurv::support::telemetry {
 
 namespace {
 
-/// Decimal string of the lower bound of bit_width bucket `index`:
-/// "0", "1", "2", "4", "8", ... (bucket 0 holds only the sample 0).
-std::string bucket_lower_bound(int index) {
-  if (index == 0) return "0";
-  return std::to_string(std::uint64_t{1} << (index - 1));
-}
-
 /// {"<name>": value, ...} of one scalar family, in snapshot (name) order.
 template <typename Value>
 Json family_json(const std::vector<std::pair<std::string, Value>>& family) {
   Json out = Json::object();
   for (const auto& [name, value] : family) out.set(name, Json(value));
+  return out;
+}
+
+/// Compiler / standard / build-mode identification, for snapshot triage.
+Json build_info() {
+  Json out = Json::object();
+#if defined(__clang__)
+  out.set("compiler", Json(std::string("clang ") + std::to_string(__clang_major__) + "." +
+                           std::to_string(__clang_minor__)));
+#elif defined(__GNUC__)
+  out.set("compiler", Json(std::string("gcc ") + std::to_string(__GNUC__) + "." +
+                           std::to_string(__GNUC_MINOR__)));
+#else
+  out.set("compiler", Json("unknown"));
+#endif
+  out.set("cpp_standard", Json(static_cast<std::uint64_t>(__cplusplus)));
+#if defined(NDEBUG)
+  out.set("build_type", Json("release"));
+#else
+  out.set("build_type", Json("debug"));
+#endif
   return out;
 }
 
@@ -32,30 +46,18 @@ Registry& Registry::instance() {
 
 template <typename Metric>
 Metric& Registry::find_or_add(Family<Metric>& family, std::string_view name) {
+  std::lock_guard lock(mutex_);
   auto& slot = family[std::string(name)];
   if (!slot) slot = std::make_unique<Metric>();
   return *slot;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  return find_or_add(counters_, name);
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  return find_or_add(gauges_, name);
-}
-
+Counter& Registry::counter(std::string_view name) { return find_or_add(counters_, name); }
+Gauge& Registry::gauge(std::string_view name) { return find_or_add(gauges_, name); }
 Log2Histogram& Registry::histogram(std::string_view name) {
-  std::lock_guard lock(mutex_);
   return find_or_add(histograms_, name);
 }
-
-Timer& Registry::timer(std::string_view name) {
-  std::lock_guard lock(mutex_);
-  return find_or_add(timers_, name);
-}
+Timer& Registry::timer(std::string_view name) { return find_or_add(timers_, name); }
 
 Registry::Snapshot Registry::read_snapshot() const {
   std::lock_guard lock(mutex_);
@@ -66,7 +68,7 @@ Registry::Snapshot Registry::read_snapshot() const {
     Snapshot::HistogramValue value;
     value.count = h->count();
     value.sum = h->sum();
-    for (int i = 0; i < 65; ++i) {
+    for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
       const std::uint64_t n = h->bucket(i);
       if (n != 0) value.buckets.emplace_back(i, n);
     }
@@ -83,7 +85,8 @@ Json Registry::snapshot() const {
   Json histograms = Json::object();
   for (const auto& [name, value] : snap.histograms) {
     Json buckets = Json::object();
-    for (const auto& [index, n] : value.buckets) buckets.set(bucket_lower_bound(index), Json(n));
+    for (const auto& [index, n] : value.buckets)
+      buckets.set(std::to_string(Log2Histogram::floor(index)), Json(n));
     Json entry = Json::object();
     entry.set("count", Json(value.count));
     entry.set("sum", Json(value.sum));
@@ -107,17 +110,10 @@ Json Registry::snapshot() const {
 
 void Registry::reset() {
   std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->value_.store(0, std::memory_order_relaxed);
-  for (auto& [name, g] : gauges_) g->value_.store(0, std::memory_order_relaxed);
-  for (auto& [name, h] : histograms_) {
-    for (auto& bucket : h->buckets_) bucket.store(0, std::memory_order_relaxed);
-    h->count_.store(0, std::memory_order_relaxed);
-    h->sum_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, t] : timers_) {
-    t->total_ns_.store(0, std::memory_order_relaxed);
-    t->count_.store(0, std::memory_order_relaxed);
-  }
+  for (auto& [name, c] : counters_) c->clear();
+  for (auto& [name, g] : gauges_) g->clear();
+  for (auto& [name, h] : histograms_) h->clear();
+  for (auto& [name, t] : timers_) t->clear();
 }
 
 // ------------------------------------------------------------------------
@@ -256,26 +252,6 @@ void Heartbeat::emit() {
 // ------------------------------------------------------------------------
 // Metrics snapshot
 // ------------------------------------------------------------------------
-
-Json build_info() {
-  Json out = Json::object();
-#if defined(__clang__)
-  out.set("compiler", Json(std::string("clang ") + std::to_string(__clang_major__) + "." +
-                           std::to_string(__clang_minor__)));
-#elif defined(__GNUC__)
-  out.set("compiler", Json(std::string("gcc ") + std::to_string(__GNUC__) + "." +
-                           std::to_string(__GNUC_MINOR__)));
-#else
-  out.set("compiler", Json("unknown"));
-#endif
-  out.set("cpp_standard", Json(static_cast<std::uint64_t>(__cplusplus)));
-#if defined(NDEBUG)
-  out.set("build_type", Json("release"));
-#else
-  out.set("build_type", Json("debug"));
-#endif
-  return out;
-}
 
 Json metrics_snapshot(const RunInfo& run, double wall_ms) {
   Json identity = Json::object();

@@ -13,9 +13,10 @@
 // tests/telemetry_determinism_test.cpp enforces exactly that.
 //
 // Determinism of the numbers themselves:
-//   * counters/gauges/histograms hold integers updated with relaxed
-//     atomics — integer sums commute, so end-of-run totals are identical
-//     at any thread count;
+//   * every metric is a `Cells<N>` array of relaxed atomic 64-bit words
+//     (a gauge two's complement) — integer sums commute, so end-of-run
+//     totals of counters, gauges and histograms are identical at any
+//     thread count;
 //   * per-shard tallies are added by the runner's *in-order* completion
 //     hook — the same shard-ordered discipline the aggregates use, so
 //     even the intermediate counter sequence is deterministic;
@@ -24,9 +25,9 @@
 //
 // Metric objects are registered on first use and never deallocated, so a
 // `static auto& c = telemetry::registry().counter("x")` at a call site
-// pays the registry lock exactly once. `Registry::reset()` zeroes values
-// in place (references stay valid) — for tests and for drivers that run
-// several specs in one process.
+// pays the registry lock exactly once. `Registry::reset()` clears every
+// metric's cells in place (references stay valid) — for tests and for
+// drivers that run several specs in one process.
 #pragma once
 
 #include <array>
@@ -49,89 +50,94 @@
 
 namespace aurv::support::telemetry {
 
-/// Monotonic event count. Totals are thread-count-invariant (relaxed
-/// integer adds commute).
-class Counter {
+/// N relaxed atomic words: the one storage of every metric family, and
+/// the one way to zero it (`Registry::reset()` clears each metric in
+/// place).
+template <std::size_t N>
+class Cells {
  public:
-  void add(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+  void clear() noexcept {
+    for (auto& cell : cells_) cell.store(0, std::memory_order_relaxed);
   }
 
- private:
-  friend class Registry;
-  std::atomic<std::uint64_t> value_{0};
+ protected:
+  [[nodiscard]] std::uint64_t load(std::size_t i = 0) const noexcept {
+    return cells_[i].load(std::memory_order_relaxed);
+  }
+  void bump(std::size_t i, std::uint64_t n) noexcept {
+    cells_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+
+  std::array<std::atomic<std::uint64_t>, N> cells_{};
 };
 
-/// Last-written level (frontier depth, jobs total, degradation state).
-/// Writers must be serialized (e.g. the in-order completion hook) for the
-/// sequence of values to be deterministic; the final value then is too.
-class Gauge {
+/// Monotonic event count. Totals are thread-count-invariant (relaxed
+/// integer adds commute).
+class Counter : public Cells<1> {
  public:
-  void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  /// Raises the gauge to `v` if above the current value (high-water marks).
+  void add(std::uint64_t n = 1) noexcept { bump(0, n); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return load(); }
+};
+
+/// Last-written level (frontier depth, jobs total, degradation state),
+/// held two's complement in its cell. Writers must be serialized (e.g.
+/// the in-order completion hook) for the sequence of values to be
+/// deterministic; the final value then is too.
+class Gauge : public Cells<1> {
+ public:
+  void set(std::int64_t v) noexcept {
+    cells_[0].store(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
+  }
+  void add(std::int64_t n) noexcept { bump(0, static_cast<std::uint64_t>(n)); }
+  /// Raises the gauge to `v` if above the current value (high-water marks;
+  /// a signed compare).
   void set_max(std::int64_t v) noexcept {
-    std::int64_t cur = value_.load(std::memory_order_relaxed);
-    while (cur < v && !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    std::uint64_t cur = load();
+    while (static_cast<std::int64_t>(cur) < v &&
+           !cells_[0].compare_exchange_weak(cur, static_cast<std::uint64_t>(v),
+                                            std::memory_order_relaxed)) {
     }
   }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class Registry;
-  std::atomic<std::int64_t> value_{0};
+  [[nodiscard]] std::int64_t value() const noexcept { return static_cast<std::int64_t>(load()); }
 };
 
 /// Power-of-two bucketed distribution of nonnegative integer samples
-/// (event counts, byte sizes). Bucket k holds samples in [2^(k-1), 2^k)
-/// — i.e. bucket index = std::bit_width(sample) — with bucket 0 reserved
-/// for zero. Integer counts: totals are thread-count-invariant.
-class Log2Histogram {
+/// (event counts, byte sizes). Bucket index = std::bit_width(sample):
+/// bucket 0 holds only the zero sample, bucket k >= 1 the samples in
+/// [floor(k), 2 floor(k)). Cells 0..64 are the buckets, then count and
+/// sum. Integer counts: totals are thread-count-invariant.
+class Log2Histogram : public Cells<67> {
  public:
-  void record(std::uint64_t sample) noexcept {
-    buckets_[std::bit_width(sample)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(sample, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bucket(int index) const noexcept {
-    return buckets_[static_cast<std::size_t>(index)].load(std::memory_order_relaxed);
+  static constexpr int kBuckets = 65;
+
+  /// The smallest sample bucket `index` holds: 0, 1, 2, 4, ..., 2^63.
+  [[nodiscard]] static constexpr std::uint64_t floor(int index) noexcept {
+    return index == 0 ? 0 : std::uint64_t{1} << (index - 1);
   }
 
- private:
-  friend class Registry;
-  std::array<std::atomic<std::uint64_t>, 65> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  void record(std::uint64_t sample) noexcept {
+    bump(static_cast<std::size_t>(std::bit_width(sample)), 1);
+    bump(kBuckets, 1);
+    bump(kBuckets + 1, sample);
+  }
+  [[nodiscard]] std::uint64_t count() const noexcept { return load(kBuckets); }
+  [[nodiscard]] std::uint64_t sum() const noexcept { return load(kBuckets + 1); }
+  [[nodiscard]] std::uint64_t bucket(int index) const noexcept {
+    return load(static_cast<std::size_t>(index));
+  }
 };
 
-/// Accumulated wall-clock time. The one nondeterministic metric family:
-/// values go to the metrics sink and stderr only, never into artifacts.
-class Timer {
+/// Accumulated wall-clock time (cell 0) over a span count (cell 1). The
+/// one nondeterministic metric family: values go to the metrics sink and
+/// stderr only, never into artifacts.
+class Timer : public Cells<2> {
  public:
   void add_ns(std::uint64_t ns) noexcept {
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    bump(0, ns);
+    bump(1, 1);
   }
-  [[nodiscard]] std::uint64_t total_ns() const noexcept {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class Registry;
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> count_{0};
+  [[nodiscard]] std::uint64_t total_ns() const noexcept { return load(0); }
+  [[nodiscard]] std::uint64_t count() const noexcept { return load(1); }
 };
 
 /// The process-wide metric registry. Lookup registers on first use;
@@ -158,8 +164,7 @@ class Registry {
       std::uint64_t count = 0;
       std::uint64_t sum = 0;
       /// Nonzero buckets only, as (bit_width bucket index, count),
-      /// index-ascending. Bucket k >= 1 holds samples in [2^(k-1), 2^k);
-      /// bucket 0 holds only the sample 0.
+      /// index-ascending (see Log2Histogram::floor).
       std::vector<std::pair<int, std::uint64_t>> buckets;
     };
     struct TimerValue {
@@ -198,7 +203,7 @@ class Registry {
 
   Registry() = default;
 
-  /// The metric registered as `name`, registering it first (mutex_ held).
+  /// The metric registered as `name`, registering it first (takes mutex_).
   template <typename Metric>
   Metric& find_or_add(Family<Metric>& family, std::string_view name);
 
@@ -338,17 +343,15 @@ class Heartbeat {
 // Metrics snapshot
 // ------------------------------------------------------------------------
 
-/// Compiler / standard / build-mode identification, for snapshot triage.
-[[nodiscard]] Json build_info();
-
 /// The versioned end-of-run snapshot (`schema` 1, `kind`
 /// "metrics-snapshot"): run identity (with `config` when nonempty) +
-/// build info + wall_ms + the full registry snapshot. THE one place
-/// wall-clock values are allowed besides stderr. Pass the driver's own
-/// wall span as `wall_ms`. Drivers save it with `Json::save_file`, not
-/// through the support::vfs() seam: the metrics sink is diagnostics, not
-/// a durable artifact, so it must not enlarge the fault-injection site
-/// enumeration the torture matrix replays against.
+/// build info (compiler, standard, build mode) + wall_ms + the full
+/// registry snapshot. THE one place wall-clock values are allowed
+/// besides stderr. Pass the driver's own wall span as `wall_ms`. Drivers
+/// save it with `Json::save_file`, not through the support::vfs() seam:
+/// the metrics sink is diagnostics, not a durable artifact, so it must
+/// not enlarge the fault-injection site enumeration the torture matrix
+/// replays against.
 [[nodiscard]] Json metrics_snapshot(const RunInfo& run, double wall_ms);
 
 }  // namespace aurv::support::telemetry

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <deque>
-#include <memory>
 #include <mutex>
+#include <optional>
 
 #include "support/jsonl.hpp"
-#include "support/vfs.hpp"
 
 namespace aurv::support::trace {
 
@@ -25,13 +23,13 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-/// The sink's own metrics, looked up once: `append` runs under the sink
+/// The sink's own counters, looked up once: `append` runs under the sink
 /// mutex and spans open on worker threads, so neither may take the
-/// registry lock per event.
+/// registry lock per event. (The file's SoftJsonlSink owns the
+/// `trace.degraded` gauge and ticks the same `trace.dropped`.)
 struct SinkMetrics {
   telemetry::Counter& events = telemetry::registry().counter("trace.events");
   telemetry::Counter& dropped = telemetry::registry().counter("trace.dropped");
-  telemetry::Gauge& degraded = telemetry::registry().gauge("trace.degraded");
 };
 
 SinkMetrics& sink_metrics() {
@@ -80,47 +78,38 @@ std::string event_line(std::string_view name, std::string_view cat, std::uint64_
 struct TraceSink::Impl {
   std::mutex mutex;
   std::atomic<bool> enabled{false};
+  /// file->degraded(), published for the lock-free readers (spans).
   std::atomic<bool> degraded{false};
   std::atomic<std::uint64_t> open_ns{0};
 
   // Everything below is guarded by `mutex`.
-  std::unique_ptr<JsonlSink> file;  ///< rewinds a torn write and retries it
-  std::string path;
-  std::string pending;           ///< serialized bytes awaiting a flush
+  std::optional<SoftJsonlSink> file;  ///< the "trace" stream, fail-soft
+  std::string pending;                ///< serialized bytes awaiting a flush
   std::uint64_t pending_events = 0;
   bool first_event = true;
   /// The most recent event lines, at most kRingCapacity (statusd's
   /// /trace source).
   std::deque<std::string> ring;
 
-  /// Flushes `pending` to disk; on persistent failure degrades the sink
-  /// (mutex held). Returns whether the sink is still healthy.
-  bool flush_pending() {
-    if (pending.empty()) return true;
-    try {
+  /// Publishes the file's health (mutex held): a degraded file stops
+  /// collection, and later spans count as `trace.dropped`.
+  void publish() {
+    const bool failed = file->degraded();
+    degraded.store(failed, std::memory_order_relaxed);
+    if (failed) enabled.store(false, std::memory_order_relaxed);
+  }
+
+  /// Writes `pending` to the file (mutex held); a persistent failure
+  /// degrades the file, which counts the pending events as dropped.
+  void flush_pending() {
+    if (pending.empty()) return;  // no write, so a fault schedule's op count holds
+    {
       const SinkIo io;
-      file->append(pending);
-    } catch (const VfsError&) {
-      degrade("write failed: " + path);
-      return false;
+      file->append(pending, pending_events);
     }
     pending.clear();
     pending_events = 0;
-    return true;
-  }
-
-  /// Turns the sink into a counting no-op: pending events are dropped
-  /// and counted, later spans tick `trace.dropped` instead of recording.
-  void degrade(const std::string& reason) {
-    enabled.store(false, std::memory_order_relaxed);
-    degraded.store(true, std::memory_order_relaxed);
-    sink_metrics().degraded.set(1);
-    if (pending_events > 0) sink_metrics().dropped.add(pending_events);
-    pending.clear();
-    pending_events = 0;
-    file.reset();  // closes silently; a partial trace file is left for triage
-    std::fprintf(stderr, "aurv: trace: %s; tracing disabled, events dropped\n",
-                 reason.c_str());
+    publish();
   }
 
   void append(std::string line) {
@@ -139,19 +128,13 @@ struct TraceSink::Impl {
   }
 
   /// Stops collecting, writes the JSON footer, flushes and closes the
-  /// file (mutex held). A no-op when no file is open.
+  /// file (mutex held). A no-op unless a healthy trace is open.
   void finish() {
-    if (!file) return;
-    enabled.store(false, std::memory_order_relaxed);
+    if (!enabled.exchange(false, std::memory_order_relaxed)) return;
     pending += "\n]}\n";
-    if (!flush_pending()) return;  // degrade() already dropped the file
-    try {
-      file->close();
-    } catch (const VfsError& error) {
-      std::fprintf(stderr, "aurv: trace: close failed for %s (%s)\n", path.c_str(),
-                   error.reason().c_str());
-    }
-    file.reset();
+    flush_pending();
+    file->close();
+    publish();
   }
 };
 
@@ -166,19 +149,10 @@ TraceSink& TraceSink::instance() {
 bool TraceSink::open(const std::string& path) {
   std::lock_guard lock(impl_->mutex);
   impl_->finish();  // a previous trace may still be open (multi-spec driver)
-  impl_->enabled.store(false, std::memory_order_relaxed);
-  impl_->degraded.store(false, std::memory_order_relaxed);
-  sink_metrics().degraded.set(0);
-  try {
-    impl_->file = std::make_unique<JsonlSink>(path);
-  } catch (const VfsError& error) {
-    impl_->degraded.store(true, std::memory_order_relaxed);
-    sink_metrics().degraded.set(1);
-    std::fprintf(stderr, "aurv: trace: cannot open %s (%s); tracing disabled\n",
-                 path.c_str(), error.reason().c_str());
-    return false;
-  }
-  impl_->path = path;
+  impl_->degraded.store(false, std::memory_order_relaxed);  // the new file's retries drop nothing
+  impl_->file.emplace("trace", path);
+  impl_->publish();
+  if (impl_->file->degraded()) return false;
   impl_->pending = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   impl_->pending_events = 0;
   impl_->first_event = true;

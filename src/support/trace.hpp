@@ -8,12 +8,14 @@
 //
 // The same hard invariant as the rest of the telemetry layer: tracing
 // NEVER touches a deterministic artifact, and it NEVER fails a run. The
-// sink appends through a support::JsonlSink (jsonl.hpp: torn-write rewind,
-// bounded retry counted in `vfs.retries`) on the support::vfs() seam, so
-// fault-injection tests can script its disk dying; on any persistent write
-// failure it degrades to a counting no-op — `trace.dropped` ticks, the
-// `trace.degraded` gauge reads 1 (so /healthz reports it), one warning
-// lands on stderr, the run continues untouched.
+// file is a support::SoftJsonlSink named "trace" (jsonl.hpp), the one
+// fail-soft stream the search's provenance file also uses: appends go
+// through the support::vfs() seam with torn-write rewind and bounded retry
+// (counted in `vfs.retries`), so fault-injection tests can script its disk
+// dying; a persistent failure at open, on a write or at close degrades it
+// to a counting no-op — `trace.dropped` ticks, the `trace.degraded` gauge
+// reads 1 (so /healthz reports it), one warning lands on stderr, the run
+// continues untouched.
 //
 // Two emission paths, mirroring the telemetry counter discipline:
 //   * serialized contexts (CLI phases, wave loop, checkpoint writes,
@@ -52,13 +54,14 @@ class TraceSink {
   [[nodiscard]] static TraceSink& instance();
 
   /// Opens `path` (truncating) and writes the stream header. Returns
-  /// false — after a stderr warning — when the file cannot be opened;
-  /// the run proceeds untraced, with `trace.dropped` counting the spans
-  /// that would have been emitted.
+  /// false — after the stream's stderr warning — when the file cannot be
+  /// opened; the run proceeds untraced, with `trace.dropped` counting the
+  /// spans that would have been emitted.
   bool open(const std::string& path);
 
   /// Flushes buffered events, writes the JSON footer and closes the
-  /// file. Idempotent; called by the drivers at end of run.
+  /// file (a failed close degrades the sink). Idempotent; called by the
+  /// drivers at end of run.
   void close();
 
   /// Whether events are currently being collected.
@@ -102,7 +105,6 @@ class TraceBuffer {
   explicit TraceBuffer(std::uint32_t lane = 0) : lane_(lane) {}
 
   [[nodiscard]] std::uint32_t lane() const noexcept { return lane_; }
-  [[nodiscard]] bool empty() const noexcept { return lines_.empty(); }
   void add(std::string line) { lines_.push_back(std::move(line)); }
   [[nodiscard]] std::vector<std::string> take() { return std::move(lines_); }
 

@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -119,6 +121,44 @@ TEST(StatusdPrometheus, HistogramBucketsAreCumulativeWithInf) {
   EXPECT_TRUE(contains(text, "aurv_statusd_test_hist_bucket{le=\"+Inf\"} 4\n"));
   EXPECT_TRUE(contains(text, "aurv_statusd_test_hist_sum 106\n"));
   EXPECT_TRUE(contains(text, "aurv_statusd_test_hist_count 4\n"));
+
+  // The widest sample's bucket ends at 2^64 - 1.
+  telemetry::registry().histogram("statusd_test.hist_top").record(UINT64_MAX);
+  const std::string top =
+      statusd::render_prometheus(telemetry::registry().read_snapshot(), telemetry::RunInfo{}, 0.0);
+  EXPECT_TRUE(contains(top, "aurv_statusd_test_hist_top_bucket{le=\"18446744073709551615\"} 1\n"));
+  EXPECT_TRUE(contains(top, "aurv_statusd_test_hist_top_bucket{le=\"+Inf\"} 1\n"));
+}
+
+// `scripts/metrics_report.py prom` renders a saved metrics snapshot in the
+// same exposition format; every family, the zero bucket and the label
+// escapes must come out byte-identical. Values stay below 2^53, because the
+// snapshot file stores numbers as doubles.
+TEST(StatusdPrometheus, MatchesTheOfflineRenderer) {
+  if (std::system("python3 -c pass > /dev/null 2>&1") != 0) GTEST_SKIP() << "no python3";
+  telemetry::registry().reset();
+  telemetry::registry().counter("statusd_test.lockstep.count").add(123456789);
+  telemetry::registry().gauge("statusd_test.lockstep.level").set(-42);
+  auto& histogram = telemetry::registry().histogram("statusd_test.lockstep.hist");
+  for (const std::uint64_t sample : {0, 0, 1, 5, 100, 4096, 1 << 30})
+    histogram.record(sample);
+  histogram.record(std::uint64_t{1} << 40);
+  telemetry::registry().timer("statusd_test.lockstep.timer").add_ns(1234567891);
+
+  telemetry::RunInfo run;
+  run.kind = "kind\"quoted";
+  run.spec = "dir\\spec\nwith-newline.json";
+  run.fingerprint = "0123456789abcdef";
+  run.threads = 3;
+  const std::string snapshot_path = temp_path("statusd_lockstep_metrics.json");
+  const std::string offline_path = temp_path("statusd_lockstep_metrics.prom");
+  telemetry::metrics_snapshot(run, 1500.0).save_file(snapshot_path);
+  const std::string command = "python3 '" + std::string(AURV_SOURCE_DIR) +
+                              "/scripts/metrics_report.py' prom '" + snapshot_path + "' > '" +
+                              offline_path + "'";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  EXPECT_EQ(statusd::render_prometheus(telemetry::registry().read_snapshot(), run, 1.5),
+            slurp(offline_path));
 }
 
 // ----------------------------------------------------------- routing --

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "test_paths.hpp"
 #include "support/json.hpp"
 
 namespace aurv::support {
@@ -135,6 +137,14 @@ TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack) {
 TEST(Json, NonFiniteNumbersRefuseToSerialize) {
   EXPECT_THROW((void)Json(std::nan("")).dump(), JsonError);
   EXPECT_THROW((void)Json(INFINITY).dump(), JsonError);
+}
+
+// The committed micro-kernel ledger is written by bench/bench_json.hpp
+// through Json::dump(2); a file already in that form makes a refresh of
+// one row a one-line diff.
+TEST(Json, CommittedBenchLedgerIsAFixedPointOfTheWriter) {
+  const std::string path = std::string(AURV_SOURCE_DIR) + "/BENCH_micro.json";
+  EXPECT_EQ(Json::load_file(path).dump(2), testpaths::slurp(path));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -44,6 +45,15 @@ TEST(Telemetry, GaugeSetAddAndHighWater) {
   EXPECT_EQ(gauge.value(), 100);
   gauge.set_max(5);  // never lowers
   EXPECT_EQ(gauge.value(), 100);
+
+  // The cell is unsigned; set_max compares signed.
+  gauge.set(-10);
+  gauge.set_max(-20);
+  EXPECT_EQ(gauge.value(), -10);
+  gauge.set_max(-3);
+  EXPECT_EQ(gauge.value(), -3);
+  gauge.set_max(0);  // crossing zero: an unsigned compare would keep -3
+  EXPECT_EQ(gauge.value(), 0);
 }
 
 TEST(Telemetry, HistogramBucketsByBitWidth) {
@@ -76,6 +86,16 @@ TEST(Telemetry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(buckets.at("2").as_uint(), 2u);
   EXPECT_EQ(buckets.at("512").as_uint(), 1u);
   EXPECT_EQ(buckets.find("1024"), nullptr);
+
+  // The widest sample lands in the last bucket, keyed 2^63.
+  Log2Histogram top;
+  top.record(UINT64_MAX);
+  EXPECT_EQ(top.bucket(64), 1u);
+  registry().histogram("test.histogram.top").record(UINT64_MAX);
+  const Json top_buckets =
+      registry().snapshot().at("histograms").at("test.histogram.top").at("buckets");
+  EXPECT_EQ(top_buckets.as_object().size(), 1u);
+  EXPECT_EQ(top_buckets.at("9223372036854775808").as_uint(), 1u);
 }
 
 // --------------------------------------------------------------- registry --

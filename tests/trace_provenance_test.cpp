@@ -8,7 +8,8 @@
 //   * both writers degrade soft under injected I/O faults: torn writes
 //     are absorbed by bounded retry, a dead disk drops the diagnostic
 //     stream (visible in trace.dropped / provenance.dropped) while the
-//     run and its artifacts continue untouched;
+//     run and its artifacts continue untouched, and a failed trace close
+//     degrades the sink like a failed write;
 //   * the activity stack feeds the heartbeat's "phase" field.
 #include <gtest/gtest.h>
 
@@ -377,6 +378,29 @@ TEST(TraceProvenance, TraceWriterAbsorbsTornWritesAndSurvivesDeadDisk) {
     EXPECT_TRUE(trace::sink().degraded());
     EXPECT_GT(counter_value("trace.dropped"), 0u);
   }
+  reset_trace_sink();
+}
+
+// A trace whose close fails (the footer write lands, the close's flush
+// does not) degrades like a failed write: gauge 1, /healthz 503.
+TEST(TraceProvenance, FailedTraceCloseDegradesTheSink) {
+  telemetry::registry().reset();
+  FaultSpec dead;
+  dead.after = 2;  // open_write and the footer write go through
+  dead.path_contains = "trace_dead_close.json";
+  dead.klass = FaultClass::FlushIo;
+  dead.sticky = true;
+  FaultVfs faulty{FaultSchedule{{dead}}};
+  {
+    const ScopedVfs seam(faulty);
+    ASSERT_TRUE(trace::sink().open(temp_path("trace_dead_close.json")));
+    trace::sink().close();
+  }
+  EXPECT_TRUE(trace::sink().degraded());
+  EXPECT_EQ(telemetry::registry().gauge("trace.degraded").value(), 1);
+  const statusd::Response health = statusd::handle_request("GET", "/healthz", {}, 0.0);
+  EXPECT_EQ(health.status, 503);
+  EXPECT_NE(health.body.find("trace.degraded"), std::string::npos) << health.body;
   reset_trace_sink();
 }
 
